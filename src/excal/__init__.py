@@ -21,6 +21,7 @@ from .errors import (
     ExcalError,
     ExprSyntaxError,
     JetBudgetExhausted,
+    NonFiniteValue,
     NotADerivation,
     OrderExceeded,
     PointExcluded,
@@ -165,6 +166,7 @@ __all__ = [
     "DegreeError",
     "PointExcluded",
     "SingularMetric",
+    "NonFiniteValue",
     "NotADerivation",
     "ReconstructionMismatch",
     "ConfigError",

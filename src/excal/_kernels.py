@@ -1,51 +1,12 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
-
-The only kernel that dominates runtime is the truncated Taylor-coefficient
-convolution behind jet multiplication.  Backend selection:
-
-* ``EXCAL_BACKEND=numpy``  force the pure-numpy path,
-* ``EXCAL_BACKEND=numba``  require numba (ImportError if missing),
-* unset / ``auto``         numba when importable, numpy otherwise.
-
-``benchmarks/bench_kernels.py`` compares the two paths.
-"""
-
-import os
+"""The hot numeric kernel: the truncated Taylor-coefficient convolution
+behind jet multiplication, in numpy."""
 
 import numpy as np
 
-_requested = os.environ.get("EXCAL_BACKEND", "auto").lower()
 
-_numba_ok = False
-if _requested in ("auto", "numba"):
-    try:
-        import numba
-
-        _numba_ok = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-
-def _mul_numpy(a, b, idx_a, idx_b, idx_out, size):
+def mul_coeffs(a, b, idx_a, idx_b, idx_out, size):
     return np.bincount(idx_out, weights=a[idx_a] * b[idx_b], minlength=size)
 
 
-if _numba_ok:
-
-    @numba.njit(cache=True)
-    def _mul_numba(a, b, idx_a, idx_b, idx_out, size):
-        out = np.zeros(size)
-        for t in range(idx_a.shape[0]):
-            out[idx_out[t]] += a[idx_a[t]] * b[idx_b[t]]
-        return out
-
-    mul_coeffs = _mul_numba
-    BACKEND = "numba"
-else:
-    mul_coeffs = _mul_numpy
-    BACKEND = "numpy"
-
-
 def backend_name():
-    return BACKEND
+    return "numpy"

@@ -7,9 +7,9 @@ points before the entry is served.
 """
 
 from .alt import AltValue, VecAltValue, interior, sharp, wedge, wedge_sv
-from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, max_abs, zero_like
-from .errors import UnknownEntry, ValidationFailed
-from .geometry import FormField, Geometry, sample_points
+from .compare import alt_errors, exceeds, zero_like
+from .errors import NonFiniteValue, UnknownEntry, ValidationFailed
+from .geometry import CONFIG_VERSION, load_config, sample_points
 from .operators import (
     d_nabla,
     endo_compose,
@@ -41,8 +41,11 @@ class CatalogEntry:
             for p in pts:
                 ctx = self.geometry.context(p, VALIDATION_ORDER)
                 for lhs, rhs in fn(self, ctx):
-                    err, scale = alt_errors(value_of(lhs), value_of(rhs))
-                    if err > DEFAULT_ATOL + DEFAULT_RTOL * max(scale, 1.0):
+                    try:
+                        err, scale = alt_errors(value_of(lhs), value_of(rhs))
+                    except NonFiniteValue as exc:
+                        raise ValidationFailed(self.name, label, f"{exc} at {p}")
+                    if exceeds(err, scale):
                         raise ValidationFailed(
                             self.name, label, f"err {err:.3e} at {p}"
                         )
@@ -197,30 +200,24 @@ def _flat_metric(n):
 
 
 def _mkgeom(name, n, coords, metric, domain, exclude=None, structures=None, forms=None):
-    g = Geometry(
-        n=n,
-        coord_names=coords,
-        metric=[[None] * n for _ in range(n)],
-        domain=domain,
-        name=name,
-    )
-    g.metric = [[g.parse_expr(e) for e in row] for row in metric]
+    """Load a built-in chart through the excal-config v1 loader."""
+    doc = {
+        "version": CONFIG_VERSION,
+        "name": name,
+        "dim": n,
+        "coords": coords,
+        "metric": metric,
+        "domain": domain,
+    }
     if exclude:
-        g.exclude = g.parse_expr(exclude)
+        doc["exclude"] = exclude
     if structures:
-        st = {}
-        for key, spec in structures.items():
-            if key in ("J", "phi"):
-                st[key] = [[g.parse_expr(e) for e in row] for row in spec]
-            else:
-                st[key] = [g.parse_expr(e) for e in spec]
-        g.structures = st
+        doc["structures"] = structures
     if forms:
-        fd = {}
-        for fname, (k, coeffs) in forms.items():
-            fd[fname] = FormField(k, {I: g.parse_expr(src) for I, src in coeffs.items()})
-        g.forms = fd
-    return g
+        doc["forms"] = {
+            fname: {"degree": k, "coeffs": coeffs} for fname, (k, coeffs) in forms.items()
+        }
+    return load_config(doc)
 
 
 def _block_j_matrix(n, pairs):
@@ -233,8 +230,9 @@ def _block_j_matrix(n, pairs):
 
 
 def _fundamental_form_coeffs(pairs, scale="1"):
-    """Omega = -scale * sum dx_{2i} ^ dx_{2i+1} so that Omega-sharp is J."""
-    return {(2 * i, 2 * i + 1): f"-({scale})" for i in range(pairs)}
+    """Omega = -scale * sum dx_{2i} ^ dx_{2i+1} so that Omega-sharp is J;
+    config keys are 1-based."""
+    return {f"{2 * i + 1},{2 * i + 2}": f"-({scale})" for i in range(pairs)}
 
 
 def _build_euclidean(n, torus=False):
@@ -325,8 +323,8 @@ def _build_hopf_lck():
         },
         forms={
             "Omega": (2, _fundamental_form_coeffs(2, scale=f"1/{r2}")),
-            "eta": (1, {(i,): eta[i] for i in range(n)}),
-            "theta": (1, {(i,): theta[i] for i in range(n)}),
+            "eta": (1, {str(i + 1): eta[i] for i in range(n)}),
+            "theta": (1, {str(i + 1): theta[i] for i in range(n)}),
         },
     )
     checks = [
@@ -366,8 +364,8 @@ def _build_sasakian_s3():
             "eta": eta,
         },
         forms={
-            "Phi": (2, {(0, 1): "-sin(theta)/4"}),
-            "eta": (1, {(1,): "cos(theta)/2", (2,): "1/2"}),
+            "Phi": (2, {"1,2": "-sin(theta)/4"}),
+            "eta": (1, {"2": "cos(theta)/2", "3": "1/2"}),
         },
     )
     checks = [
@@ -402,7 +400,7 @@ def _build_flat_cokahler(m):
         },
         forms={
             "Phi": (2, _fundamental_form_coeffs(m)),
-            "eta": (1, {(n - 1,): "1"}),
+            "eta": (1, {str(n): "1"}),
         },
     )
     checks = [

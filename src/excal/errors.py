@@ -79,6 +79,10 @@ class ReconstructionMismatch(ExcalError):
     """fn_decompose output fails to reproduce the input operator."""
 
 
+class NonFiniteValue(ExcalError):
+    """A compared value holds a NaN or an infinity."""
+
+
 class ConfigError(ExcalError):
     """A config document or identity check is unresolvable."""
 

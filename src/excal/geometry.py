@@ -126,9 +126,6 @@ class ChartContext:
     def g_value(self):
         return np.array([[e.value for e in row] for row in self.g()])
 
-    def g_inv_value(self):
-        return np.array([[e.value for e in row] for row in self.g_inv()])
-
     def gamma(self):
         """Christoffel jets of order one less than the metric jets."""
         return self._memo("gamma", lambda: _christoffel_jets(self.g(), self.g_inv()))

@@ -222,9 +222,12 @@ class Jet:
         v = self.value
         if v == 0.0:
             raise DivisionByZeroAtPoint("division by a jet with value 0")
-        series = np.array(
-            [(-1.0) ** m / v ** (m + 1) for m in range(self.order + 1)]
-        )
+        try:
+            series = np.array(
+                [(-1.0) ** m / v ** (m + 1) for m in range(self.order + 1)]
+            )
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError("reciprocal", v)
         return _compose(series, self)
 
     def __pow__(self, r):
@@ -232,12 +235,17 @@ class Jet:
             isinstance(r, float) and r.is_integer() and self.value <= 0
         ):
             k = int(r)
-            if k >= 0:
-                out = jet_const(1.0, self.space.n, self.order)
-                for _ in range(k):
-                    out = out * self
-                return out
-            return self.reciprocal() ** (-k)
+            if k < 0:
+                return self.reciprocal() ** (-k)
+            # binary exponentiation: one multiply per bit of k, not per unit
+            out, base = None, self
+            while k:
+                if k & 1:
+                    out = base if out is None else out * base
+                k >>= 1
+                if k:
+                    base = base * base
+            return jet_const(1.0, self.space.n, self.order) if out is None else out
         return jet_apply("pow", self, float(r))
 
     def __repr__(self):
@@ -268,24 +276,6 @@ def jet_var(p, i, order):
 
 
 # -- named operation surface --------------------------------------------
-
-
-def jet_arith(kind, a, b=None):
-    if kind == "neg":
-        return -a
-    if b is None:
-        raise ShapeMismatch(f"binary jet operation {kind!r} needs two operands")
-    if isinstance(a, Jet) and isinstance(b, Jet) and a.order != b.order:
-        raise ShapeMismatch("jet operands differ in order")
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown jet arithmetic kind {kind!r}")
 
 
 def jet_partial(a, alpha):
@@ -367,4 +357,10 @@ def jet_apply(fn, a, r=None):
     """Apply an elementary function to a jet by Taylor composition."""
     if fn == "pow" and r is not None and float(r).is_integer() and r >= 0 and a.value <= 0:
         return a ** int(r)
-    return _compose(_series(fn, a.value, a.order, r), a)
+    if not math.isfinite(a.value):
+        raise DomainError(fn, a.value)
+    try:
+        series = _series(fn, a.value, a.order, r)
+    except OverflowError:
+        raise DomainError(fn, a.value)
+    return _compose(series, a)

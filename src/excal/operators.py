@@ -112,18 +112,6 @@ def nabla_coord(ctx, a, w):
     return AltValue(n, k, out)
 
 
-def nabla_form(ctx, X, w):
-    """Covariant derivative along a tangent vector X (VecAltValue deg 0)."""
-    comps = X.as_vector()
-    out = AltValue.zero(w.n, w.k)
-    for a in range(w.n):
-        xa = comps[a]
-        if _alt_is_zero(xa):
-            continue
-        out = out + nabla_coord(ctx, a, w).scale(xa)
-    return out
-
-
 def codiff(ctx, w, descending=False):
     """Hodge codifferential by the orthonormal-frame formula."""
     if w.k == 0 or w.k > w.n:
@@ -156,17 +144,6 @@ def nabla_vec_coord(ctx, a, phi):
                 continue
             comps[b] = comps[b] + phi.comps[m].scale(gamma[b][a][m])
     return VecAltValue(n, phi.k, comps)
-
-
-def nabla_vec_dir(ctx, X, phi):
-    comps_x = X.as_vector()
-    out = VecAltValue.zero(phi.n, phi.k)
-    for a in range(phi.n):
-        xa = comps_x[a]
-        if _alt_is_zero(xa):
-            continue
-        out = out + nabla_vec_coord(ctx, a, phi).scale(xa)
-    return out
 
 
 def d_nabla(ctx, phi):
@@ -458,11 +435,6 @@ def nijenhuis(ctx, T):
                 if not (isinstance(v, float) and v == 0.0):
                     comps_out[b][(i, j)] = v
     return VecAltValue(n, 2, [AltValue(n, 2, d) for d in comps_out])
-
-
-def nabla_vector_field(ctx, xi):
-    """(d^nabla xi)(Y) = nabla_Y xi as an endomorphism (VecAltValue deg 1)."""
-    return d_nabla(ctx, xi)
 
 
 def lie_metric(ctx, xi, printed_variant=False):

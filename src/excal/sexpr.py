@@ -322,6 +322,8 @@ def eval_value(e, p):
             if e.fn in ("log", "sqrt") and args[0] <= 0.0:
                 raise DomainError(e.fn, args[0])
             return getattr(math, e.fn)(args[0])
+        except (OverflowError, ValueError):  # math range and domain errors
+            raise _annotate(DomainError(e.fn, args[0]), e)
         except DomainError as exc:
             raise _annotate(exc, e)
     raise TypeError(f"not an expression node: {e!r}")
@@ -332,7 +334,10 @@ def _float_pow(a, b, node):
         raise _annotate(DomainError("pow", a), node)
     if a == 0.0 and b < 0:
         raise _annotate(DivisionByZeroAtPoint("zero raised to negative power"), node)
-    return a**b
+    try:
+        return a**b
+    except OverflowError:
+        raise _annotate(DomainError("pow", a), node)
 
 
 # -- pretty printer ------------------------------------------------------

@@ -10,11 +10,12 @@ a fixed (geometry, seed) pair up to the wall-time field.
 
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from itertools import combinations
 
 from . import catalog, opexpr
 from .alt import AltValue, VecAltValue, interior, trace, wedge, wedge_sv
-from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors
+from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, exceeds
 from .errors import ConfigError, DegreeError, UnknownSuite
 from .geometry import FormField, Geometry, VecFormField, sample_points
 from .jets import Jet
@@ -110,18 +111,6 @@ class IdentityCheck:
     expected_fail: bool = False
 
 
-def _errors(lhs, rhs):
-    """Like compare.alt_errors but also accepts parallel lists of values."""
-    if isinstance(lhs, (list, tuple)) or isinstance(rhs, (list, tuple)):
-        err = scale = 0.0
-        for a, b in zip(lhs, rhs):
-            e, s = _errors(a, b)
-            err = max(err, e)
-            scale = max(scale, s)
-        return err, scale
-    return alt_errors(lhs, rhs)
-
-
 def _side(side, ctx, env):
     if callable(side):
         return side(ctx, env)
@@ -156,10 +145,10 @@ def run_check(check):
             ctx = G.context(tuple(p), check.jet_order)
             lhs = _side(check.lhs, ctx, env)
             rhs = _side(check.rhs, ctx, env)
-            abs_err, scale = _errors(lhs, rhs)
+            abs_err, scale = alt_errors(lhs, rhs)
             rel_err = abs_err / max(scale, 1.0)
             rec = {"p": list(p), "abs_err": abs_err, "rel_err": rel_err}
-            if abs_err > check.atol + check.rtol * max(scale, 1.0):
+            if exceeds(abs_err, scale, check.atol, check.rtol):
                 ok = False
         except Exception as exc:  # recorded, not raised
             abs_err = rel_err = float("1e308")
@@ -199,13 +188,6 @@ def _zero(n, k):
     return AltValue.zero(n, k)
 
 
-def _as_list(fn, degrees):
-    def run(ctx, env):
-        return [fn(ctx, env, q) for q in degrees]
-
-    return run
-
-
 def _scalar(value):
     return value.coeffs.get((), 0.0) if isinstance(value, AltValue) else value
 
@@ -240,7 +222,94 @@ def _comm_eps(ctx, omega_val, beta_val):
     return graded_comm(ctx, op_delta(), op_eps(omega_val, omega_val.k), beta_val)
 
 
+def _beta_values(betas, ctx):
+    """The betas at ctx in degree order, each evaluated when it is reached."""
+    return (beta.at(ctx) for beta in betas.values())
+
+
+def _commutators(F, betas):
+    """Side [delta, eps_F] beta per degree, for the form field F."""
+
+    def side(ctx, env):
+        f = F.at(ctx)
+        return [_comm_eps(ctx, f, b) for b in _beta_values(betas, ctx)]
+
+    return side
+
+
+def _residual(pair, betas):
+    """Side [delta, eps_eta] beta + L_X beta per degree, (eta, X) = pair(ctx)."""
+
+    def side(ctx, env):
+        eta, X = pair(ctx)
+        return [
+            _comm_eps(ctx, eta, b) + lie_vec(ctx, X, b) for b in _beta_values(betas, ctx)
+        ]
+
+    return side
+
+
+def _flat_pair(xi_field):
+    """(eta, X) = (xi-flat, xi): the Goldberg residual of a vector field xi."""
+
+    def pair(ctx):
+        xi = xi_field.at(ctx)
+        return _xi_flat(ctx, xi), xi
+
+    return pair
+
+
+def _sharp_pair(om_field):
+    """(eta, X) = (omega, omega-sharp): the residual of a parallel form omega."""
+
+    def pair(ctx):
+        w = om_field.at(ctx)
+        return w, sharp_field(ctx, w)
+
+    return pair
+
+
+def _zero_rhs(n, out_degrees):
+    def rhs(ctx, env):
+        return [_zero(n, d) for d in out_degrees]
+
+    return rhs
+
+
+def _rotation_field(G):
+    """x1 d2 - x2 d1 as a VecFormField (a flat-chart Killing field)."""
+    zero = G.parse_expr("0")
+    comps = []
+    for b in range(G.n):
+        if b == 0:
+            comps.append(FormField(0, {(): G.parse_expr(f"-{G.coord_names[1]}")}))
+        elif b == 1:
+            comps.append(FormField(0, {(): G.parse_expr(G.coord_names[0])}))
+        else:
+            comps.append(FormField(0, {(): zero}))
+    return VecFormField(0, comps)
+
+
+def _const_vec(G, comps_src):
+    return VecFormField(
+        0, [FormField(0, {(): G.parse_expr(s)}) for s in comps_src]
+    )
+
+
+def _const_form(G, k, coeffs):
+    return FormField(k, {I: G.parse_expr(src) for I, src in coeffs.items()})
+
+
+def _jv(x):
+    return x.value if isinstance(x, Jet) else float(x)
+
+
 # -- suite builders ----------------------------------------------------------
+#
+# A suite builder takes the check factory `mk` (IdentityCheck with the run's
+# seed and tolerances bound) and the run seed, and returns the suite's checks.
+# Every check that departs from the factory's defaults says so where it is
+# built.
 
 GEOMS_ALL = [
     "euclidean(3)",
@@ -271,505 +340,290 @@ def _resolve_pair(spec):
     return catalog.builtin(spec).geometry, spec
 
 
+def _per_geometry(default_geoms):
+    """Make a suite builder from body(check, seed, G, gname), a generator of
+    the checks on one chart, run over default_geoms or the geoms passed in.
+    check(id, lhs, rhs, **overrides) builds a check on that chart."""
 
-def _s_fn_contraction(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        for k in (1, 2):
-            for p in (1, 2):
-                if k + p > n:
-                    continue
-                om = random_form(G, k, derive_seed(seed, gname, "omega", k, p))
-                ph = random_vec_form(G, p, derive_seed(seed, gname, "phi", k, p))
+    def decorate(body):
+        def build(mk, seed, geoms=None):
+            checks = []
+            for spec in default_geoms if geoms is None else geoms:
+                G, gname = _resolve_pair(spec)
 
-                def lhs(ctx, env, om=om, ph=ph):
-                    return trace(wedge_sv(om.at(ctx), ph.at(ctx)))
+                def check(cid, lhs, rhs, **overrides):
+                    return mk(cid, spec, lhs, rhs, **overrides)
 
-                def rhs(ctx, env, om=om, ph=ph, k=k, p=p):
-                    w, f = om.at(ctx), ph.at(ctx)
-                    s1 = -1.0 if k % 2 else 1.0
-                    s2 = -1.0 if ((k + 1) * p) % 2 else 1.0
-                    return wedge(w, trace(f)).scale(s1) + interior(f, w).scale(s2)
+                checks.extend(body(check, seed, G, gname))
+            return checks
 
-                checks.append(
-                    IdentityCheck(
-                        id=f"fn-contraction/{gname}/k{k}p{p}",
-                        geometry=spec,
-                        lhs=lhs,
-                        rhs=rhs,
-                        seed=seed,
-                        atol=atol,
-                        rtol=rtol,
-                        jet_order=0,
-                    )
-                )
-    return checks
+        return build
+
+    return decorate
 
 
-def _s_omegaiphi(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        for k, p, l in ((1, 1, 1), (1, 1, 2), (1, 2, 1)):
-            if k + p + l - 1 > n:
+@_per_geometry(GEOMS_ALL)
+def _s_fn_contraction(check, seed, G, gname):
+    for k in (1, 2):
+        for p in (1, 2):
+            if k + p > G.n:
                 continue
-            om = random_form(G, k, derive_seed(seed, gname, "om", k, p, l))
-            ph = random_vec_form(G, p, derive_seed(seed, gname, "ph", k, p, l))
-            be = random_form(G, l, derive_seed(seed, gname, "be", k, p, l))
+            om = random_form(G, k, derive_seed(seed, gname, "omega", k, p))
+            ph = random_vec_form(G, p, derive_seed(seed, gname, "phi", k, p))
 
-            def lhs(ctx, env, om=om, ph=ph, be=be):
-                return wedge(om.at(ctx), interior(ph.at(ctx), be.at(ctx)))
+            def lhs(ctx, env, om=om, ph=ph):
+                return trace(wedge_sv(om.at(ctx), ph.at(ctx)))
 
-            def rhs(ctx, env, om=om, ph=ph, be=be):
-                return interior(wedge_sv(om.at(ctx), ph.at(ctx)), be.at(ctx))
+            def rhs(ctx, env, om=om, ph=ph, k=k, p=p):
+                w, f = om.at(ctx), ph.at(ctx)
+                s1 = -1.0 if k % 2 else 1.0
+                s2 = -1.0 if ((k + 1) * p) % 2 else 1.0
+                return wedge(w, trace(f)).scale(s1) + interior(f, w).scale(s2)
 
-            checks.append(
-                IdentityCheck(
-                    id=f"omegaiphi/{gname}/k{k}p{p}l{l}",
-                    geometry=spec,
-                    lhs=lhs,
-                    rhs=rhs,
-                    seed=seed,
-                    atol=atol,
-                    rtol=rtol,
-                    jet_order=0,
-                )
-            )
-    return checks
+            yield check(f"fn-contraction/{gname}/k{k}p{p}", lhs, rhs, jet_order=0)
 
 
-def _s_lie_wedge(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        combos = [(1, 1, 1)]
-        if n >= 3:
-            combos.append((1, 1, 2))
-        for k, p, l in combos:
-            om = random_form(G, k, derive_seed(seed, gname, "om", k, p, l))
-            ph = random_vec_form(G, p, derive_seed(seed, gname, "ph", k, p, l))
-            be = random_form(G, l, derive_seed(seed, gname, "be", k, p, l))
+@_per_geometry(GEOMS_ALL)
+def _s_omegaiphi(check, seed, G, gname):
+    for k, p, l in ((1, 1, 1), (1, 1, 2), (1, 2, 1)):
+        if k + p + l - 1 > G.n:
+            continue
+        om = random_form(G, k, derive_seed(seed, gname, "om", k, p, l))
+        ph = random_vec_form(G, p, derive_seed(seed, gname, "ph", k, p, l))
+        be = random_form(G, l, derive_seed(seed, gname, "be", k, p, l))
 
-            def lhs(ctx, env, om=om, ph=ph, be=be):
-                return wedge(om.at(ctx), lie_vec(ctx, ph.at(ctx), be.at(ctx)))
+        def lhs(ctx, env, om=om, ph=ph, be=be):
+            return wedge(om.at(ctx), interior(ph.at(ctx), be.at(ctx)))
 
-            def rhs(ctx, env, om=om, ph=ph, be=be, k=k, p=p):
-                w, f, b = om.at(ctx), ph.at(ctx), be.at(ctx)
-                sign = -1.0 if (p + k) % 2 else 1.0
-                return lie_vec(ctx, wedge_sv(w, f), b) - interior(
-                    wedge_sv(ext_d(ctx, w), f), b
-                ).scale(sign)
+        def rhs(ctx, env, om=om, ph=ph, be=be):
+            return interior(wedge_sv(om.at(ctx), ph.at(ctx)), be.at(ctx))
 
-            checks.append(
-                IdentityCheck(
-                    id=f"lie-wedge/{gname}/k{k}p{p}l{l}",
-                    geometry=spec,
-                    lhs=lhs,
-                    rhs=rhs,
-                    seed=seed,
-                    atol=atol,
-                    rtol=rtol,
-                    jet_order=2,
-                )
-            )
-    return checks
+        yield check(f"omegaiphi/{gname}/k{k}p{p}l{l}", lhs, rhs, jet_order=0)
 
 
-def _s_dsquared(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        degrees = list(range(0, max(n - 1, 1)))
-        betas = _betas(G, derive_seed(seed, gname, "d2"), degrees)
+@_per_geometry(GEOMS_ALL)
+def _s_lie_wedge(check, seed, G, gname):
+    combos = [(1, 1, 1)]
+    if G.n >= 3:
+        combos.append((1, 1, 2))
+    for k, p, l in combos:
+        om = random_form(G, k, derive_seed(seed, gname, "om", k, p, l))
+        ph = random_vec_form(G, p, derive_seed(seed, gname, "ph", k, p, l))
+        be = random_form(G, l, derive_seed(seed, gname, "be", k, p, l))
 
-        def lhs(ctx, env, betas=betas, degrees=degrees):
-            return [ext_d(ctx, ext_d(ctx, betas[q].at(ctx))) for q in degrees]
+        def lhs(ctx, env, om=om, ph=ph, be=be):
+            return wedge(om.at(ctx), lie_vec(ctx, ph.at(ctx), be.at(ctx)))
 
-        def rhs(ctx, env, n=n, degrees=degrees):
-            return [_zero(n, q + 2) for q in degrees]
+        def rhs(ctx, env, om=om, ph=ph, be=be, k=k, p=p):
+            w, f, b = om.at(ctx), ph.at(ctx), be.at(ctx)
+            sign = -1.0 if (p + k) % 2 else 1.0
+            return lie_vec(ctx, wedge_sv(w, f), b) - interior(
+                wedge_sv(ext_d(ctx, w), f), b
+            ).scale(sign)
 
-        checks.append(
-            IdentityCheck(
-                id=f"dsquared/{gname}",
-                geometry=spec,
-                lhs=lhs,
-                rhs=rhs,
-                seed=seed,
-                atol=atol,
-                rtol=rtol,
-                jet_order=2,
-            )
-        )
-    return checks
+        yield check(f"lie-wedge/{gname}/k{k}p{p}l{l}", lhs, rhs)
 
 
-def _s_deltasquared(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        degrees = list(range(2, n + 1))
-        betas = _betas(G, derive_seed(seed, gname, "delta2"), degrees)
+@_per_geometry(GEOMS_ALL)
+def _s_dsquared(check, seed, G, gname):
+    betas = _betas(G, derive_seed(seed, gname, "d2"), range(max(G.n - 1, 1)))
 
-        def lhs(ctx, env, betas=betas, degrees=degrees):
-            return [codiff(ctx, codiff(ctx, betas[q].at(ctx))) for q in degrees]
-
-        def rhs(ctx, env, n=n, degrees=degrees):
-            return [_zero(n, q - 2) for q in degrees]
-
-        checks.append(
-            IdentityCheck(
-                id=f"deltasquared/{gname}",
-                geometry=spec,
-                lhs=lhs,
-                rhs=rhs,
-                seed=seed,
-                atol=atol,
-                rtol=rtol,
-                jet_order=2,
-            )
-        )
-    return checks
-
-
-def _s_frame_independence(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        degrees = list(range(1, n + 1))
-        betas = _betas(G, derive_seed(seed, gname, "frame"), degrees)
-
-        def lhs(ctx, env, betas=betas, degrees=degrees):
-            return [codiff(ctx, betas[q].at(ctx)) for q in degrees]
-
-        def rhs(ctx, env, betas=betas, degrees=degrees):
-            return [codiff(ctx, betas[q].at(ctx), descending=True) for q in degrees]
-
-        checks.append(
-            IdentityCheck(
-                id=f"frame-independence/{gname}",
-                geometry=spec,
-                lhs=lhs,
-                rhs=rhs,
-                seed=seed,
-                atol=atol,
-                rtol=rtol,
-                jet_order=2,
-            )
-        )
-    return checks
-
-
-def _s_curvature_dnabla2(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        for p in (0, 1):
-            if p + 2 > G.n:
-                continue
-            ph = random_vec_form(G, p, derive_seed(seed, gname, "curv", p))
-
-            def lhs(ctx, env, ph=ph):
-                return d_nabla(ctx, d_nabla(ctx, ph.at(ctx)))
-
-            def rhs(ctx, env, ph=ph):
-                return curvature_shuffle(ctx, ph.at(ctx))
-
-            checks.append(
-                IdentityCheck(
-                    id=f"curvature-dnabla2/{gname}/p{p}",
-                    geometry=spec,
-                    lhs=lhs,
-                    rhs=rhs,
-                    seed=seed,
-                    atol=atol,
-                    rtol=rtol,
-                    jet_order=2,
-                )
-            )
-    return checks
-
-
-def _s_omegacov(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        for k in range(1, min(2, n) + 1):
-            om = random_form(G, k, derive_seed(seed, gname, "cov", k))
-
-            def lhs(ctx, env, om=om):
-                w = om.at(ctx)
-                dn = d_nabla(ctx, sharp_field(ctx, w))
-                dw = ext_d(ctx, w)
-                if dw.k > dw.n:
-                    return dn
-                return dn + sharp_field(ctx, dw)
-
-            def rhs(ctx, env, om=om):
-                return omega_nabla(ctx, om.at(ctx))
-
-            checks.append(
-                IdentityCheck(
-                    id=f"omegacov/{gname}/k{k}",
-                    geometry=spec,
-                    lhs=lhs,
-                    rhs=rhs,
-                    seed=seed,
-                    atol=atol,
-                    rtol=rtol,
-                    jet_order=2,
-                )
-            )
-        # omega wedge nabla_phi = nabla_{omega wedge phi}
-        if n >= 2:
-            om = random_form(G, 1, derive_seed(seed, gname, "covphi-om"))
-            ph = random_vec_form(G, 1, derive_seed(seed, gname, "covphi-ph"))
-            be = random_form(G, 1, derive_seed(seed, gname, "covphi-be"))
-
-            def lhs2(ctx, env, om=om, ph=ph, be=be):
-                return wedge(om.at(ctx), nabla_vec(ctx, ph.at(ctx), be.at(ctx)))
-
-            def rhs2(ctx, env, om=om, ph=ph, be=be):
-                return nabla_vec(ctx, wedge_sv(om.at(ctx), ph.at(ctx)), be.at(ctx))
-
-            checks.append(
-                IdentityCheck(
-                    id=f"omegacov/{gname}/wedge-compat",
-                    geometry=spec,
-                    lhs=lhs2,
-                    rhs=rhs2,
-                    seed=seed,
-                    atol=atol,
-                    rtol=rtol,
-                    jet_order=2,
-                )
-            )
-    return checks
-
-
-def _s_diamond_consistency(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        for k in range(1, min(3, n) + 1):
-            om = random_form(G, k, derive_seed(seed, gname, "dia", k))
-            for va, vb in ((0, 1), (1, 2)):
-
-                def lhs(ctx, env, om=om, va=va):
-                    return omega_diamond(ctx, om.at(ctx), variant=va)
-
-                def rhs(ctx, env, om=om, vb=vb):
-                    return omega_diamond(ctx, om.at(ctx), variant=vb)
-
-                checks.append(
-                    IdentityCheck(
-                        id=f"diamond-consistency/{gname}/k{k}/v{va}{vb}",
-                        geometry=spec,
-                        lhs=lhs,
-                        rhs=rhs,
-                        seed=seed,
-                        atol=atol,
-                        rtol=rtol,
-                        jet_order=2,
-                    )
-                )
-    return checks
-
-
-def _s_delta_trace(seed, atol, rtol, geoms=None):
-    checks = []
-    for spec in geoms if geoms is not None else GEOMS_ALL:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        degrees = list(range(1, min(3, n) + 1))
-        oms = {
-            k: random_form(G, k, derive_seed(seed, gname, "dt", k)) for k in degrees
-        }
-
-        def lhs(ctx, env, oms=oms, degrees=degrees):
-            out = []
-            for k in degrees:
-                w = oms[k].at(ctx)
-                out.append(codiff(ctx, w))
-                out.append(trace(omega_nabla(ctx, w)))
-                if k >= 2:  # the sharp of a 1-form is a vector, no trace
-                    out.append(trace(sharp_field(ctx, w)))
-            return out
-
-        def rhs(ctx, env, oms=oms, degrees=degrees, n=n):
-            out = []
-            for k in degrees:
-                w = oms[k].at(ctx)
-                out.append(trace(omega_diamond(ctx, w)).scale(-0.5))
-                out.append(-codiff(ctx, w))
-                if k >= 2:
-                    out.append(_zero(n, k - 2))
-            return out
-
-        checks.append(
-            IdentityCheck(
-                id=f"delta-trace/{gname}",
-                geometry=spec,
-                lhs=lhs,
-                rhs=rhs,
-                seed=seed,
-                atol=atol,
-                rtol=rtol,
-                jet_order=2,
-            )
-        )
-    return checks
-
-
-def _main_checks(seed, atol, rtol, covariant, geoms=None):
-    tag = "main-covariant" if covariant else "main-lie"
-    checks = []
-    for spec in geoms if geoms is not None else MAIN_GEOMS:
-        G, gname = _resolve_pair(spec)
-        n = G.n
-        for p in range(1, min(3, n) + 1):
-            om = random_form(G, p, derive_seed(seed, gname, tag, "omega", p))
-            degrees = list(range(0, n + 1))
-            betas = _betas(G, derive_seed(seed, gname, tag, p), degrees)
-
-            def lhs(ctx, env, om=om, betas=betas, degrees=degrees):
-                w = om.at(ctx)
-                return [_comm_eps(ctx, w, betas[q].at(ctx)) for q in degrees]
-
-            def rhs(ctx, env, om=om, betas=betas, degrees=degrees, p=p):
-                w = om.at(ctx)
-                dw = codiff(ctx, w)
-                sgn = -1.0 if p % 2 else 1.0
-                out = []
-                if covariant:
-                    shp = sharp_field(ctx, w)
-                    wn = omega_nabla(ctx, w)
-                    dn_shp = d_nabla(ctx, shp)
-                    # nabla_{omega-sharp} = L_{omega-sharp} - (-1)^{p-1} i_{d-nabla omega-sharp}
-                    s2 = -1.0 if (p - 1) % 2 else 1.0
-                    for q in degrees:
-                        b = betas[q].at(ctx)
-                        cov = lie_vec(ctx, shp, b) - interior(dn_shp, b).scale(s2)
-                        out.append(wedge(dw, b) - cov - interior(wn, b).scale(sgn))
-                else:
-                    shp = sharp_field(ctx, w)
-                    dia = omega_diamond(ctx, w)
-                    for q in degrees:
-                        b = betas[q].at(ctx)
-                        out.append(
-                            wedge(dw, b)
-                            - lie_vec(ctx, shp, b)
-                            - interior(dia, b).scale(sgn)
-                        )
-                return out
-
-            checks.append(
-                IdentityCheck(
-                    id=f"{tag}/{gname}/p{p}",
-                    geometry=spec,
-                    lhs=lhs,
-                    rhs=rhs,
-                    seed=seed,
-                    atol=atol,
-                    rtol=rtol,
-                    jet_order=2,
-                )
-            )
-    return checks
-
-
-def _s_main_covariant(seed, atol, rtol):
-    return _main_checks(seed, atol, rtol, covariant=True)
-
-
-def _s_main_lie(seed, atol, rtol):
-    return _main_checks(seed, atol, rtol, covariant=False)
-
-
-def _rotation_field(G):
-    """x1 d2 - x2 d1 as a VecFormField (a flat-chart Killing field)."""
-    zero = G.parse_expr("0")
-    comps = []
-    for b in range(G.n):
-        if b == 0:
-            comps.append(FormField(0, {(): G.parse_expr(f"-{G.coord_names[1]}")}))
-        elif b == 1:
-            comps.append(FormField(0, {(): G.parse_expr(G.coord_names[0])}))
-        else:
-            comps.append(FormField(0, {(): zero}))
-    return VecFormField(0, comps)
-
-
-def _const_vec(G, comps_src):
-    return VecFormField(
-        0, [FormField(0, {(): G.parse_expr(s)}) for s in comps_src]
-    )
-
-
-def _goldberg_lhs(xi_field, degrees):
     def lhs(ctx, env):
-        xi = xi_field.at(ctx)
-        eta = _xi_flat(ctx, xi)
+        return [ext_d(ctx, ext_d(ctx, b)) for b in _beta_values(betas, ctx)]
+
+    yield check(f"dsquared/{gname}", lhs, _zero_rhs(G.n, [q + 2 for q in betas]))
+
+
+@_per_geometry(GEOMS_ALL)
+def _s_deltasquared(check, seed, G, gname):
+    betas = _betas(G, derive_seed(seed, gname, "delta2"), range(2, G.n + 1))
+
+    def lhs(ctx, env):
+        return [codiff(ctx, codiff(ctx, b)) for b in _beta_values(betas, ctx)]
+
+    yield check(f"deltasquared/{gname}", lhs, _zero_rhs(G.n, [q - 2 for q in betas]))
+
+
+@_per_geometry(GEOMS_ALL)
+def _s_frame_independence(check, seed, G, gname):
+    betas = _betas(G, derive_seed(seed, gname, "frame"), range(1, G.n + 1))
+
+    def lhs(ctx, env):
+        return [codiff(ctx, b) for b in _beta_values(betas, ctx)]
+
+    def rhs(ctx, env):
+        return [codiff(ctx, b, descending=True) for b in _beta_values(betas, ctx)]
+
+    yield check(f"frame-independence/{gname}", lhs, rhs)
+
+
+@_per_geometry(GEOMS_ALL)
+def _s_curvature_dnabla2(check, seed, G, gname):
+    for p in (0, 1):
+        if p + 2 > G.n:
+            continue
+        ph = random_vec_form(G, p, derive_seed(seed, gname, "curv", p))
+
+        def lhs(ctx, env, ph=ph):
+            return d_nabla(ctx, d_nabla(ctx, ph.at(ctx)))
+
+        def rhs(ctx, env, ph=ph):
+            return curvature_shuffle(ctx, ph.at(ctx))
+
+        yield check(f"curvature-dnabla2/{gname}/p{p}", lhs, rhs)
+
+
+@_per_geometry(GEOMS_ALL)
+def _s_omegacov(check, seed, G, gname):
+    for k in range(1, min(2, G.n) + 1):
+        om = random_form(G, k, derive_seed(seed, gname, "cov", k))
+
+        def lhs(ctx, env, om=om):
+            w = om.at(ctx)
+            dn = d_nabla(ctx, sharp_field(ctx, w))
+            dw = ext_d(ctx, w)
+            if dw.k > dw.n:
+                return dn
+            return dn + sharp_field(ctx, dw)
+
+        def rhs(ctx, env, om=om):
+            return omega_nabla(ctx, om.at(ctx))
+
+        yield check(f"omegacov/{gname}/k{k}", lhs, rhs)
+    # omega wedge nabla_phi = nabla_{omega wedge phi}
+    if G.n >= 2:
+        om = random_form(G, 1, derive_seed(seed, gname, "covphi-om"))
+        ph = random_vec_form(G, 1, derive_seed(seed, gname, "covphi-ph"))
+        be = random_form(G, 1, derive_seed(seed, gname, "covphi-be"))
+
+        def lhs2(ctx, env):
+            return wedge(om.at(ctx), nabla_vec(ctx, ph.at(ctx), be.at(ctx)))
+
+        def rhs2(ctx, env):
+            return nabla_vec(ctx, wedge_sv(om.at(ctx), ph.at(ctx)), be.at(ctx))
+
+        yield check(f"omegacov/{gname}/wedge-compat", lhs2, rhs2)
+
+
+@_per_geometry(GEOMS_ALL)
+def _s_diamond_consistency(check, seed, G, gname):
+    for k in range(1, min(3, G.n) + 1):
+        om = random_form(G, k, derive_seed(seed, gname, "dia", k))
+        for va, vb in ((0, 1), (1, 2)):
+
+            def lhs(ctx, env, om=om, va=va):
+                return omega_diamond(ctx, om.at(ctx), variant=va)
+
+            def rhs(ctx, env, om=om, vb=vb):
+                return omega_diamond(ctx, om.at(ctx), variant=vb)
+
+            yield check(f"diamond-consistency/{gname}/k{k}/v{va}{vb}", lhs, rhs)
+
+
+@_per_geometry(GEOMS_ALL)
+def _s_delta_trace(check, seed, G, gname):
+    n = G.n
+    oms = {
+        k: random_form(G, k, derive_seed(seed, gname, "dt", k))
+        for k in range(1, min(3, n) + 1)
+    }
+
+    def lhs(ctx, env):
         out = []
-        for q in degrees:
-            b = env["betas"][q].at(ctx)
-            out.append(_comm_eps(ctx, eta, b) + lie_vec(ctx, xi, b))
+        for k, om in oms.items():
+            w = om.at(ctx)
+            out.append(codiff(ctx, w))
+            out.append(trace(omega_nabla(ctx, w)))
+            if k >= 2:  # the sharp of a 1-form is a vector, no trace
+                out.append(trace(sharp_field(ctx, w)))
         return out
 
-    return lhs
-
-
-def _goldberg_rhs(xi_field, degrees):
     def rhs(ctx, env):
-        xi = xi_field.at(ctx)
-        eta = _xi_flat(ctx, xi)
-        deta = codiff(ctx, eta)
-        lg_sharp = two_tensor_sharp(ctx, lie_metric(ctx, xi))
         out = []
-        for q in degrees:
-            b = env["betas"][q].at(ctx)
-            out.append(wedge(deta, b) + interior(lg_sharp, b))
+        for k, om in oms.items():
+            w = om.at(ctx)
+            out.append(trace(omega_diamond(ctx, w)).scale(-0.5))
+            out.append(-codiff(ctx, w))
+            if k >= 2:
+                out.append(_zero(n, k - 2))
+        return out
+
+    yield check(f"delta-trace/{gname}", lhs, rhs)
+
+
+def _main_rhs(om, betas, p, covariant):
+    """eps_{delta omega} beta - L_{omega-sharp} beta - (-1)^p i_{omega-diamond}
+    beta per degree; the covariant form writes the Lie derivative through
+    nabla_{omega-sharp} and the curvature-free omega-nabla."""
+    sgn = -1.0 if p % 2 else 1.0
+    # nabla_{omega-sharp} = L_{omega-sharp} - (-1)^{p-1} i_{d-nabla omega-sharp}
+    s2 = -1.0 if (p - 1) % 2 else 1.0
+
+    def rhs(ctx, env):
+        w = om.at(ctx)
+        dw = codiff(ctx, w)
+        shp = sharp_field(ctx, w)
+        out = []
+        if covariant:
+            wn = omega_nabla(ctx, w)
+            dn_shp = d_nabla(ctx, shp)
+            for b in _beta_values(betas, ctx):
+                cov = lie_vec(ctx, shp, b) - interior(dn_shp, b).scale(s2)
+                out.append(wedge(dw, b) - cov - interior(wn, b).scale(sgn))
+        else:
+            dia = omega_diamond(ctx, w)
+            for b in _beta_values(betas, ctx):
+                out.append(
+                    wedge(dw, b) - lie_vec(ctx, shp, b) - interior(dia, b).scale(sgn)
+                )
         return out
 
     return rhs
 
 
-def _s_goldberg(seed, atol, rtol):
-    checks = []
-    cases = []
-    for gname in ("euclidean(3)", "sphere2"):
-        G = catalog.builtin(gname).geometry
-        cases.append((gname, "random", random_vec_form(G, 0, derive_seed(seed, gname, "xi"))))
-    Ge = catalog.builtin("euclidean(3)").geometry
-    cases.append(("euclidean(3)", "killing", _rotation_field(Ge)))
-    Gs = catalog.builtin("sphere2").geometry
-    cases.append(("sphere2", "killing", _const_vec(Gs, ["0", "1"])))
+def _main_suite(covariant):
+    """The main theorem, [delta, eps_omega] = eps_{delta omega}
+    - L_{omega-sharp} - (-1)^p i_{omega-diamond}, for p = 1..3."""
+    tag = "main-covariant" if covariant else "main-lie"
 
-    for gname, label, xi_field in cases:
-        G = catalog.builtin(gname).geometry
-        degrees = list(range(0, G.n + 1))
-        betas = _betas(G, derive_seed(seed, gname, "goldberg", label), degrees)
-        checks.append(
-            IdentityCheck(
-                id=f"goldberg/{gname}/{label}",
-                geometry=gname,
-                lhs=_goldberg_lhs(xi_field, degrees),
-                rhs=_goldberg_rhs(xi_field, degrees),
-                inputs={"betas": betas},
-                seed=seed,
-                atol=atol,
-                rtol=rtol,
-                jet_order=2,
-            )
-        )
+    @_per_geometry(MAIN_GEOMS)
+    def build(check, seed, G, gname):
+        for p in range(1, min(3, G.n) + 1):
+            om = random_form(G, p, derive_seed(seed, gname, tag, "omega", p))
+            betas = _betas(G, derive_seed(seed, gname, tag, p), range(G.n + 1))
+            lhs = _commutators(om, betas)
+            yield check(f"{tag}/{gname}/p{p}", lhs, _main_rhs(om, betas, p, covariant))
+
+    return build
+
+
+def _goldberg_rhs(xi_field, betas):
+    def rhs(ctx, env):
+        xi = xi_field.at(ctx)
+        eta = _xi_flat(ctx, xi)
+        deta = codiff(ctx, eta)
+        lg_sharp = two_tensor_sharp(ctx, lie_metric(ctx, xi))
+        return [wedge(deta, b) + interior(lg_sharp, b) for b in _beta_values(betas, ctx)]
+
+    return rhs
+
+
+def _s_goldberg(mk, seed):
+    E3 = catalog.builtin("euclidean(3)").geometry
+    S2 = catalog.builtin("sphere2").geometry
+    cases = [
+        (gname, G, "random", random_vec_form(G, 0, derive_seed(seed, gname, "xi")))
+        for gname, G in (("euclidean(3)", E3), ("sphere2", S2))
+    ]
+    cases.append(("euclidean(3)", E3, "killing", _rotation_field(E3)))
+    cases.append(("sphere2", S2, "killing", _const_vec(S2, ["0", "1"])))
+
+    checks = []
+    for gname, G, label, xi_field in cases:
+        betas = _betas(G, derive_seed(seed, gname, "goldberg", label), range(G.n + 1))
+        lhs = _residual(_flat_pair(xi_field), betas)
+        rhs = _goldberg_rhs(xi_field, betas)
+        checks.append(mk(f"goldberg/{gname}/{label}", gname, lhs, rhs))
         if label == "killing":
             # Killing witnesses additionally satisfy delta(xi-flat) = 0 and
             # (L_xi g)-sharp = 0.
@@ -783,24 +637,12 @@ def _s_goldberg(seed, atol, rtol):
             def rhs_k(ctx, env, n=G.n):
                 return [_zero(n, 0), VecAltValue.zero(n, 1)]
 
-            checks.append(
-                IdentityCheck(
-                    id=f"goldberg/{gname}/killing-constants",
-                    geometry=gname,
-                    lhs=lhs_k,
-                    rhs=rhs_k,
-                    seed=seed,
-                    atol=atol,
-                    rtol=rtol,
-                    jet_order=2,
-                )
-            )
+            checks.append(mk(f"goldberg/{gname}/killing-constants", gname, lhs_k, rhs_k))
     return checks
 
 
-def _s_fn_decompose(seed, atol, rtol):
-    checks = []
-    G = catalog.builtin("euclidean(3)").geometry
+@_per_geometry(["euclidean(3)"])
+def _s_fn_decompose(check, seed, G, gname):
     for i in range(10):
         p = 1 if i < 5 else 2
         ph = random_vec_form(G, p, derive_seed(seed, "fnd", i, "phi"))
@@ -819,217 +661,80 @@ def _s_fn_decompose(seed, atol, rtol):
         def rhs(ctx, env, ph=ph, ps=ps):
             return [ph.at(ctx), ps.at(ctx)]
 
-        checks.append(
-            IdentityCheck(
-                id=f"fn-decompose-roundtrip/euclidean(3)/pair{i}",
-                geometry="euclidean(3)",
-                lhs=lhs,
-                rhs=rhs,
-                n_points=2,
-                seed=seed,
-                atol=atol,
-                rtol=0.0,
-                jet_order=2,
-            )
+        yield check(
+            f"fn-decompose-roundtrip/{gname}/pair{i}", lhs, rhs, n_points=2, rtol=0.0
         )
-    return checks
 
 
-def _const_form(G, k, coeffs):
-    return FormField(k, {I: G.parse_expr(src) for I, src in coeffs.items()})
-
-
-def _residual_lhs(om_field, degrees):
-    """[delta, eps_omega] beta + L_{omega-sharp} beta per degree."""
-
-    def lhs(ctx, env):
-        w = om_field.at(ctx)
-        shp = sharp_field(ctx, w)
-        out = []
-        for q in degrees:
-            b = env["betas"][q].at(ctx)
-            out.append(_comm_eps(ctx, w, b) + lie_vec(ctx, shp, b))
-        return out
-
-    return lhs
-
-
-def _zero_rhs(n, out_degrees):
-    def rhs(ctx, env):
-        return [_zero(n, d) for d in out_degrees]
-
-    return rhs
-
-
-def _s_parallel_anticommute(seed, atol, rtol):
-    G = catalog.builtin("euclidean(3)").geometry
-    checks = []
+@_per_geometry(["euclidean(3)"])
+def _s_parallel_anticommute(check, seed, G, gname):
     forms = {
         2: _const_form(G, 2, {(0, 1): "1", (1, 2): "0.5", (0, 2): "-0.25"}),
         3: _const_form(G, 3, {(0, 1, 2): "0.75"}),
     }
     for p, om in forms.items():
-        degrees = list(range(0, 4))
-        betas = _betas(G, derive_seed(seed, "par", p), degrees)
-        out_degrees = [q + p - 1 for q in degrees]
-        checks.append(
-            IdentityCheck(
-                id=f"parallel-anticommute/euclidean(3)/p{p}",
-                geometry="euclidean(3)",
-                lhs=_residual_lhs(om, degrees),
-                rhs=_zero_rhs(3, out_degrees),
-                inputs={"betas": betas},
-                seed=seed,
-                atol=atol,
-                rtol=rtol,
-                jet_order=2,
-            )
-        )
-    return checks
+        betas = _betas(G, derive_seed(seed, "par", p), range(4))
+        lhs = _residual(_sharp_pair(om), betas)
+        zeros = _zero_rhs(G.n, [q + p - 1 for q in betas])
+        yield check(f"parallel-anticommute/{gname}/p{p}", lhs, zeros)
 
 
-def _killing_residual_check(cid, xi_field, seed, atol, rtol, expected_fail=False):
-    G = catalog.builtin("sphere2").geometry
-    degrees = [0, 1, 2]
-    betas = _betas(G, derive_seed(seed, cid), degrees)
+def _killing_residual(name, xi_src, **overrides):
+    """[delta, eps_{xi-flat}] beta + L_xi beta = 0 on sphere2, for the
+    constant field xi = xi_src (a Killing field only for d/dphi)."""
 
-    def lhs(ctx, env, xi_field=xi_field, degrees=degrees):
-        xi = xi_field.at(ctx)
-        eta = _xi_flat(ctx, xi)
-        out = []
-        for q in degrees:
-            b = env["betas"][q].at(ctx)
-            out.append(_comm_eps(ctx, eta, b) + lie_vec(ctx, xi, b))
-        return out
+    @_per_geometry(["sphere2"])
+    def build(check, seed, G, gname):
+        cid = f"{name}/{gname}"
+        xi_field = _const_vec(G, xi_src)
+        betas = _betas(G, derive_seed(seed, cid), range(3))
+        lhs = _residual(_flat_pair(xi_field), betas)
+        yield check(cid, lhs, _zero_rhs(G.n, list(betas)), **overrides)
 
-    return IdentityCheck(
-        id=cid,
-        geometry="sphere2",
-        lhs=lhs,
-        rhs=_zero_rhs(2, degrees),
-        inputs={"betas": betas},
-        seed=seed,
-        atol=atol,
-        rtol=rtol,
-        jet_order=2,
-        expected_fail=expected_fail,
-    )
+    return build
 
 
-def _s_killing_anticommute(seed, atol, rtol):
-    G = catalog.builtin("sphere2").geometry
-    return [
-        _killing_residual_check(
-            "killing-anticommute/sphere2", _const_vec(G, ["0", "1"]), seed, atol, rtol
-        )
-    ]
-
-
-def _s_killing_negative(seed, atol, rtol):
-    G = catalog.builtin("sphere2").geometry
-    return [
-        _killing_residual_check(
-            "killing-negative/sphere2",
-            _const_vec(G, ["1", "0"]),
-            seed,
-            atol,
-            rtol,
-            expected_fail=True,
-        )
-    ]
-
-
-def _s_parallel_negative(seed, atol, rtol):
-    G = catalog.builtin("euclidean(3)").geometry
+@_per_geometry(["euclidean(3)"])
+def _s_parallel_negative(check, seed, G, gname):
     om = _const_form(G, 2, {(0, 1): "1 + x1", (1, 2): "x3"})
-    degrees = [0, 1, 2, 3]
-    betas = _betas(G, derive_seed(seed, "parneg"), degrees)
-    return [
-        IdentityCheck(
-            id="parallel-negative/euclidean(3)",
-            geometry="euclidean(3)",
-            lhs=_residual_lhs(om, degrees),
-            rhs=_zero_rhs(3, [q + 1 for q in degrees]),
-            inputs={"betas": betas},
-            seed=seed,
-            atol=atol,
-            rtol=rtol,
-            jet_order=2,
-            expected_fail=True,
-        )
-    ]
+    betas = _betas(G, derive_seed(seed, "parneg"), range(4))
+    lhs = _residual(_sharp_pair(om), betas)
+    zeros = _zero_rhs(G.n, [q + 1 for q in betas])
+    yield check(f"parallel-negative/{gname}", lhs, zeros, expected_fail=True)
 
 
-def _s_kahler(seed, atol, rtol):
-    checks = []
-    for gname in ("flat_kahler(1)", "flat_kahler(2)"):
-        G = catalog.builtin(gname).geometry
-        degrees = list(range(0, G.n + 1))
-        betas = _betas(G, derive_seed(seed, gname, "kahler"), degrees)
-
-        def lhs(ctx, env, degrees=degrees):
-            omega = ctx.geometry.forms["Omega"].at(ctx)
-            J = ctx.structure("J")
-            out = []
-            for q in degrees:
-                b = env["betas"][q].at(ctx)
-                out.append(_comm_eps(ctx, omega, b) + lie_vec(ctx, J, b))
-            return out
-
-        checks.append(
-            IdentityCheck(
-                id=f"kahler/{gname}",
-                geometry=gname,
-                lhs=lhs,
-                rhs=_zero_rhs(G.n, [q + 1 for q in degrees]),
-                inputs={"betas": betas},
-                seed=seed,
-                atol=atol,
-                rtol=rtol,
-                jet_order=2,
-            )
-        )
-    return checks
+@_per_geometry(["flat_kahler(1)", "flat_kahler(2)"])
+def _s_kahler(check, seed, G, gname):
+    betas = _betas(G, derive_seed(seed, gname, "kahler"), range(G.n + 1))
+    Omega = G.forms["Omega"]
+    lhs = _residual(lambda ctx: (Omega.at(ctx), ctx.structure("J")), betas)
+    yield check(f"kahler/{gname}", lhs, _zero_rhs(G.n, [q + 1 for q in betas]))
 
 
-def _s_lck(seed, atol, rtol):
-    G = catalog.builtin("hopf_lck").geometry
-    degrees = list(range(0, 5))
-    betas = _betas(G, derive_seed(seed, "lck"), degrees)
+@_per_geometry(["hopf_lck"])
+def _s_lck(check, seed, G, gname):
+    betas = _betas(G, derive_seed(seed, "lck"), range(5))
+    Omega = G.forms["Omega"]
 
-    def lhs(ctx, env, degrees=degrees):
-        omega = ctx.geometry.forms["Omega"].at(ctx)
-        return [_comm_eps(ctx, omega, env["betas"][q].at(ctx)) for q in degrees]
-
-    def rhs(ctx, env, degrees=degrees):
-        omega = ctx.geometry.forms["Omega"].at(ctx)
+    def rhs(ctx, env):
+        omega = Omega.at(ctx)
         eta = ctx.structure("eta")
         theta = ctx.structure("theta")
         J = ctx.structure("J")
         theta_sharp = sharp_field(ctx, theta)
         out = []
-        for q in degrees:
-            b = env["betas"][q].at(ctx)
+        for q, b in zip(betas, _beta_values(betas, ctx)):
             term = wedge(eta, b).scale(float(q - 1)) - lie_vec(ctx, J, b)
             out.append(term + wedge(omega, interior(theta_sharp, b)))
         return out
 
-    return [
-        IdentityCheck(
-            id="lck/hopf_lck",
-            geometry="hopf_lck",
-            lhs=lhs,
-            rhs=rhs,
-            inputs={"betas": betas},
-            seed=seed,
-            atol=atol,
-            rtol=rtol,
-            jet_order=2,
-        )
-    ]
+    yield check(f"lck/{gname}", _commutators(Omega, betas), rhs)
 
 
-def _s_lck_constants(seed, atol, rtol):
+@_per_geometry(["hopf_lck"])
+def _s_lck_constants(check, seed, G, gname):
+    Omega = G.forms["Omega"]
+
     def lhs_tr_eta(ctx, env):
         eta = ctx.structure("eta")
         return trace(wedge_sv(eta, VecAltValue.identity(4)))
@@ -1044,16 +749,16 @@ def _s_lck_constants(seed, atol, rtol):
         return ctx.structure("eta")
 
     def lhs_delta(ctx, env):
-        return codiff(ctx, ctx.geometry.forms["Omega"].at(ctx))
+        return codiff(ctx, Omega.at(ctx))
 
     def rhs_delta(ctx, env):
         return -ctx.structure("eta")
 
     def lhs_diamond(ctx, env):
-        return omega_diamond(ctx, ctx.geometry.forms["Omega"].at(ctx))
+        return omega_diamond(ctx, Omega.at(ctx))
 
     def rhs_diamond(ctx, env):
-        omega = ctx.geometry.forms["Omega"].at(ctx)
+        omega = Omega.at(ctx)
         eta = ctx.structure("eta")
         theta_sharp = sharp_field(ctx, ctx.structure("theta"))
         return -wedge_sv(eta, VecAltValue.identity(4)) - wedge_sv(omega, theta_sharp)
@@ -1064,96 +769,49 @@ def _s_lck_constants(seed, atol, rtol):
         ("delta-Omega", lhs_delta, rhs_delta, 2),
         ("Omega-diamond", lhs_diamond, rhs_diamond, 2),
     ]
-    return [
-        IdentityCheck(
-            id=f"lck-constants/hopf_lck/{label}",
-            geometry="hopf_lck",
-            lhs=lhs,
-            rhs=rhs,
-            seed=seed,
-            atol=atol,
-            rtol=rtol,
-            jet_order=order,
-        )
-        for label, lhs, rhs, order in sides
-    ]
+    for label, lhs, rhs, order in sides:
+        yield check(f"lck-constants/{gname}/{label}", lhs, rhs, jet_order=order)
 
 
-def _s_quasi_sasakian(seed, atol, rtol):
-    checks = []
-    for gname in ("sasakian_s3", "flat_cokahler(1)"):
-        G = catalog.builtin(gname).geometry
-        degrees = list(range(0, G.n + 1))
-        betas = _betas(G, derive_seed(seed, gname, "qs"), degrees)
+@_per_geometry(["sasakian_s3", "flat_cokahler(1)"])
+def _s_quasi_sasakian(check, seed, G, gname):
+    betas = _betas(G, derive_seed(seed, gname, "qs"), range(G.n + 1))
 
-        def lhs(ctx, env, degrees=degrees):
-            Phi = ctx.geometry.forms["Phi"].at(ctx)
-            return [_comm_eps(ctx, Phi, env["betas"][q].at(ctx)) for q in degrees]
+    def rhs(ctx, env):
+        eta = ctx.structure("eta")
+        phi = ctx.structure("phi")
+        A = _amatrix(ctx)
+        trA = _scalar(trace(A))
+        out = []
+        for b in _beta_values(betas, ctx):
+            term = wedge(eta, b).scale(trA).scale(-1.0) - lie_vec(ctx, phi, b)
+            out.append(term + wedge(eta, interior(A, b)).scale(2.0))
+        return out
 
-        def rhs(ctx, env, degrees=degrees):
-            eta = ctx.structure("eta")
-            phi = ctx.structure("phi")
-            A = _amatrix(ctx)
-            trA = _scalar(trace(A))
-            out = []
-            for q in degrees:
-                b = env["betas"][q].at(ctx)
-                term = wedge(eta, b).scale(trA).scale(-1.0) - lie_vec(ctx, phi, b)
-                out.append(term + wedge(eta, interior(A, b)).scale(2.0))
-            return out
-
-        checks.append(
-            IdentityCheck(
-                id=f"quasi-sasakian/{gname}",
-                geometry=gname,
-                lhs=lhs,
-                rhs=rhs,
-                inputs={"betas": betas},
-                seed=seed,
-                atol=atol,
-                rtol=rtol,
-                jet_order=2,
-            )
-        )
-    return checks
+    yield check(f"quasi-sasakian/{gname}", _commutators(G.forms["Phi"], betas), rhs)
 
 
-def _s_sasakian(seed, atol, rtol):
-    G = catalog.builtin("sasakian_s3").geometry
-    degrees = [0, 1, 2, 3]
-    betas = _betas(G, derive_seed(seed, "sas"), degrees)
+@_per_geometry(["sasakian_s3"])
+def _s_sasakian(check, seed, G, gname):
+    betas = _betas(G, derive_seed(seed, "sas"), range(4))
 
-    def lhs(ctx, env, degrees=degrees):
-        Phi = ctx.geometry.forms["Phi"].at(ctx)
-        return [_comm_eps(ctx, Phi, env["betas"][q].at(ctx)) for q in degrees]
-
-    def rhs(ctx, env, degrees=degrees):
+    def rhs(ctx, env):
         eta = ctx.structure("eta")
         phi = ctx.structure("phi")
         Id = VecAltValue.identity(3)
         out = []
-        for q in degrees:
-            b = env["betas"][q].at(ctx)
+        for b in _beta_values(betas, ctx):
             term = wedge(eta, b).scale(2.0) - lie_vec(ctx, phi, b)
             out.append(term - wedge(eta, interior(Id, b)).scale(2.0))
         return out
 
-    return [
-        IdentityCheck(
-            id="sasakian/sasakian_s3",
-            geometry="sasakian_s3",
-            lhs=lhs,
-            rhs=rhs,
-            inputs={"betas": betas},
-            seed=seed,
-            atol=atol,
-            rtol=rtol,
-            jet_order=2,
-        )
-    ]
+    yield check(f"sasakian/{gname}", _commutators(G.forms["Phi"], betas), rhs)
 
 
-def _s_sasakian_constants(seed, atol, rtol):
+@_per_geometry(["sasakian_s3"])
+def _s_sasakian_constants(check, seed, G, gname):
+    Phi = G.forms["Phi"]
+
     def lhs_a(ctx, env):
         return _amatrix(ctx)
 
@@ -1169,13 +827,13 @@ def _s_sasakian_constants(seed, atol, rtol):
         return AltValue(3, 0, {(): -2.0})
 
     def lhs_delta(ctx, env):
-        return codiff(ctx, ctx.geometry.forms["Phi"].at(ctx))
+        return codiff(ctx, Phi.at(ctx))
 
     def rhs_delta(ctx, env):
         return ctx.structure("eta").scale(2.0)
 
     def lhs_diamond(ctx, env):
-        return omega_diamond(ctx, ctx.geometry.forms["Phi"].at(ctx))
+        return omega_diamond(ctx, Phi.at(ctx))
 
     def rhs_diamond(ctx, env):
         return wedge_sv(ctx.structure("eta"), _amatrix(ctx)).scale(-2.0)
@@ -1186,55 +844,23 @@ def _s_sasakian_constants(seed, atol, rtol):
         ("delta-Phi", lhs_delta, rhs_delta),
         ("Phi-diamond", lhs_diamond, rhs_diamond),
     ]
-    return [
-        IdentityCheck(
-            id=f"sasakian-constants/sasakian_s3/{label}",
-            geometry="sasakian_s3",
-            lhs=lhs,
-            rhs=rhs,
-            seed=seed,
-            atol=atol,
-            rtol=rtol,
-            jet_order=2,
-        )
-        for label, lhs, rhs in sides
-    ]
+    for label, lhs, rhs in sides:
+        yield check(f"sasakian-constants/{gname}/{label}", lhs, rhs)
 
 
-def _s_cokahler(seed, atol, rtol):
-    checks = []
-    for gname in ("flat_cokahler(1)", "flat_cokahler(2)"):
-        G = catalog.builtin(gname).geometry
-        degrees = list(range(0, G.n + 1))
-        betas = _betas(G, derive_seed(seed, gname, "cok"), degrees)
+@_per_geometry(["flat_cokahler(1)", "flat_cokahler(2)"])
+def _s_cokahler(check, seed, G, gname):
+    betas = _betas(G, derive_seed(seed, gname, "cok"), range(G.n + 1))
 
-        def lhs(ctx, env, degrees=degrees):
-            Phi = ctx.geometry.forms["Phi"].at(ctx)
-            return [_comm_eps(ctx, Phi, env["betas"][q].at(ctx)) for q in degrees]
+    def rhs(ctx, env):
+        phi = ctx.structure("phi")
+        return [-lie_vec(ctx, phi, b) for b in _beta_values(betas, ctx)]
 
-        def rhs(ctx, env, degrees=degrees):
-            phi = ctx.structure("phi")
-            return [
-                -lie_vec(ctx, phi, env["betas"][q].at(ctx)) for q in degrees
-            ]
-
-        checks.append(
-            IdentityCheck(
-                id=f"cokahler/{gname}",
-                geometry=gname,
-                lhs=lhs,
-                rhs=rhs,
-                inputs={"betas": betas},
-                seed=seed,
-                atol=atol,
-                rtol=rtol,
-                jet_order=2,
-            )
-        )
-    return checks
+    yield check(f"cokahler/{gname}", _commutators(G.forms["Phi"], betas), rhs)
 
 
-def _s_kanemaki(seed, atol, rtol):
+@_per_geometry(["sasakian_s3"])
+def _s_kanemaki(check, seed, G, gname):
     def lhs(ctx, env):
         phi = ctx.structure("phi")
         out = [nabla_vec_coord(ctx, a, phi) for a in range(3)]
@@ -1277,22 +903,7 @@ def _s_kanemaki(seed, atol, rtol):
         out.append(AltValue(3, 0, {(): 0.0}))
         return out
 
-    return [
-        IdentityCheck(
-            id="kanemaki/sasakian_s3",
-            geometry="sasakian_s3",
-            lhs=lhs,
-            rhs=rhs,
-            seed=seed,
-            atol=atol,
-            rtol=rtol,
-            jet_order=2,
-        )
-    ]
-
-
-def _jv(x):
-    return x.value if isinstance(x, Jet) else float(x)
+    yield check(f"kanemaki/{gname}", lhs, rhs)
 
 
 SUITES = {
@@ -1306,13 +917,15 @@ SUITES = {
     "omegacov": _s_omegacov,
     "diamond-consistency": _s_diamond_consistency,
     "delta-trace": _s_delta_trace,
-    "main-covariant": _s_main_covariant,
-    "main-lie": _s_main_lie,
+    "main-covariant": _main_suite(covariant=True),
+    "main-lie": _main_suite(covariant=False),
     "goldberg": _s_goldberg,
     "fn-decompose-roundtrip": _s_fn_decompose,
     "parallel-anticommute": _s_parallel_anticommute,
-    "killing-anticommute": _s_killing_anticommute,
-    "killing-negative": _s_killing_negative,
+    "killing-anticommute": _killing_residual("killing-anticommute", ["0", "1"]),
+    "killing-negative": _killing_residual(
+        "killing-negative", ["1", "0"], expected_fail=True
+    ),
     "parallel-negative": _s_parallel_negative,
     "kahler": _s_kahler,
     "lck": _s_lck,
@@ -1325,7 +938,9 @@ SUITES = {
 }
 
 
-STRUCTURAL_SUITES = [
+# Suites that hold on any chart: the structural identities plus both forms
+# of the commutator identity.
+INLINE_SUITES = [
     "fn-contraction",
     "omegaiphi",
     "lie-wedge",
@@ -1336,18 +951,31 @@ STRUCTURAL_SUITES = [
     "omegacov",
     "diamond-consistency",
     "delta-trace",
+    "main-covariant",
+    "main-lie",
 ]
 
 
-def inline_checks(G, seed=DEFAULT_SEED, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL,
-                  n_points=None):
-    """Checks applicable to an arbitrary loaded geometry: the structural
-    suites plus both forms of the commutator identity, on G alone."""
-    checks = []
-    for name in STRUCTURAL_SUITES:
-        checks.extend(SUITES[name](seed, atol, rtol, geoms=[G]))
-    checks.extend(_main_checks(seed, atol, rtol, covariant=True, geoms=[G]))
-    checks.extend(_main_checks(seed, atol, rtol, covariant=False, geoms=[G]))
+def build_checks(names="all", seed=DEFAULT_SEED, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL,
+                 geoms=None):
+    """Yield the checks of the named built-in suites (or all of them) in
+    order, without running them. A suite is built only when the checks
+    before it have been taken, so a run holds one suite's random fields at a
+    time. geoms replaces the charts of the per-geometry suites."""
+    if names == "all":
+        names = list(SUITES)
+    elif isinstance(names, str):
+        names = [names]
+    for name in names:
+        if name not in SUITES:
+            raise UnknownSuite(f"unknown suite {name!r}")
+    mk = partial(IdentityCheck, seed=seed, atol=atol, rtol=rtol)
+    for name in names:
+        build = SUITES[name]
+        yield from build(mk, seed) if geoms is None else build(mk, seed, geoms)
+
+
+def _run(checks, n_points):
     reports = []
     for check in checks:
         if n_points is not None and check.points is None:
@@ -1356,22 +984,16 @@ def inline_checks(G, seed=DEFAULT_SEED, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL,
     return reports
 
 
+def inline_checks(G, seed=DEFAULT_SEED, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL,
+                  n_points=None):
+    """Run the checks that apply to an arbitrary loaded geometry on G alone."""
+    return _run(build_checks(INLINE_SUITES, seed, atol, rtol, geoms=[G]), n_points)
+
+
 def suite(names="all", seed=DEFAULT_SEED, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL,
           n_points=None):
     """Run the named built-in suites (or all of them) and return reports."""
-    if names == "all":
-        names = list(SUITES)
-    elif isinstance(names, str):
-        names = [names]
-    reports = []
-    for name in names:
-        if name not in SUITES:
-            raise UnknownSuite(f"unknown suite {name!r}")
-        for check in SUITES[name](seed, atol, rtol):
-            if n_points is not None and check.points is None:
-                check.n_points = n_points
-            reports.append(run_check(check))
-    return reports
+    return _run(build_checks(names, seed, atol, rtol), n_points)
 
 
 def all_pass(reports):

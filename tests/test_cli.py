@@ -11,7 +11,7 @@ import pytest
 
 import excal
 from excal.cli import main
-from excal.geometry import load_config
+from excal.geometry import emit_config, load_config
 
 EVAL_CONFIG = {
     "version": "excal-config v1",
@@ -45,13 +45,30 @@ def test_catalog_list(capsys):
     assert any("sphere2" in l for l in lines)
 
 
-def test_catalog_emit_round_trips(capsys):
-    code, out, _ = run(capsys, "catalog", "--emit", "sphere2")
+# The catalog entries the built-in suites run on (SUITE_ENTRIES in
+# perfbench/unit.py).
+SUITE_ENTRIES = (
+    "euclidean(3)",
+    "flat_torus(2)",
+    "sphere2",
+    "flat_kahler(1)",
+    "flat_kahler(2)",
+    "hopf_lck",
+    "sasakian_s3",
+    "flat_cokahler(1)",
+    "flat_cokahler(2)",
+)
+
+
+@pytest.mark.parametrize("name", SUITE_ENTRIES)
+def test_catalog_emit_round_trips(capsys, name):
+    code, out, _ = run(capsys, "catalog", "--emit", name)
     assert code == 0
     doc = json.loads(out)
     assert doc["version"] == "excal-config v1"
     G = load_config(doc)
-    assert G.n == 2 and G.name == "sphere2"
+    assert G.name == name and G.n == excal.builtin(name).geometry.n
+    assert emit_config(G) == doc
 
 
 def test_catalog_emit_unknown(capsys):
@@ -192,6 +209,24 @@ def test_eval_bad_point(capsys, eval_config):
     # out-of-domain points are an ExcalError, also exit 2
     code, _, err = run(capsys, "eval", eval_config, "--expr", "f", "--at", "9,9")
     assert code == 2
+
+
+def test_eval_overflow_is_a_domain_error(capsys, tmp_path):
+    # exp(900) overflows a float: a typed error and exit 2, not a traceback
+    cfg = {
+        "version": "excal-config v1",
+        "name": "steep",
+        "dim": 1,
+        "coords": ["x"],
+        "metric": [["1"]],
+        "domain": [[-1, 1]],
+        "forms": {"f": {"degree": 0, "coeffs": {"": "exp(1000*x)"}}},
+    }
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "eval", str(path), "--expr", "f", "--at", "0.9")
+    assert code == 2
+    assert err.startswith("error: DomainError") and "Traceback" not in err
 
 
 def test_seed_env_and_flag(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from excal.errors import (
     DivisionByZeroAtPoint,
+    DomainError,
     JetBudgetExhausted,
     OrderExceeded,
     ShapeMismatch,
@@ -87,6 +88,15 @@ def test_reciprocal_and_division():
     np.testing.assert_allclose(q.c, x.c, atol=1e-14)
 
 
+def test_huge_integer_exponent_returns_quickly():
+    # one multiply per bit of the exponent: 10**308 takes about 1024 squarings
+    x = jet_var((0.5,), 0, 2)
+    with np.errstate(over="ignore", under="ignore"):
+        y = x ** (10**308)
+    assert y.value == 0.0
+    assert (x ** 5).c == pytest.approx((x * x * x * x * x).c)
+
+
 def test_integer_powers():
     x = jet_var((-2.0,), 0, 3)
     cube = x**3
@@ -124,6 +134,8 @@ def test_error_paths():
         jet_var((1.0,), 3, 2)
     with pytest.raises(DivisionByZeroAtPoint):
         jet_const(0.0, 1, 2).reciprocal()
+    with pytest.raises(DomainError):  # 1e-200**2 underflows to a zero divisor
+        jet_const(1e-200, 1, 2).reciprocal()
     with pytest.raises(OrderExceeded):
         jet_partial(jet_const(1.0, 2, 1), (2, 0))
 

@@ -113,6 +113,9 @@ def test_syntax_error_offset():
         ("log(x - 1)", DomainError),
         ("sqrt(0 - 1)", DomainError),
         ("(x-1)^0.5", DomainError),
+        ("exp(2000*x)", DomainError),  # float overflow
+        ("pow(x + 2, 1000.5)", DomainError),
+        ("sin(x*1e308*10)", DomainError),  # sin of an infinite value
     ],
 )
 def test_evaluation_domain_errors(src, exc):

@@ -1,5 +1,7 @@
 """Identity verifier: random fields, check execution, reports, suites."""
 
+import math
+
 import pytest
 
 from excal.alt import AltValue
@@ -9,8 +11,10 @@ from excal.geometry import load_config, emit_config
 from excal.verifier import (
     DEFAULT_POINTS,
     REPORT_VERSION,
+    SUITES,
     IdentityCheck,
     all_pass,
+    build_checks,
     inline_checks,
     random_form,
     random_vec_form,
@@ -143,6 +147,20 @@ class TestRunCheck:
         assert all("error" in rec for rec in report["points"])
         assert report["max_abs_err"] == 1e308
 
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (math.inf, math.inf)])
+    def test_non_finite_values_fail_the_point(self, lhs, rhs):
+        # both used to pass: max(0.0, nan) is 0.0, and inf - inf is nan
+        def side(value):
+            return lambda ctx, env: AltValue(ctx.geometry.n, 0, {(): value})
+
+        report = run_check(make_check(id="test/nonfinite", lhs=side(lhs), rhs=side(rhs)))
+        assert report["pass"] is False
+        assert report["max_abs_err"] == 1e308
+        for rec in report["points"]:
+            assert rec["error"].startswith("NonFiniteValue: ")
+            assert "basis key ()" in rec["error"]
+            assert math.isfinite(rec["abs_err"]) and math.isfinite(rec["rel_err"])
+
     def test_explicit_points(self):
         report = run_check(make_check(points=[(0.1, 0.2)]))
         assert len(report["points"]) == 1
@@ -176,6 +194,27 @@ class TestSuites:
         a = suite("dsquared", seed=1, n_points=2)
         b = suite("dsquared", seed=2, n_points=2)
         assert [r["points"] for r in a] != [r["points"] for r in b]
+
+    def test_built_suites_keep_their_shape(self):
+        # builds all suites without running a check
+        checks = list(build_checks(list(SUITES)))
+        ids = [c.id for c in checks]
+        assert len(ids) == len(set(ids)) == 229
+        by_suite = {}
+        for c in checks:
+            by_suite.setdefault(c.id.split("/")[0], []).append(c)
+        assert list(by_suite) == list(SUITES)
+        assert [c.id for c in checks if c.expected_fail] == [
+            "killing-negative/sphere2",
+            "parallel-negative/euclidean(3)",
+        ]
+        for c in by_suite["fn-decompose-roundtrip"]:
+            assert (c.n_points, c.rtol) == (2, 0.0)
+        for name in ("fn-contraction", "omegaiphi"):
+            assert {c.jet_order for c in by_suite[name]} == {0}
+        orders = [c.jet_order for c in by_suite["lck-constants"]]
+        assert orders == [0, 0, 2, 2]
+        assert all(c.inputs == {} for c in checks)
 
     def test_inline_checks_on_config_geometry(self):
         # a geometry loaded from an emitted config runs the structural suite
