@@ -10,6 +10,7 @@ Degrees above the dimension are canonical zero values, never errors:
 operator compositions reach them routinely.
 """
 
+from functools import cache
 from itertools import combinations
 
 from .errors import ArityError, DegreeError
@@ -25,21 +26,37 @@ def _is_num_zero(c):
     return coeffs is not None and not coeffs.any()
 
 
-def _merge_sign(I, J):
-    """Sign of sorting the concatenation of two disjoint increasing tuples."""
-    inv = 0
-    for j in J:
-        inv += sum(1 for i in I if i > j)
-    return -1 if inv % 2 else 1
-
-
-def _insert_front_sign(b, B):
-    """omega(e_b, e_B) = sign * coeff(sorted({b} | B)); 0 if b in B."""
-    if b in B:
+@cache
+def _sort_sign(seq):
+    """(sign, sorted key) of an index tuple: the parity of the permutation
+    that sorts it, so that omega(e_seq) = sign * coeff(key).  (0, None) on
+    a repeated index."""
+    if len(set(seq)) != len(seq):
         return 0, None
-    pos = sum(1 for x in B if x < b)
-    key = tuple(sorted((b,) + B))
-    return (-1 if pos % 2 else 1), key
+    inv = sum(
+        1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
+    )
+    return (-1 if inv % 2 else 1), tuple(sorted(seq))
+
+
+def _lookup(w, seq):
+    """The coefficient of w at an unsorted index tuple, signed; 0.0 if none."""
+    sign, key = _sort_sign(seq)
+    c = w.coeffs.get(key) if sign else None
+    if c is None:
+        return 0.0
+    return c if sign > 0 else -c
+
+
+@cache
+def _shuffles(m, p):
+    """The (p, m - p) shuffles of m slots, as (sign, chosen, rest) position
+    tuples in combinations order; sign is that of sorting chosen + rest."""
+    out = []
+    for chosen in combinations(range(m), p):
+        rest = tuple(i for i in range(m) if i not in chosen)
+        out.append((_sort_sign(chosen + rest)[0], chosen, rest))
+    return tuple(out)
 
 
 class AltValue:
@@ -172,10 +189,9 @@ def wedge(a, b):
     out = {}
     for I, ca in a.coeffs.items():
         for J, cb in b.coeffs.items():
-            if set(I) & set(J):
+            sign, key = _sort_sign(I + J)
+            if not sign:
                 continue
-            sign = _merge_sign(I, J)
-            key = tuple(sorted(I + J))
             term = ca * cb if sign > 0 else -(ca * cb)
             out[key] = out[key] + term if key in out else term
     return AltValue(a.n, k, out)
@@ -225,19 +241,16 @@ def interior(phi, omega):
             out = out + i_dir(b, omega).scale(cb)
         return out
     out = {}
-    base = p * (p - 1) // 2
     for M in combinations(range(n), m):
         acc = 0.0
-        for chosen in combinations(range(m), p):
-            inv = sum(chosen) - base
-            sign = -1 if inv % 2 else 1
+        for sign, chosen, rest in _shuffles(m, p):
             A = tuple(M[i] for i in chosen)
-            rest = tuple(M[i] for i in range(m) if i not in chosen)
+            R = tuple(M[i] for i in rest)
             for b in range(n):
                 ca = phi.comps[b].coeffs.get(A)
                 if ca is None:
                     continue
-                s2, key = _insert_front_sign(b, rest)
+                s2, key = _sort_sign((b,) + R)
                 if s2 == 0:
                     continue
                 cw = omega.coeffs.get(key)

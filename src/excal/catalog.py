@@ -10,15 +10,8 @@ from .alt import AltValue, VecAltValue, interior, sharp, wedge, wedge_sv
 from .compare import alt_errors, exceeds, zero_like
 from .errors import NonFiniteValue, UnknownEntry, ValidationFailed
 from .geometry import CONFIG_VERSION, load_config, sample_points
-from .operators import (
-    d_nabla,
-    endo_compose,
-    ext_d,
-    lie_metric,
-    nabla_vec_coord,
-    nijenhuis,
-    value_of,
-)
+from .jets import scalar_value
+from .operators import d_nabla, endo_compose, ext_d, lie_metric, nabla_vec_coord, nijenhuis
 
 VALIDATION_SEED = 0x5EED_CA7A
 VALIDATION_POINTS = 20
@@ -28,12 +21,10 @@ _cache = {}
 
 
 class CatalogEntry:
-    def __init__(self, name, geometry, named_forms, validations, description):
+    def __init__(self, name, geometry, validations):
         self.name = name
         self.geometry = geometry
-        self.named_forms = named_forms
         self.validations = validations
-        self.description = description
 
     def validate(self):
         pts = sample_points(self.geometry, VALIDATION_POINTS, VALIDATION_SEED)
@@ -42,7 +33,7 @@ class CatalogEntry:
                 ctx = self.geometry.context(p, VALIDATION_ORDER)
                 for lhs, rhs in fn(self, ctx):
                     try:
-                        err, scale = alt_errors(value_of(lhs), value_of(rhs))
+                        err, scale = alt_errors(lhs, rhs)
                     except NonFiniteValue as exc:
                         raise ValidationFailed(self.name, label, f"{exc} at {p}")
                     if exceeds(err, scale):
@@ -68,12 +59,8 @@ def _v_killing(entry, ctx):
     xi = ctx.structure("xi")
     lg = lie_metric(ctx, xi)
     n = entry.geometry.n
-    flat = AltValue(n, 0, {(): max(abs(_v(e)) for row in lg for e in row)})
+    flat = AltValue(n, 0, {(): max(abs(scalar_value(e)) for row in lg for e in row)})
     return [(flat, AltValue(n, 0, {(): 0.0}))]
-
-
-def _v(x):
-    return x.value if hasattr(x, "value") else float(x)
 
 
 def _v_closed(form_name):
@@ -155,9 +142,7 @@ def _v_contact_algebra(entry, ctx):
                 for b in range(n):
                     lhs = lhs + g[a][b] * pi[a] * pj[b]
             rhs = g[i][j] - eta.coeffs.get((i,), 0.0) * eta.coeffs.get((j,), 0.0)
-            out.append(
-                (AltValue(n, 0, {(): _v(lhs)}), AltValue(n, 0, {(): _v(rhs)}))
-            )
+            out.append(tuple(AltValue(n, 0, {(): scalar_value(v)}) for v in (lhs, rhs)))
     return out
 
 
@@ -242,13 +227,7 @@ def _build_euclidean(n, torus=False):
     coords = [f"x{i+1}" for i in range(n)]
     domain = [[0.0, 6.283185307179586]] * n if torus else [[-1.0, 1.0]] * n
     g = _mkgeom(name, n, coords, _flat_metric(n), domain)
-    checks = [("flat-christoffel", _v_flat_christoffel)]
-    desc = (
-        "flat chart with periodic sampling box"
-        if torus
-        else "flat Euclidean chart"
-    )
-    return CatalogEntry(name, g, {}, checks, desc)
+    return CatalogEntry(name, g, [("flat-christoffel", _v_flat_christoffel)])
 
 
 def _build_sphere2():
@@ -262,10 +241,7 @@ def _build_sphere2():
         [[0.3, 2.8], [0.1, 6.0]],
         structures={"xi": ["0", "1"]},  # the Killing rotation field
     )
-    checks = [("killing-rotation", _v_killing)]
-    return CatalogEntry(
-        "sphere2", g, {}, checks, "round 2-sphere chart with Killing rotation field"
-    )
+    return CatalogEntry("sphere2", g, [("killing-rotation", _v_killing)])
 
 
 def _build_flat_kahler(m):
@@ -288,10 +264,7 @@ def _build_flat_kahler(m):
         ("parallel-J", _v_parallel_structure("J")),
         ("integrable-J", _v_integrable("J")),
     ]
-    return CatalogEntry(
-        f"flat_kahler({m})", g, {"Omega": g.forms["Omega"]}, checks,
-        f"flat Kahler chart of real dimension {n} with constant J",
-    )
+    return CatalogEntry(f"flat_kahler({m})", g, checks)
 
 
 def _build_hopf_lck():
@@ -332,11 +305,7 @@ def _build_hopf_lck():
         ("lee-form", _v_lee),
         ("anti-lee-form", _v_anti_lee),
     ]
-    return CatalogEntry(
-        "hopf_lck", g,
-        {k: g.forms[k] for k in ("Omega", "eta", "theta")}, checks,
-        "conformally flat lcK chart (Hopf class) with Lee form -2 dlog r",
-    )
+    return CatalogEntry("hopf_lck", g, checks)
 
 
 def _build_sasakian_s3():
@@ -375,10 +344,7 @@ def _build_sasakian_s3():
         ("closed-Phi", _v_closed("Phi")),
         ("normality", _v_normal),
     ]
-    return CatalogEntry(
-        "sasakian_s3", g, {k: g.forms[k] for k in ("Phi", "eta")}, checks,
-        "round Sasakian 3-sphere chart (Euler-angle coordinates)",
-    )
+    return CatalogEntry("sasakian_s3", g, checks)
 
 
 def _build_flat_cokahler(m):
@@ -411,10 +377,7 @@ def _build_flat_cokahler(m):
         ("closed-eta", _v_closed_structure("eta")),
         ("normality", _v_normal),
     ]
-    return CatalogEntry(
-        f"flat_cokahler({m})", g, {k: g.forms[k] for k in ("Phi", "eta")}, checks,
-        f"flat co-Kahler chart of dimension {n} with constant phi",
-    )
+    return CatalogEntry(f"flat_cokahler({m})", g, checks)
 
 
 # -- public surface -----------------------------------------------------------

@@ -14,8 +14,8 @@ from . import catalog, opexpr, verifier
 from .alt import AltValue, VecAltValue
 from .compare import DEFAULT_ATOL, DEFAULT_RTOL
 from .errors import ExcalError, ExprSyntaxError
-from .geometry import dumps_config, load_config
-from .jets import MAX_ORDER, Jet
+from .geometry import _tuple_to_key, dumps_config, load_config
+from .jets import MAX_ORDER
 from .operators import value_of
 
 
@@ -61,16 +61,6 @@ def _load_geometry(path):
         )
 
 
-def _strip_key(key):
-    return ",".join(str(i + 1) for i in key)
-
-
-def _fmt(v):
-    if isinstance(v, Jet):
-        v = v.value
-    return f"{float(v):.17g}"
-
-
 def _print_value(val, out):
     if isinstance(val, VecAltValue):
         for b, comp in enumerate(val.comps):
@@ -89,8 +79,7 @@ def _print_alt(val, out, prefix):
         out.write(f"{prefix}0\n")
         return
     for key, c in items:
-        label = _strip_key(key) if key else "()"
-        out.write(f"{prefix}{label}: {_fmt(c)}\n")
+        out.write(f"{prefix}{_tuple_to_key(key) or '()'}: {c:.17g}\n")
 
 
 def _report_lines(reports, out):

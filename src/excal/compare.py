@@ -11,14 +11,10 @@ import math
 
 from .alt import AltValue, VecAltValue
 from .errors import NonFiniteValue
-from .jets import Jet
+from .jets import scalar_value
 
 DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-8
-
-
-def _val(c):
-    return c.value if isinstance(c, Jet) else float(c)
 
 
 def alt_errors(lhs, rhs):
@@ -34,8 +30,8 @@ def _errors(lhs, rhs, where):
         return _fold(zip(lhs.comps, rhs.comps), "component", where)
     err = scale = 0.0
     for key in set(lhs.coeffs) | set(rhs.coeffs):
-        a = _val(lhs.coeffs.get(key, 0.0))
-        b = _val(rhs.coeffs.get(key, 0.0))
+        a = scalar_value(lhs.coeffs.get(key, 0.0))
+        b = scalar_value(rhs.coeffs.get(key, 0.0))
         if not (math.isfinite(a) and math.isfinite(b)):
             at = ", ".join(where + (f"basis key {key}",))
             raise NonFiniteValue(f"non-finite value at {at}: lhs {a!r}, rhs {b!r}")
@@ -65,7 +61,7 @@ def within(lhs, rhs, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL):
 def max_abs(value):
     if isinstance(value, VecAltValue):
         return max((max_abs(c) for c in value.comps), default=0.0)
-    return max((abs(_val(c)) for c in value.coeffs.values()), default=0.0)
+    return max((abs(scalar_value(c)) for c in value.coeffs.values()), default=0.0)
 
 
 def zero_like(value):

@@ -17,10 +17,28 @@ import numpy as np
 from . import sexpr
 from .alt import AltValue, VecAltValue
 from .errors import ConfigError, PointExcluded, SingularMetric
-from .jets import jet_apply, jet_const, jet_diff
+from .jets import jet_apply, jet_const, jet_diff, scalar_value
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
+
+# The structure tensors a chart may carry, in config order, with their
+# shapes: an endomorphism is an n x n matrix of expressions (row b, column
+# c maps e_c to e_b), a vector or a 1-form a list of n expressions.
+STRUCTURES = {
+    "J": "endomorphism",
+    "phi": "endomorphism",
+    "xi": "vector",
+    "eta": "form",
+    "theta": "form",
+}
+
+
+def _map_structure(name, spec, fn):
+    """Apply fn to each expression of a structure tensor, keeping its shape."""
+    if STRUCTURES[name] == "endomorphism":
+        return [[fn(e) for e in row] for row in spec]
+    return [fn(e) for e in spec]
 
 
 _field_serial = itertools.count()
@@ -140,25 +158,19 @@ class ChartContext:
 
     # -- fields ----------------------------------------------------------
 
-    def form(self, f):
-        return f.at(self)
-
     def structure(self, name):
         return self._memo(("struct", name), lambda: self._eval_structure(name))
 
     def _eval_structure(self, name):
-        spec = self.geometry.structures[name]
-        n = self.geometry.n
+        if name not in STRUCTURES:
+            raise ConfigError(f"unknown structure tensor {name!r}")
         ev = lambda e: sexpr.eval_jet(e, self.p, self.order)
-        if name in ("J", "phi"):
-            return VecAltValue.from_endomorphism(
-                [[ev(spec[b][c]) for c in range(n)] for b in range(n)]
-            )
-        if name == "xi":
-            return VecAltValue.from_vector([ev(e) for e in spec])
-        if name in ("eta", "theta"):
-            return AltValue(n, 1, {(i,): ev(spec[i]) for i in range(n)})
-        raise ConfigError(f"unknown structure tensor {name!r}")
+        vals = _map_structure(name, self.geometry.structures[name], ev)
+        if STRUCTURES[name] == "endomorphism":
+            return VecAltValue.from_endomorphism(vals)
+        if STRUCTURES[name] == "vector":
+            return VecAltValue.from_vector(vals)
+        return AltValue(self.geometry.n, 1, {(i,): v for i, v in enumerate(vals)})
 
 
 # -- metric machinery ------------------------------------------------------
@@ -204,8 +216,6 @@ def _invert_jets(g):
             if r == col:
                 continue
             f = a[r][col]
-            if isinstance(f, float) and f == 0.0:
-                continue
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
             b[r] = [x - f * y for x, y in zip(b[r], b[col])]
     return b
@@ -244,12 +254,7 @@ def _gram_schmidt(g, descending=False):
         acc = 0.0
         for i in range(n):
             for j in range(n):
-                xi, yj = x[i], y[j]
-                if (isinstance(xi, float) and xi == 0.0) or (
-                    isinstance(yj, float) and yj == 0.0
-                ):
-                    continue
-                acc = acc + g[i][j] * xi * yj
+                acc = acc + g[i][j] * x[i] * y[j]
         return acc
 
     frame = []
@@ -302,9 +307,8 @@ def christoffel(G, p, order):
 
 def orthonormal_frame(G, p, descending=False):
     ctx = G.context(p, 0)
-    val = lambda c: c.value if hasattr(c, "value") else float(c)
     return [
-        [val(c) for c in v.as_vector()] for v in ctx.frame(descending=descending)
+        [scalar_value(c) for c in v.as_vector()] for v in ctx.frame(descending=descending)
     ]
 
 
@@ -378,12 +382,12 @@ def load_config(doc):
     exclude = parse(doc["exclude"]) if doc.get("exclude") else None
     structures = {}
     for name, spec in (doc.get("structures") or {}).items():
-        if name in ("J", "phi"):
-            structures[name] = [[parse(e) for e in row] for row in spec]
-        elif name in ("xi", "eta", "theta"):
-            structures[name] = [parse(e) for e in spec]
-        else:
+        if name not in STRUCTURES:
             raise ConfigError(f"unknown structure tensor {name!r}")
+        rows = spec if STRUCTURES[name] == "endomorphism" else [spec]
+        if any(len(row) != n for row in rows) or len(spec) != n:
+            raise ConfigError(f"structure tensor {name!r} must have {n} entries per row")
+        structures[name] = _map_structure(name, spec, parse)
     forms = {}
     for fname, fdoc in (doc.get("forms") or {}).items():
         k = int(fdoc["degree"])
@@ -415,16 +419,11 @@ def emit_config(G):
     if G.exclude is not None:
         doc["exclude"] = sexpr.pretty(G.exclude)
     if G.structures:
-        st = {}
-        for name in ("J", "phi", "xi", "eta", "theta"):
-            if name not in G.structures:
-                continue
-            spec = G.structures[name]
-            if name in ("J", "phi"):
-                st[name] = [[sexpr.pretty(e) for e in row] for row in spec]
-            else:
-                st[name] = [sexpr.pretty(e) for e in spec]
-        doc["structures"] = st
+        doc["structures"] = {
+            name: _map_structure(name, G.structures[name], sexpr.pretty)
+            for name in STRUCTURES
+            if name in G.structures
+        }
     if G.forms:
         fd = {}
         for fname in sorted(G.forms):

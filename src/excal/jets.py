@@ -165,8 +165,6 @@ class Jet:
                 raise ShapeMismatch(
                     f"jet variable counts differ: {self.space.n} vs {other.space.n}"
                 )
-            if other.order == self.order:
-                return self, other
             k = min(self.order, other.order)
             return self.truncate(k), other.truncate(k)
         if isinstance(other, (int, float, np.floating, np.integer)):
@@ -237,15 +235,21 @@ class Jet:
             k = int(r)
             if k < 0:
                 return self.reciprocal() ** (-k)
-            # binary exponentiation: one multiply per bit of k, not per unit
+            # binary exponentiation: one multiply per bit of k, not per unit;
+            # an overflow is refused below as a DomainError, not warned about
             out, base = None, self
-            while k:
-                if k & 1:
-                    out = base if out is None else out * base
-                k >>= 1
-                if k:
-                    base = base * base
-            return jet_const(1.0, self.space.n, self.order) if out is None else out
+            with np.errstate(over="ignore", invalid="ignore"):
+                while k:
+                    if k & 1:
+                        out = base if out is None else out * base
+                    k >>= 1
+                    if k:
+                        base = base * base
+            if out is None:
+                return jet_const(1.0, self.space.n, self.order)
+            if not np.isfinite(out.c).all():
+                raise DomainError("pow", self.value)
+            return out
         return jet_apply("pow", self, float(r))
 
     def __repr__(self):
@@ -276,6 +280,11 @@ def jet_var(p, i, order):
 
 
 # -- named operation surface --------------------------------------------
+
+
+def scalar_value(c):
+    """The value at the point of a jet coefficient, or a plain number as a float."""
+    return c.value if isinstance(c, Jet) else float(c)
 
 
 def jet_partial(a, alpha):

@@ -1,7 +1,7 @@
 """Operator calculus on jet-valued forms at a chart point.
 
 All operators act on AltValue / VecAltValue objects whose coefficients are
-jets, obtained from fields via ChartContext.form(...).  Differentiation
+jets, obtained from fields via FormField.at(ctx).  Differentiation
 consumes one jet order per application; compositions fail loudly
 (JetBudgetExhausted) when the budget runs out.
 
@@ -14,10 +14,11 @@ Sign conventions, fixed globally:
 
 from itertools import combinations
 
-from .alt import AltValue, VecAltValue, i_dir, interior, sharp, trace, wedge, wedge_sv
+from .alt import AltValue, VecAltValue, _lookup, _shuffles, interior, sharp, wedge, wedge_sv
 from .alt import _is_num_zero as _alt_is_zero
+from .compare import alt_errors, exceeds
 from .errors import DegreeError, NotADerivation, ReconstructionMismatch
-from .jets import Jet, jet_const, jet_diff, jet_var
+from .jets import Jet, jet_const, jet_diff, jet_var, scalar_value
 from .prng import SplitMix64, derive_seed
 
 
@@ -32,30 +33,6 @@ def _diff_alt(w, a):
         if isinstance(c, Jet):
             out[I] = jet_diff(c, a)
     return AltValue(w.n, w.k, out)
-
-
-def _sort_sign(seq):
-    """(sign, sorted tuple) of an index sequence; sign 0 on repeats."""
-    seq = tuple(seq)
-    if len(set(seq)) != len(seq):
-        return 0, None
-    inv = sum(
-        1
-        for i in range(len(seq))
-        for j in range(i + 1, len(seq))
-        if seq[i] > seq[j]
-    )
-    return (-1 if inv % 2 else 1), tuple(sorted(seq))
-
-
-def _lookup(w, seq):
-    sign, key = _sort_sign(seq)
-    if sign == 0:
-        return 0.0
-    c = w.coeffs.get(key)
-    if c is None:
-        return 0.0
-    return c if sign > 0 else -c
 
 
 # -- first-order operators -------------------------------------------------
@@ -317,18 +294,14 @@ def _test_form(ctx, degree, seed):
     return AltValue(n, degree, coeffs)
 
 
-def _max_abs(w):
-    vals = [abs(c.value if isinstance(c, Jet) else c) for c in w.coeffs.values()]
-    return max(vals, default=0.0)
-
-
 def fn_decompose(ctx, D, rel_tol=1e-8, seed=12345):
     """Split a degree-p derivation into D = L_phi + i_psi.
 
     phi is read off from D on coordinate functions, psi from the residue of
     D on coordinate 1-forms.  Validates the Leibniz property on sampled
     products (NotADerivation) and the reconstruction on a randomized form
-    (ReconstructionMismatch).
+    (ReconstructionMismatch), both by value to relative tolerance rel_tol;
+    a non-finite value raises NonFiniteValue.
     """
     n = ctx.geometry.n
     p = D.degree
@@ -338,11 +311,9 @@ def fn_decompose(ctx, D, rel_tol=1e-8, seed=12345):
     beta = _test_form(ctx, 1, derive_seed(seed, 1))
     lhs = D(ctx, wedge(alpha, beta))
     rhs = wedge(D(ctx, alpha), beta) + wedge(alpha, D(ctx, beta))
-    scale = max(_max_abs(lhs), _max_abs(rhs), 1.0)
-    if _max_abs(lhs - rhs) > rel_tol * scale:
-        raise NotADerivation(
-            f"operator {D.name!r} fails the Leibniz property (err {_max_abs(lhs - rhs)})"
-        )
+    err, scale = alt_errors(lhs, rhs)
+    if exceeds(err, scale, 0.0, rel_tol):
+        raise NotADerivation(f"operator {D.name!r} fails the Leibniz property (err {err})")
 
     phi = VecAltValue(n, p, [D(ctx, _coord_fn(ctx, c)) for c in range(n)])
     psi_comps = []
@@ -356,11 +327,10 @@ def fn_decompose(ctx, D, rel_tol=1e-8, seed=12345):
         test = _test_form(ctx, 2, derive_seed(seed, 2))
         got = D(ctx, test)
         want = lie_vec(ctx, phi, test) + interior(psi, test)
-        scale = max(_max_abs(got), _max_abs(want), 1.0)
-        if _max_abs(got - want) > rel_tol * scale:
+        err, scale = alt_errors(got, want)
+        if exceeds(err, scale, 0.0, rel_tol):
             raise ReconstructionMismatch(
-                f"decomposition of {D.name!r} fails to reconstruct it "
-                f"(err {_max_abs(got - want)})"
+                f"decomposition of {D.name!r} fails to reconstruct it (err {err})"
             )
     return phi, psi
 
@@ -437,13 +407,9 @@ def nijenhuis(ctx, T):
     return VecAltValue(n, 2, [AltValue(n, 2, d) for d in comps_out])
 
 
-def lie_metric(ctx, xi, printed_variant=False):
-    """(L_xi g)_{ij} as a jet matrix, assembled from Christoffel jets.
-
-    The standard Killing identity (L_xi g)(Y,Z) = g(nabla_Y xi, Z)
-    + g(Y, nabla_Z xi) is used; printed_variant swaps the second term for
-    g(xi, nabla_Z xi), which does not close the Goldberg identity (kept
-    only so tests can demonstrate the difference).
+def lie_metric(ctx, xi):
+    """(L_xi g)_{ij} as a jet matrix, assembled from Christoffel jets, by
+    the Killing identity (L_xi g)(Y,Z) = g(nabla_Y xi, Z) + g(Y, nabla_Z xi).
     """
     n = ctx.geometry.n
     g = ctx.g()
@@ -469,12 +435,7 @@ def lie_metric(ctx, xi, printed_variant=False):
     out = [[None] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            first = g_dot(nab[a], e(b))
-            if printed_variant:
-                second = g_dot(comps, nab[b])
-            else:
-                second = g_dot(e(a), nab[b])
-            out[a][b] = first + second
+            out[a][b] = g_dot(nab[a], e(b)) + g_dot(e(a), nab[b])
     return out
 
 
@@ -489,8 +450,7 @@ def two_tensor_sharp(ctx, t):
             acc = 0.0
             for a in range(n):
                 acc = acc + g_inv[a][b] * t[a][j]
-            if not (isinstance(acc, float) and acc == 0.0):
-                row[(j,)] = acc
+            row[(j,)] = acc
         comps.append(AltValue(n, 1, row))
     return VecAltValue(n, 1, comps)
 
@@ -502,11 +462,9 @@ def curvature_shuffle(ctx, phi):
     m = p + 2
     comps_out = [dict() for _ in range(n)]
     for M in combinations(range(n), m):
-        for chosen in combinations(range(m), 2):
-            inv = sum(chosen) - 1
-            sign = -1 if inv % 2 else 1
+        for sign, chosen, others in _shuffles(m, 2):
             i, j = M[chosen[0]], M[chosen[1]]
-            rest = tuple(M[t] for t in range(m) if t not in chosen)
+            rest = tuple(M[t] for t in others)
             for b in range(n):
                 cb = phi.comps[b].coeffs.get(rest)
                 if cb is None:
@@ -526,7 +484,4 @@ def value_of(w):
     """Strip jets down to order-0 coefficient values."""
     if isinstance(w, VecAltValue):
         return VecAltValue(w.n, w.k, [value_of(c) for c in w.comps])
-    out = {}
-    for I, c in w.coeffs.items():
-        out[I] = c.value if isinstance(c, Jet) else float(c)
-    return AltValue(w.n, w.k, out)
+    return AltValue(w.n, w.k, {I: scalar_value(c) for I, c in w.coeffs.items()})

@@ -18,7 +18,7 @@ from .alt import AltValue, VecAltValue, interior, trace, wedge, wedge_sv
 from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, exceeds
 from .errors import ConfigError, DegreeError, UnknownSuite
 from .geometry import FormField, Geometry, VecFormField, sample_points
-from .jets import Jet
+from .jets import scalar_value
 from .operators import (
     Operator,
     codiff,
@@ -50,10 +50,10 @@ FAIL_FLOOR = 1e-3
 # -- random fields -----------------------------------------------------------
 
 
-def random_form(G, k, seed, kind="poly", max_poly_degree=2):
+def random_form(G, k, seed, kind="poly"):
     """Deterministic random FormField of degree k on G.
 
-    poly: each coefficient is a polynomial of total degree <= max_poly_degree;
+    poly: each coefficient is a polynomial of total degree <= 2;
     trig: a degree-<=1 polynomial in sin/cos of single coordinates.  All
     scalar draws are uniform in [-1, 1] from a splitmix64 stream derived
     from (seed, geometry name, k, kind).
@@ -66,15 +66,11 @@ def random_form(G, k, seed, kind="poly", max_poly_degree=2):
     for I in combinations(range(G.n), k):
         terms = [repr(rng.uniform(-1.0, 1.0))]
         if kind == "poly":
-            if max_poly_degree >= 1:
-                for v in names:
-                    terms.append(f"{rng.uniform(-1.0, 1.0)!r}*{v}")
-            if max_poly_degree >= 2:
-                for a in range(G.n):
-                    for b in range(a, G.n):
-                        terms.append(
-                            f"{rng.uniform(-1.0, 1.0)!r}*{names[a]}*{names[b]}"
-                        )
+            for v in names:
+                terms.append(f"{rng.uniform(-1.0, 1.0)!r}*{v}")
+            for a in range(G.n):
+                for b in range(a, G.n):
+                    terms.append(f"{rng.uniform(-1.0, 1.0)!r}*{names[a]}*{names[b]}")
         elif kind == "trig":
             for v in names:
                 terms.append(f"{rng.uniform(-1.0, 1.0)!r}*sin({v})")
@@ -117,17 +113,18 @@ def _side(side, ctx, env):
     return opexpr.evaluate_str(side, ctx, env)
 
 
-def _resolve_geometry(check):
-    if isinstance(check.geometry, Geometry):
-        return check.geometry
-    return catalog.builtin(check.geometry).geometry
+def _resolve_pair(spec):
+    """A geometry spec is a catalog entry name or an inline Geometry."""
+    if isinstance(spec, Geometry):
+        return spec, spec.name
+    return catalog.builtin(spec).geometry, spec
 
 
 def run_check(check):
     """Evaluate one identity check at its sampled points; never aborts on a
     single-point evaluation error (it is recorded as a failing point)."""
     t0 = time.perf_counter()
-    G = _resolve_geometry(check)
+    G, _ = _resolve_pair(check.geometry)
     point_seed = derive_seed(check.seed, "points", G.name)
     points = check.points
     if points is None:
@@ -182,10 +179,6 @@ def run_check(check):
 
 
 # -- identity helpers --------------------------------------------------------
-
-
-def _zero(n, k):
-    return AltValue.zero(n, k)
 
 
 def _scalar(value):
@@ -271,23 +264,9 @@ def _sharp_pair(om_field):
 
 def _zero_rhs(n, out_degrees):
     def rhs(ctx, env):
-        return [_zero(n, d) for d in out_degrees]
+        return [AltValue.zero(n, d) for d in out_degrees]
 
     return rhs
-
-
-def _rotation_field(G):
-    """x1 d2 - x2 d1 as a VecFormField (a flat-chart Killing field)."""
-    zero = G.parse_expr("0")
-    comps = []
-    for b in range(G.n):
-        if b == 0:
-            comps.append(FormField(0, {(): G.parse_expr(f"-{G.coord_names[1]}")}))
-        elif b == 1:
-            comps.append(FormField(0, {(): G.parse_expr(G.coord_names[0])}))
-        else:
-            comps.append(FormField(0, {(): zero}))
-    return VecFormField(0, comps)
 
 
 def _const_vec(G, comps_src):
@@ -298,10 +277,6 @@ def _const_vec(G, comps_src):
 
 def _const_form(G, k, coeffs):
     return FormField(k, {I: G.parse_expr(src) for I, src in coeffs.items()})
-
-
-def _jv(x):
-    return x.value if isinstance(x, Jet) else float(x)
 
 
 # -- suite builders ----------------------------------------------------------
@@ -331,13 +306,6 @@ MAIN_GEOMS = [
     "flat_cokahler(1)",
     "flat_cokahler(2)",
 ]
-
-
-def _resolve_pair(spec):
-    """A geometry spec is a catalog entry name or an inline Geometry."""
-    if isinstance(spec, Geometry):
-        return spec, spec.name
-    return catalog.builtin(spec).geometry, spec
 
 
 def _per_geometry(default_geoms):
@@ -545,7 +513,7 @@ def _s_delta_trace(check, seed, G, gname):
             out.append(trace(omega_diamond(ctx, w)).scale(-0.5))
             out.append(-codiff(ctx, w))
             if k >= 2:
-                out.append(_zero(n, k - 2))
+                out.append(AltValue.zero(n, k - 2))
         return out
 
     yield check(f"delta-trace/{gname}", lhs, rhs)
@@ -615,7 +583,8 @@ def _s_goldberg(mk, seed):
         (gname, G, "random", random_vec_form(G, 0, derive_seed(seed, gname, "xi")))
         for gname, G in (("euclidean(3)", E3), ("sphere2", S2))
     ]
-    cases.append(("euclidean(3)", E3, "killing", _rotation_field(E3)))
+    # the rotation x1 d2 - x2 d1, a Killing field of the flat chart
+    cases.append(("euclidean(3)", E3, "killing", _const_vec(E3, ["-x2", "x1", "0"])))
     cases.append(("sphere2", S2, "killing", _const_vec(S2, ["0", "1"])))
 
     checks = []
@@ -635,7 +604,7 @@ def _s_goldberg(mk, seed):
                 ]
 
             def rhs_k(ctx, env, n=G.n):
-                return [_zero(n, 0), VecAltValue.zero(n, 1)]
+                return [AltValue.zero(n, 0), VecAltValue.zero(n, 1)]
 
             checks.append(mk(f"goldberg/{gname}/killing-constants", gname, lhs_k, rhs_k))
     return checks
@@ -874,9 +843,8 @@ def _s_kanemaki(check, seed, G, gname):
                 for b in range(3):
                     acc = acc + g[b][j] * A.comps[b].coeffs.get((i,), 0.0)
                 sym[(i, j)] = acc
-        out.append(
-            AltValue(3, 0, {(): max(abs(_jv(sym[(i, j)] - sym[(j, i)])) for i in range(3) for j in range(3))})
-        )
+        asym = max(abs(scalar_value(sym[(i, j)] - sym[(j, i)])) for i in range(3) for j in range(3))
+        out.append(AltValue(3, 0, {(): asym}))
         return out
 
     def rhs(ctx, env):

@@ -1,8 +1,8 @@
 """End-to-end acceptance gate for the identity engine.
 
-Runs the full built-in suite once through the CLI (timed), plus two
-fixed-seed runs for the determinism check, and asserts the headline
-identity results directly from the JSON reports.  The CLI runs as
+Runs the full built-in suite once through the CLI (timed, alone), plus two
+fixed-seed runs side by side for the determinism check, and asserts the
+headline identity results directly from the JSON reports.  The CLI runs as
 ``python -m excal`` under the interpreter that runs the tests, importing
 the same ``excal`` package the tests import, so the gate needs no install.
 """
@@ -46,7 +46,11 @@ STRUCTURAL_PREFIXES = [
 ]
 
 
-def _run_cli(*args):
+CLI_TIMEOUT_S = 300
+
+
+def _start_cli(*args):
+    """Start the CLI; returns (process, deadline) for _wait_cli."""
     # put the source root of the imported package first on the child's path,
     # so the child cannot pick up a different, installed copy of excal
     src_root = str(Path(excal.__file__).resolve().parents[1])
@@ -54,10 +58,27 @@ def _run_cli(*args):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_root, env.get("PYTHONPATH")) if p
     )
-    return subprocess.run(
+    proc = subprocess.Popen(
         [sys.executable, "-m", "excal", *args],
-        capture_output=True, text=True, timeout=300, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
+    return proc, time.monotonic() + CLI_TIMEOUT_S
+
+
+def _wait_cli(started):
+    """Collect a started CLI run, killing it once its own timeout has passed."""
+    proc, deadline = started
+    try:
+        out, err = proc.communicate(timeout=max(deadline - time.monotonic(), 0.0))
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+def _run_cli(*args):
+    return _wait_cli(_start_cli(*args))
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +102,18 @@ def reports(full_run):
 
 @pytest.fixture(scope="module")
 def seed42_outputs():
+    # the two seeded runs are independent processes, so they run side by side
+    args = ("check", "--builtin", "all", "--seed", "42", "--report", "json")
+    started = [_start_cli(*args) for _ in range(2)]
+    try:
+        done = [_wait_cli(s) for s in started]
+    finally:
+        for proc, _ in started:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
     outs = []
-    for _ in range(2):
-        proc = _run_cli(
-            "check", "--builtin", "all", "--seed", "42", "--report", "json"
-        )
+    for proc in done:
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     return outs

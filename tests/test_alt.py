@@ -6,7 +6,7 @@ coefficients against determinants and shares no code with the shuffle path.
 """
 
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from excal.alt import (
     AltValue,
     VecAltValue,
+    _shuffles,
+    _sort_sign,
     apply,
     apply_vec,
     i_dir,
@@ -184,6 +186,41 @@ def test_above_dimension_is_canonical_zero():
     a = AltValue(2, 2, {(0, 1): 1.0})
     w = wedge(a, a)
     assert w.k == 4 and not w.coeffs and w.is_structural_zero()
+
+
+def _parity_by_cycles(seq):
+    """Sign of the permutation that sorts distinct seq: (-1)^(even cycles)."""
+    order = sorted(range(len(seq)), key=seq.__getitem__)
+    seen, sign = set(), 1
+    for start in range(len(seq)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = order[i]
+            length += 1
+        if length % 2 == 0 and length:
+            sign = -sign
+    return sign
+
+
+def test_sort_sign_matches_permutation_parity():
+    # every index tuple of length <= 5 over range(6), repeats included
+    for length in range(6):
+        for seq in product(range(6), repeat=length):
+            if len(set(seq)) < length:
+                assert _sort_sign(seq) == (0, None)
+            else:
+                assert _sort_sign(seq) == (_parity_by_cycles(seq), tuple(sorted(seq)))
+
+
+def test_shuffles_match_permutation_parity():
+    for m in range(7):
+        for p in range(m + 1):
+            shuffles = _shuffles(m, p)
+            assert [chosen for _, chosen, _ in shuffles] == list(combinations(range(m), p))
+            for sign, chosen, rest in shuffles:
+                assert rest == tuple(i for i in range(m) if i not in chosen)
+                assert sign == _parity_by_cycles(chosen + rest)
 
 
 # -- hypothesis property tests -------------------------------------------

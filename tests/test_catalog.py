@@ -136,7 +136,7 @@ def test_validation_catches_broken_structure():
 
 def test_named_forms_are_exposed():
     entry = builtin("hopf_lck")
-    assert "Omega" in entry.named_forms or "Omega" in entry.geometry.forms
+    assert "Omega" in entry.geometry.forms
     s = builtin("sasakian_s3")
     assert "Phi" in s.geometry.forms
 

@@ -211,8 +211,14 @@ def test_eval_bad_point(capsys, eval_config):
     assert code == 2
 
 
-def test_eval_overflow_is_a_domain_error(capsys, tmp_path):
-    # exp(900) overflows a float: a typed error and exit 2, not a traceback
+@pytest.mark.parametrize(
+    "src, expr, at",
+    [("exp(1000*x)", "f", "0.9"), ("(1 + x)^1e308", "d(f)", "0.5")],
+    ids=["exp", "integer-power"],
+)
+def test_eval_overflow_is_a_domain_error(capsys, tmp_path, src, expr, at):
+    # exp(900) and 1.5^1e308 overflow a float: a typed error and exit 2,
+    # not a traceback and not a printed inf
     cfg = {
         "version": "excal-config v1",
         "name": "steep",
@@ -220,11 +226,11 @@ def test_eval_overflow_is_a_domain_error(capsys, tmp_path):
         "coords": ["x"],
         "metric": [["1"]],
         "domain": [[-1, 1]],
-        "forms": {"f": {"degree": 0, "coeffs": {"": "exp(1000*x)"}}},
+        "forms": {"f": {"degree": 0, "coeffs": {"": src}}},
     }
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(cfg))
-    code, _, err = run(capsys, "eval", str(path), "--expr", "f", "--at", "0.9")
+    code, _, err = run(capsys, "eval", str(path), "--expr", expr, "--at", at)
     assert code == 2
     assert err.startswith("error: DomainError") and "Traceback" not in err
 

@@ -193,6 +193,27 @@ def test_config_bad_form_key():
         load_config(base)
 
 
+@pytest.mark.parametrize(
+    "structures",
+    [
+        {"J": [["0", "-1"], ["1", "0"], ["0", "0"]]},  # three rows on a 2-d chart
+        {"phi": [["0", "-1"], ["1"]]},  # a short row
+        {"xi": ["1"]},
+        {"eta": ["1", "0", "0"]},
+    ],
+)
+def test_config_structure_shape(structures):
+    doc = {
+        "dim": 2,
+        "coords": ["x", "y"],
+        "metric": [["1", "0"], ["0", "1"]],
+        "domain": [[0, 1], [0, 1]],
+        "structures": structures,
+    }
+    with pytest.raises(ConfigError, match="entries per row"):
+        load_config(doc)
+
+
 def test_singular_metric_rejected():
     doc = {
         "dim": 2,

@@ -97,6 +97,12 @@ def test_huge_integer_exponent_returns_quickly():
     assert (x ** 5).c == pytest.approx((x * x * x * x * x).c)
 
 
+def test_integer_power_overflow_is_a_domain_error():
+    # 1.5 ** 10**308 overflows: a typed error, not a jet of inf and nan
+    with pytest.raises(DomainError):
+        jet_var((1.5,), 0, 2) ** 10**308
+
+
 def test_integer_powers():
     x = jet_var((-2.0,), 0, 3)
     cube = x**3

@@ -8,7 +8,7 @@ from excal import sexpr
 from excal.alt import AltValue, VecAltValue, interior, trace, wedge
 from excal.catalog import builtin
 from excal.compare import max_abs, within
-from excal.errors import NotADerivation
+from excal.errors import NonFiniteValue, NotADerivation
 from excal.geometry import sample_points
 from excal.jets import Jet, jet_diff
 from excal.operators import (
@@ -203,6 +203,14 @@ def test_fn_decompose_rejects_non_derivation():
     om = random_form(E3, 1, 55)
     with pytest.raises(NotADerivation):
         fn_decompose(ctx, op_eps(om))
+
+
+def test_fn_decompose_refuses_non_finite_values():
+    # a NaN-valued operator must not hand back a NaN phi and psi
+    ctx = ctx_at(E3, order=3)
+    D = Operator("nan-d", 1, lambda c, w: ext_d(c, w).scale(float("nan")))
+    with pytest.raises(NonFiniteValue):
+        fn_decompose(ctx, D)
 
 
 def test_endomorphism_algebra():
