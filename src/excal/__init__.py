@@ -8,7 +8,6 @@ built-in geometries, a deterministic identity verifier and the ``excal``
 command-line tool.
 """
 
-from ._kernels import backend_name
 from .alt import AltValue, VecAltValue, interior, sharp, trace, wedge, wedge_sv
 from .catalog import CatalogEntry, builtin
 from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, within
@@ -46,6 +45,7 @@ from .geometry import (
 from .jets import (
     MAX_ORDER,
     Jet,
+    backend_name,
     jet_apply,
     jet_const,
     jet_diff,

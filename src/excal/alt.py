@@ -77,9 +77,6 @@ class AltValue:
     def zero(cls, n, k):
         return cls(n, k)
 
-    def basis(self):
-        return combinations(range(self.n), self.k)
-
     def get(self, key):
         return self.coeffs.get(tuple(key), 0.0)
 
@@ -221,7 +218,8 @@ def interior(phi, omega):
     """Frolicher-Nijenhuis interior product i_phi omega by shuffle sums.
 
     phi is tangent-valued of degree p, omega scalar of degree k; the result
-    has degree k + p - 1.  Annihilates degree 0.
+    has degree k + p - 1.  Annihilates degree 0.  For p = 0, phi is a
+    vector X and this is the classical i_X.
     """
     n, p, k = phi.n, phi.k, omega.k
     if k == 0:
@@ -231,15 +229,6 @@ def interior(phi, omega):
     m = k + p - 1
     if m > n:
         return AltValue.zero(n, m)
-    if p == 0:
-        # classical i_X with X = sum_b comp_b e_b
-        out = AltValue.zero(n, k - 1)
-        for b in range(n):
-            cb = phi.comps[b].get(())
-            if _is_num_zero(cb):
-                continue
-            out = out + i_dir(b, omega).scale(cb)
-        return out
     out = {}
     for M in combinations(range(n), m):
         acc = 0.0
@@ -278,15 +267,10 @@ def sharp(omega, g_inv):
     if omega.k == 0:
         raise DegreeError("sharp needs a form of degree >= 1")
     n = omega.n
-    comps = []
-    for b in range(n):
-        acc = AltValue.zero(n, omega.k - 1)
-        for a in range(n):
-            gab = g_inv[a][b]
-            if _is_num_zero(gab):
-                continue
-            acc = acc + i_dir(a, omega).scale(gab)
-        comps.append(acc)
+    comps = [
+        interior(VecAltValue.from_vector([g_inv[a][b] for a in range(n)]), omega)
+        for b in range(n)
+    ]
     return VecAltValue(n, omega.k - 1, comps)
 
 

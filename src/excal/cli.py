@@ -7,13 +7,16 @@ EXCAL_SEED overrides the default seed; an explicit --seed flag wins.
 
 import argparse
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import catalog, opexpr, verifier
 from .alt import AltValue, VecAltValue
 from .compare import DEFAULT_ATOL, DEFAULT_RTOL
-from .errors import ExcalError, ExprSyntaxError
+from .errors import ExcalError, ExprSyntaxError, NonFiniteValue
 from .geometry import _tuple_to_key, dumps_config, load_config
 from .jets import MAX_ORDER
 from .operators import value_of
@@ -62,24 +65,25 @@ def _load_geometry(path):
 
 
 def _print_value(val, out):
+    """Print each coefficient value; a non-finite one raises NonFiniteValue
+    before anything is printed."""
     if isinstance(val, VecAltValue):
-        for b, comp in enumerate(val.comps):
-            prefix = f"e{b + 1} | "
-            _print_alt(comp, out, prefix)
-        return
-    if isinstance(val, AltValue):
-        _print_alt(val, out, "")
-        return
-    raise UsageError("expression did not evaluate to a form value")
-
-
-def _print_alt(val, out, prefix):
-    items = sorted(value_of(val).coeffs.items())
-    if not items:
-        out.write(f"{prefix}0\n")
-        return
-    for key, c in items:
-        out.write(f"{prefix}{_tuple_to_key(key) or '()'}: {c:.17g}\n")
+        parts = [(f"e{b + 1} | ", comp) for b, comp in enumerate(val.comps)]
+    elif isinstance(val, AltValue):
+        parts = [("", val)]
+    else:
+        raise UsageError("expression did not evaluate to a form value")
+    lines = []
+    for prefix, alt in parts:
+        items = sorted(value_of(alt).coeffs.items())
+        if not items:
+            lines.append(f"{prefix}0\n")
+        for key, c in items:
+            label = f"{prefix}{_tuple_to_key(key) or '()'}"
+            if not math.isfinite(c):
+                raise NonFiniteValue(f"non-finite value at {label}: {c!r}")
+            lines.append(f"{label}: {c:.17g}\n")
+    out.writelines(lines)
 
 
 def _report_lines(reports, out):
@@ -140,8 +144,10 @@ def cmd_eval(args):
         raise UsageError(f"--at needs {G.n} coordinates, got {len(point)}")
     order = args.order if args.order is not None else min(3, MAX_ORDER)
     try:
-        ctx = G.context(point, order)
-        val = opexpr.evaluate_str(args.expr, ctx, {})
+        # an overflow surfaces below as NonFiniteValue, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            ctx = G.context(point, order)
+            val = opexpr.evaluate_str(args.expr, ctx, {})
     except ExprSyntaxError as exc:
         sys.stderr.write(f"error: {exc}\n")
         offset = getattr(exc, "offset", None)

@@ -58,12 +58,6 @@ def within(lhs, rhs, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL):
     return not exceeds(*alt_errors(lhs, rhs), atol, rtol)
 
 
-def max_abs(value):
-    if isinstance(value, VecAltValue):
-        return max((max_abs(c) for c in value.comps), default=0.0)
-    return max((abs(scalar_value(c)) for c in value.coeffs.values()), default=0.0)
-
-
 def zero_like(value):
     if isinstance(value, VecAltValue):
         return VecAltValue.zero(value.n, value.k)

@@ -336,9 +336,8 @@ def sample_points(G, count, seed, max_attempts=10000):
         attempts += 1
         if attempts > max_attempts:
             raise ConfigError(f"domain of {G.name!r} rejects too many samples")
-        if G.exclude is not None and sexpr.eval_value(G.exclude, p) <= 0:
-            continue
-        pts.append(p)
+        if G.in_domain(p):
+            pts.append(p)
     return pts
 
 

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from ._kernels import mul_coeffs
 from .errors import (
     DivisionByZeroAtPoint,
     DomainError,
@@ -25,6 +24,16 @@ from .errors import (
 MAX_ORDER = 4
 
 _spaces = {}
+
+
+def backend_name():
+    return "numpy"
+
+
+def mul_coeffs(a, b, idx_a, idx_b, idx_out, size):
+    """The truncated Taylor-coefficient convolution behind jet multiplication:
+    out[idx_out] += a[idx_a] * b[idx_b]."""
+    return np.bincount(idx_out, weights=a[idx_a] * b[idx_b], minlength=size)
 
 
 def _graded_multi_indices(n, order):
@@ -59,12 +68,9 @@ class JetSpace:
         self.midx = _graded_multi_indices(n, order)
         self.size = len(self.midx)
         self.index = {a: i for i, a in enumerate(self.midx)}
-        self.deg = np.array([sum(a) for a in self.midx], dtype=np.int64)
         self.fact = np.array(
             [math.prod(math.factorial(v) for v in a) for a in self.midx]
         )
-        # sizes of the prefixes holding all indices of degree <= o
-        self.prefix = [int(np.searchsorted(self.deg, o + 1)) for o in range(order + 1)]
         self._mul_table = None
         self._diff_tables = None
 

@@ -223,38 +223,21 @@ def op_delta():
     return Operator("delta", -1, codiff)
 
 
-def op_eps(field_or_value, degree=None):
-    """Left wedge multiplication by a (field or evaluated) form."""
-
-    def fn(ctx, w):
-        omega = field_or_value
-        if hasattr(omega, "at"):
-            omega = omega.at(ctx)
-        return wedge(omega, w)
-
-    if degree is None:
-        degree = getattr(field_or_value, "degree", None)
-        if degree is None:
-            degree = field_or_value.k
-    return Operator("eps", degree, fn)
+def op_eps(omega):
+    """Left wedge multiplication by a form field or an evaluated form."""
+    if hasattr(omega, "at"):
+        return Operator("eps", omega.degree, lambda ctx, w: wedge(omega.at(ctx), w))
+    return Operator("eps", omega.k, lambda ctx, w: wedge(omega, w))
 
 
-def op_interior(phi_source, degree):
-    """i_phi for a tangent-valued form (callable(ctx) or value)."""
-
-    def fn(ctx, w):
-        phi = phi_source(ctx) if callable(phi_source) else phi_source
-        return interior(phi, w)
-
-    return Operator("i", degree - 1, fn)
+def op_interior(phi):
+    """i_phi for an evaluated tangent-valued form phi."""
+    return Operator("i", phi.k - 1, lambda ctx, w: interior(phi, w))
 
 
-def op_lie(phi_source, degree):
-    def fn(ctx, w):
-        phi = phi_source(ctx) if callable(phi_source) else phi_source
-        return lie_vec(ctx, phi, w)
-
-    return Operator("lie", degree, fn)
+def op_lie(phi):
+    """L_phi for an evaluated tangent-valued form phi."""
+    return Operator("lie", phi.k, lambda ctx, w: lie_vec(ctx, phi, w))
 
 
 def graded_comm(ctx, A, B, w, anti=False):

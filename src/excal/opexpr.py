@@ -166,17 +166,17 @@ def evaluate(node, ctx, env):
     if head == "eps":
         w = _want_form(vals[0], node)
         if partial:
-            return op_eps(w, w.k)
+            return op_eps(w)
         return wedge(w, _want_form(vals[1], node))
     if head == "i":
         phi = _want_vec(vals[0], node)
         if partial:
-            return op_interior(phi, phi.k)
+            return op_interior(phi)
         return interior(phi, _want_form(vals[1], node))
     if head == "lie":
         phi = _want_vec(vals[0], node)
         if partial:
-            return op_lie(phi, phi.k)
+            return op_lie(phi)
         return lie_vec(ctx, phi, _want_form(vals[1], node))
     # comm / acomm
     A = _want_op(vals[0], node)

@@ -24,7 +24,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from .jets import Jet, jet_apply, jet_const, jet_var
+from .jets import jet_apply, jet_const, jet_var
 
 FUNCTIONS = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "pow": 2}
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -238,25 +238,10 @@ def eval_jet(e, p, order):
         return -eval_jet(e.arg, p, order)
     if isinstance(e, Bin):
         a = eval_jet(e.left, p, order)
-        if e.op == "^":
-            # constant exponents keep integer-power semantics at value <= 0
-            exponent = e.right
-            neg = isinstance(exponent, Neg)
-            if neg:
-                exponent = exponent.arg
-            if isinstance(exponent, Num):
-                r = -exponent.value if neg else exponent.value
-                try:
-                    return a ** (int(r) if r.is_integer() else r)
-                except (DomainError, DivisionByZeroAtPoint) as exc:
-                    raise _annotate(exc, e)
-            b = eval_jet(e.right, p, order)
-            try:
-                return _jet_pow(a, b)
-            except (DomainError, DivisionByZeroAtPoint) as exc:
-                raise _annotate(exc, e)
         b = eval_jet(e.right, p, order)
         try:
+            if e.op == "^":
+                return _jet_pow(a, b)
             if e.op == "+":
                 return a + b
             if e.op == "-":
@@ -280,13 +265,12 @@ def eval_jet(e, p, order):
 
 
 def _jet_pow(a, b):
-    """General power a^b = exp(b log a) unless b is constant."""
-    if isinstance(b, Jet):
-        if all(c == 0.0 for c in b.c[1:]):
-            r = b.value
-            return a ** (int(r) if float(r).is_integer() else r)
-        return jet_apply("exp", b * jet_apply("log", a))
-    return a**b
+    """General power a^b = exp(b log a) unless b is constant; an integral
+    constant exponent keeps integer-power semantics at value <= 0."""
+    if not b.c[1:].any():
+        r = b.value
+        return a ** (int(r) if r.is_integer() else r)
+    return jet_apply("exp", b * jet_apply("log", a))
 
 
 def eval_value(e, p):

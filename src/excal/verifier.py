@@ -2,8 +2,10 @@
 both sides of each identity, compare to mixed tolerance, and report.
 
 Every built-in check evaluates its left side by raw operator composition
-and its right side from independently computed closed-form ingredients,
-so the two paths share nothing beyond the leaf field evaluations.
+and its right side from closed-form ingredients.  The two paths are not
+independent: both use the same codiff, lie_vec, interior and jet
+arithmetic, so an error in a convention those share cancels out of the
+comparison.
 Reports follow the excal-report v1 JSON schema and are deterministic for
 a fixed (geometry, seed) pair up to the wall-time field.
 """
@@ -11,7 +13,7 @@ a fixed (geometry, seed) pair up to the wall-time field.
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from . import catalog, opexpr
 from .alt import AltValue, VecAltValue, interior, trace, wedge, wedge_sv
@@ -40,6 +42,7 @@ from .operators import (
     two_tensor_sharp,
 )
 from .prng import SplitMix64, derive_seed
+from .sexpr import Bin, Num, Var
 
 REPORT_VERSION = "excal-report v1"
 DEFAULT_SEED = 20240
@@ -50,41 +53,37 @@ FAIL_FLOOR = 1e-3
 # -- random fields -----------------------------------------------------------
 
 
-def random_form(G, k, seed, kind="poly"):
+def random_form(G, k, seed):
     """Deterministic random FormField of degree k on G.
 
-    poly: each coefficient is a polynomial of total degree <= 2;
-    trig: a degree-<=1 polynomial in sin/cos of single coordinates.  All
-    scalar draws are uniform in [-1, 1] from a splitmix64 stream derived
-    from (seed, geometry name, k, kind).
+    Each coefficient is the polynomial c0 + sum_a c_a x_a + sum_{a<=b}
+    c_ab x_a x_b, summed left to right in that order, with every c uniform
+    in [-1, 1] from a splitmix64 stream derived from (seed, geometry name,
+    k).  The salt keeps its "poly" tag, so the draws stay those of earlier
+    seeded reports.
     """
     if not 0 <= k <= G.n:
         raise DegreeError(f"random form degree {k} out of range for n={G.n}")
-    rng = SplitMix64(derive_seed(seed, "form", G.name, k, kind))
-    names = G.coord_names
+    rng = SplitMix64(derive_seed(seed, "form", G.name, k, "poly"))
+    xs = [Var(name, i) for i, name in enumerate(G.coord_names)]
+    monomials = [()] + [(a,) for a in range(G.n)]
+    monomials += combinations_with_replacement(range(G.n), 2)
     coeffs = {}
     for I in combinations(range(G.n), k):
-        terms = [repr(rng.uniform(-1.0, 1.0))]
-        if kind == "poly":
-            for v in names:
-                terms.append(f"{rng.uniform(-1.0, 1.0)!r}*{v}")
-            for a in range(G.n):
-                for b in range(a, G.n):
-                    terms.append(f"{rng.uniform(-1.0, 1.0)!r}*{names[a]}*{names[b]}")
-        elif kind == "trig":
-            for v in names:
-                terms.append(f"{rng.uniform(-1.0, 1.0)!r}*sin({v})")
-                terms.append(f"{rng.uniform(-1.0, 1.0)!r}*cos({v})")
-        else:
-            raise ConfigError(f"unknown random form kind {kind!r}")
-        coeffs[I] = G.parse_expr(" + ".join(terms))
+        poly = None
+        for mono in monomials:
+            term = Num(rng.uniform(-1.0, 1.0))
+            for a in mono:
+                term = Bin("*", term, xs[a])
+            poly = term if poly is None else Bin("+", poly, term)
+        coeffs[I] = poly
     return FormField(k, coeffs)
 
 
-def random_vec_form(G, k, seed, kind="poly"):
+def random_vec_form(G, k, seed):
     """Deterministic random tangent-valued form of degree k."""
     return VecFormField(
-        k, [random_form(G, k, derive_seed(seed, "comp", b), kind) for b in range(G.n)]
+        k, [random_form(G, k, derive_seed(seed, "comp", b)) for b in range(G.n)]
     )
 
 
@@ -95,7 +94,7 @@ def random_vec_form(G, k, seed, kind="poly"):
 class IdentityCheck:
     id: str
     geometry: object  # catalog entry name or a Geometry
-    lhs: object  # opexpr source string or callable(ctx, env)
+    lhs: object  # opexpr source string or callable(ctx)
     rhs: object
     inputs: dict = dc_field(default_factory=dict)
     points: list = None
@@ -108,8 +107,10 @@ class IdentityCheck:
 
 
 def _side(side, ctx, env):
+    """One side of a check at ctx: a callable(ctx), or an opexpr string that
+    may name the check's inputs (env)."""
     if callable(side):
-        return side(ctx, env)
+        return side(ctx)
     return opexpr.evaluate_str(side, ctx, env)
 
 
@@ -181,10 +182,6 @@ def run_check(check):
 # -- identity helpers --------------------------------------------------------
 
 
-def _scalar(value):
-    return value.coeffs.get((), 0.0) if isinstance(value, AltValue) else value
-
-
 def _xi_flat(ctx, xi):
     """The 1-form g(xi, .) with jet coefficients."""
     n = ctx.geometry.n
@@ -206,13 +203,13 @@ def _amatrix(ctx):
     return -endo_compose(phi, nxi)
 
 
-def _betas(G, seed, degrees, kind="poly"):
-    return {q: random_form(G, q, derive_seed(seed, "beta", q), kind) for q in degrees}
+def _betas(G, seed, degrees):
+    return {q: random_form(G, q, derive_seed(seed, "beta", q)) for q in degrees}
 
 
 def _comm_eps(ctx, omega_val, beta_val):
     """[delta, eps_omega] beta by raw operator composition."""
-    return graded_comm(ctx, op_delta(), op_eps(omega_val, omega_val.k), beta_val)
+    return graded_comm(ctx, op_delta(), op_eps(omega_val), beta_val)
 
 
 def _beta_values(betas, ctx):
@@ -223,7 +220,7 @@ def _beta_values(betas, ctx):
 def _commutators(F, betas):
     """Side [delta, eps_F] beta per degree, for the form field F."""
 
-    def side(ctx, env):
+    def side(ctx):
         f = F.at(ctx)
         return [_comm_eps(ctx, f, b) for b in _beta_values(betas, ctx)]
 
@@ -233,7 +230,7 @@ def _commutators(F, betas):
 def _residual(pair, betas):
     """Side [delta, eps_eta] beta + L_X beta per degree, (eta, X) = pair(ctx)."""
 
-    def side(ctx, env):
+    def side(ctx):
         eta, X = pair(ctx)
         return [
             _comm_eps(ctx, eta, b) + lie_vec(ctx, X, b) for b in _beta_values(betas, ctx)
@@ -263,7 +260,7 @@ def _sharp_pair(om_field):
 
 
 def _zero_rhs(n, out_degrees):
-    def rhs(ctx, env):
+    def rhs(ctx):
         return [AltValue.zero(n, d) for d in out_degrees]
 
     return rhs
@@ -339,10 +336,10 @@ def _s_fn_contraction(check, seed, G, gname):
             om = random_form(G, k, derive_seed(seed, gname, "omega", k, p))
             ph = random_vec_form(G, p, derive_seed(seed, gname, "phi", k, p))
 
-            def lhs(ctx, env, om=om, ph=ph):
+            def lhs(ctx, om=om, ph=ph):
                 return trace(wedge_sv(om.at(ctx), ph.at(ctx)))
 
-            def rhs(ctx, env, om=om, ph=ph, k=k, p=p):
+            def rhs(ctx, om=om, ph=ph, k=k, p=p):
                 w, f = om.at(ctx), ph.at(ctx)
                 s1 = -1.0 if k % 2 else 1.0
                 s2 = -1.0 if ((k + 1) * p) % 2 else 1.0
@@ -360,10 +357,10 @@ def _s_omegaiphi(check, seed, G, gname):
         ph = random_vec_form(G, p, derive_seed(seed, gname, "ph", k, p, l))
         be = random_form(G, l, derive_seed(seed, gname, "be", k, p, l))
 
-        def lhs(ctx, env, om=om, ph=ph, be=be):
+        def lhs(ctx, om=om, ph=ph, be=be):
             return wedge(om.at(ctx), interior(ph.at(ctx), be.at(ctx)))
 
-        def rhs(ctx, env, om=om, ph=ph, be=be):
+        def rhs(ctx, om=om, ph=ph, be=be):
             return interior(wedge_sv(om.at(ctx), ph.at(ctx)), be.at(ctx))
 
         yield check(f"omegaiphi/{gname}/k{k}p{p}l{l}", lhs, rhs, jet_order=0)
@@ -379,10 +376,10 @@ def _s_lie_wedge(check, seed, G, gname):
         ph = random_vec_form(G, p, derive_seed(seed, gname, "ph", k, p, l))
         be = random_form(G, l, derive_seed(seed, gname, "be", k, p, l))
 
-        def lhs(ctx, env, om=om, ph=ph, be=be):
+        def lhs(ctx, om=om, ph=ph, be=be):
             return wedge(om.at(ctx), lie_vec(ctx, ph.at(ctx), be.at(ctx)))
 
-        def rhs(ctx, env, om=om, ph=ph, be=be, k=k, p=p):
+        def rhs(ctx, om=om, ph=ph, be=be, k=k, p=p):
             w, f, b = om.at(ctx), ph.at(ctx), be.at(ctx)
             sign = -1.0 if (p + k) % 2 else 1.0
             return lie_vec(ctx, wedge_sv(w, f), b) - interior(
@@ -396,7 +393,7 @@ def _s_lie_wedge(check, seed, G, gname):
 def _s_dsquared(check, seed, G, gname):
     betas = _betas(G, derive_seed(seed, gname, "d2"), range(max(G.n - 1, 1)))
 
-    def lhs(ctx, env):
+    def lhs(ctx):
         return [ext_d(ctx, ext_d(ctx, b)) for b in _beta_values(betas, ctx)]
 
     yield check(f"dsquared/{gname}", lhs, _zero_rhs(G.n, [q + 2 for q in betas]))
@@ -406,7 +403,7 @@ def _s_dsquared(check, seed, G, gname):
 def _s_deltasquared(check, seed, G, gname):
     betas = _betas(G, derive_seed(seed, gname, "delta2"), range(2, G.n + 1))
 
-    def lhs(ctx, env):
+    def lhs(ctx):
         return [codiff(ctx, codiff(ctx, b)) for b in _beta_values(betas, ctx)]
 
     yield check(f"deltasquared/{gname}", lhs, _zero_rhs(G.n, [q - 2 for q in betas]))
@@ -416,10 +413,10 @@ def _s_deltasquared(check, seed, G, gname):
 def _s_frame_independence(check, seed, G, gname):
     betas = _betas(G, derive_seed(seed, gname, "frame"), range(1, G.n + 1))
 
-    def lhs(ctx, env):
+    def lhs(ctx):
         return [codiff(ctx, b) for b in _beta_values(betas, ctx)]
 
-    def rhs(ctx, env):
+    def rhs(ctx):
         return [codiff(ctx, b, descending=True) for b in _beta_values(betas, ctx)]
 
     yield check(f"frame-independence/{gname}", lhs, rhs)
@@ -432,10 +429,10 @@ def _s_curvature_dnabla2(check, seed, G, gname):
             continue
         ph = random_vec_form(G, p, derive_seed(seed, gname, "curv", p))
 
-        def lhs(ctx, env, ph=ph):
+        def lhs(ctx, ph=ph):
             return d_nabla(ctx, d_nabla(ctx, ph.at(ctx)))
 
-        def rhs(ctx, env, ph=ph):
+        def rhs(ctx, ph=ph):
             return curvature_shuffle(ctx, ph.at(ctx))
 
         yield check(f"curvature-dnabla2/{gname}/p{p}", lhs, rhs)
@@ -446,7 +443,7 @@ def _s_omegacov(check, seed, G, gname):
     for k in range(1, min(2, G.n) + 1):
         om = random_form(G, k, derive_seed(seed, gname, "cov", k))
 
-        def lhs(ctx, env, om=om):
+        def lhs(ctx, om=om):
             w = om.at(ctx)
             dn = d_nabla(ctx, sharp_field(ctx, w))
             dw = ext_d(ctx, w)
@@ -454,7 +451,7 @@ def _s_omegacov(check, seed, G, gname):
                 return dn
             return dn + sharp_field(ctx, dw)
 
-        def rhs(ctx, env, om=om):
+        def rhs(ctx, om=om):
             return omega_nabla(ctx, om.at(ctx))
 
         yield check(f"omegacov/{gname}/k{k}", lhs, rhs)
@@ -464,10 +461,10 @@ def _s_omegacov(check, seed, G, gname):
         ph = random_vec_form(G, 1, derive_seed(seed, gname, "covphi-ph"))
         be = random_form(G, 1, derive_seed(seed, gname, "covphi-be"))
 
-        def lhs2(ctx, env):
+        def lhs2(ctx):
             return wedge(om.at(ctx), nabla_vec(ctx, ph.at(ctx), be.at(ctx)))
 
-        def rhs2(ctx, env):
+        def rhs2(ctx):
             return nabla_vec(ctx, wedge_sv(om.at(ctx), ph.at(ctx)), be.at(ctx))
 
         yield check(f"omegacov/{gname}/wedge-compat", lhs2, rhs2)
@@ -479,10 +476,10 @@ def _s_diamond_consistency(check, seed, G, gname):
         om = random_form(G, k, derive_seed(seed, gname, "dia", k))
         for va, vb in ((0, 1), (1, 2)):
 
-            def lhs(ctx, env, om=om, va=va):
+            def lhs(ctx, om=om, va=va):
                 return omega_diamond(ctx, om.at(ctx), variant=va)
 
-            def rhs(ctx, env, om=om, vb=vb):
+            def rhs(ctx, om=om, vb=vb):
                 return omega_diamond(ctx, om.at(ctx), variant=vb)
 
             yield check(f"diamond-consistency/{gname}/k{k}/v{va}{vb}", lhs, rhs)
@@ -496,7 +493,7 @@ def _s_delta_trace(check, seed, G, gname):
         for k in range(1, min(3, n) + 1)
     }
 
-    def lhs(ctx, env):
+    def lhs(ctx):
         out = []
         for k, om in oms.items():
             w = om.at(ctx)
@@ -506,7 +503,7 @@ def _s_delta_trace(check, seed, G, gname):
                 out.append(trace(sharp_field(ctx, w)))
         return out
 
-    def rhs(ctx, env):
+    def rhs(ctx):
         out = []
         for k, om in oms.items():
             w = om.at(ctx)
@@ -527,7 +524,7 @@ def _main_rhs(om, betas, p, covariant):
     # nabla_{omega-sharp} = L_{omega-sharp} - (-1)^{p-1} i_{d-nabla omega-sharp}
     s2 = -1.0 if (p - 1) % 2 else 1.0
 
-    def rhs(ctx, env):
+    def rhs(ctx):
         w = om.at(ctx)
         dw = codiff(ctx, w)
         shp = sharp_field(ctx, w)
@@ -566,7 +563,7 @@ def _main_suite(covariant):
 
 
 def _goldberg_rhs(xi_field, betas):
-    def rhs(ctx, env):
+    def rhs(ctx):
         xi = xi_field.at(ctx)
         eta = _xi_flat(ctx, xi)
         deta = codiff(ctx, eta)
@@ -596,14 +593,14 @@ def _s_goldberg(mk, seed):
         if label == "killing":
             # Killing witnesses additionally satisfy delta(xi-flat) = 0 and
             # (L_xi g)-sharp = 0.
-            def lhs_k(ctx, env, xi_field=xi_field):
+            def lhs_k(ctx, xi_field=xi_field):
                 xi = xi_field.at(ctx)
                 return [
                     codiff(ctx, _xi_flat(ctx, xi)),
                     two_tensor_sharp(ctx, lie_metric(ctx, xi)),
                 ]
 
-            def rhs_k(ctx, env, n=G.n):
+            def rhs_k(ctx, n=G.n):
                 return [AltValue.zero(n, 0), VecAltValue.zero(n, 1)]
 
             checks.append(mk(f"goldberg/{gname}/killing-constants", gname, lhs_k, rhs_k))
@@ -623,11 +620,11 @@ def _s_fn_decompose(check, seed, G, gname):
 
             return Operator("L_phi+i_psi", p, fn)
 
-        def lhs(ctx, env, ph=ph, ps=ps, p=p):
+        def lhs(ctx, ph=ph, ps=ps, p=p):
             phi_rec, psi_rec = fn_decompose(ctx, make_d(ph, ps, p))
             return [phi_rec, psi_rec]
 
-        def rhs(ctx, env, ph=ph, ps=ps):
+        def rhs(ctx, ph=ph, ps=ps):
             return [ph.at(ctx), ps.at(ctx)]
 
         yield check(
@@ -685,7 +682,7 @@ def _s_lck(check, seed, G, gname):
     betas = _betas(G, derive_seed(seed, "lck"), range(5))
     Omega = G.forms["Omega"]
 
-    def rhs(ctx, env):
+    def rhs(ctx):
         omega = Omega.at(ctx)
         eta = ctx.structure("eta")
         theta = ctx.structure("theta")
@@ -704,29 +701,29 @@ def _s_lck(check, seed, G, gname):
 def _s_lck_constants(check, seed, G, gname):
     Omega = G.forms["Omega"]
 
-    def lhs_tr_eta(ctx, env):
+    def lhs_tr_eta(ctx):
         eta = ctx.structure("eta")
         return trace(wedge_sv(eta, VecAltValue.identity(4)))
 
-    def rhs_tr_eta(ctx, env):
+    def rhs_tr_eta(ctx):
         return ctx.structure("eta").scale(-3.0)
 
-    def lhs_tr_theta(ctx, env):
+    def lhs_tr_theta(ctx):
         return trace(wedge_sv(ctx.structure("theta"), ctx.structure("J")))
 
-    def rhs_tr_theta(ctx, env):
+    def rhs_tr_theta(ctx):
         return ctx.structure("eta")
 
-    def lhs_delta(ctx, env):
+    def lhs_delta(ctx):
         return codiff(ctx, Omega.at(ctx))
 
-    def rhs_delta(ctx, env):
+    def rhs_delta(ctx):
         return -ctx.structure("eta")
 
-    def lhs_diamond(ctx, env):
+    def lhs_diamond(ctx):
         return omega_diamond(ctx, Omega.at(ctx))
 
-    def rhs_diamond(ctx, env):
+    def rhs_diamond(ctx):
         omega = Omega.at(ctx)
         eta = ctx.structure("eta")
         theta_sharp = sharp_field(ctx, ctx.structure("theta"))
@@ -746,11 +743,11 @@ def _s_lck_constants(check, seed, G, gname):
 def _s_quasi_sasakian(check, seed, G, gname):
     betas = _betas(G, derive_seed(seed, gname, "qs"), range(G.n + 1))
 
-    def rhs(ctx, env):
+    def rhs(ctx):
         eta = ctx.structure("eta")
         phi = ctx.structure("phi")
         A = _amatrix(ctx)
-        trA = _scalar(trace(A))
+        trA = trace(A).get(())
         out = []
         for b in _beta_values(betas, ctx):
             term = wedge(eta, b).scale(trA).scale(-1.0) - lie_vec(ctx, phi, b)
@@ -764,7 +761,7 @@ def _s_quasi_sasakian(check, seed, G, gname):
 def _s_sasakian(check, seed, G, gname):
     betas = _betas(G, derive_seed(seed, "sas"), range(4))
 
-    def rhs(ctx, env):
+    def rhs(ctx):
         eta = ctx.structure("eta")
         phi = ctx.structure("phi")
         Id = VecAltValue.identity(3)
@@ -781,30 +778,30 @@ def _s_sasakian(check, seed, G, gname):
 def _s_sasakian_constants(check, seed, G, gname):
     Phi = G.forms["Phi"]
 
-    def lhs_a(ctx, env):
+    def lhs_a(ctx):
         return _amatrix(ctx)
 
-    def rhs_a(ctx, env):
+    def rhs_a(ctx):
         eta = ctx.structure("eta")
         xi = ctx.structure("xi")
         return wedge_sv(eta, xi) - VecAltValue.identity(3)
 
-    def lhs_tr(ctx, env):
+    def lhs_tr(ctx):
         return trace(_amatrix(ctx))
 
-    def rhs_tr(ctx, env):
+    def rhs_tr(ctx):
         return AltValue(3, 0, {(): -2.0})
 
-    def lhs_delta(ctx, env):
+    def lhs_delta(ctx):
         return codiff(ctx, Phi.at(ctx))
 
-    def rhs_delta(ctx, env):
+    def rhs_delta(ctx):
         return ctx.structure("eta").scale(2.0)
 
-    def lhs_diamond(ctx, env):
+    def lhs_diamond(ctx):
         return omega_diamond(ctx, Phi.at(ctx))
 
-    def rhs_diamond(ctx, env):
+    def rhs_diamond(ctx):
         return wedge_sv(ctx.structure("eta"), _amatrix(ctx)).scale(-2.0)
 
     sides = [
@@ -821,7 +818,7 @@ def _s_sasakian_constants(check, seed, G, gname):
 def _s_cokahler(check, seed, G, gname):
     betas = _betas(G, derive_seed(seed, gname, "cok"), range(G.n + 1))
 
-    def rhs(ctx, env):
+    def rhs(ctx):
         phi = ctx.structure("phi")
         return [-lie_vec(ctx, phi, b) for b in _beta_values(betas, ctx)]
 
@@ -830,7 +827,7 @@ def _s_cokahler(check, seed, G, gname):
 
 @_per_geometry(["sasakian_s3"])
 def _s_kanemaki(check, seed, G, gname):
-    def lhs(ctx, env):
+    def lhs(ctx):
         phi = ctx.structure("phi")
         out = [nabla_vec_coord(ctx, a, phi) for a in range(3)]
         # symmetry of A: g(A e_i, e_j) as a matrix, compared both ways
@@ -847,7 +844,7 @@ def _s_kanemaki(check, seed, G, gname):
         out.append(AltValue(3, 0, {(): asym}))
         return out
 
-    def rhs(ctx, env):
+    def rhs(ctx):
         eta = ctx.structure("eta")
         xi = ctx.structure("xi")
         A = _amatrix(ctx)

@@ -27,6 +27,7 @@ from excal.alt import (
     wedge_sv,
 )
 from excal.errors import ArityError, DegreeError
+from excal.jets import jet_var
 from excal.prng import SplitMix64, derive_seed
 
 ORACLE_TOL = 1e-12
@@ -171,6 +172,27 @@ def test_sharp_lowers_degree_with_metric():
     assert v.as_vector() == [2.0, 0.0, -6.0]
     with pytest.raises(DegreeError):
         sharp(AltValue(n, 0, {(): 1.0}), g_inv)
+    # a non-diagonal, symmetric, jet-valued g_inv against the defining sum
+    # sharp(om)^b = sum_a g^{ab} i_{e_a} om, Taylor coefficient by coefficient
+    x = [jet_var((0.3, -0.2, 0.5), i, 2) for i in range(n)]
+    g_inv = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            g_inv[a][b] = g_inv[b][a] = x[a] * x[b] + (2.0 if a == b else 0.1 * (a + b))
+    for om in (
+        AltValue(n, 1, {(0,): x[1], (2,): -3.0}),
+        AltValue(n, 2, {(0, 1): x[2], (1, 2): 0.5 * x[0], (0, 2): 1.5}),
+    ):
+        v = sharp(om, g_inv)
+        assert v.k == om.k - 1
+        for b in range(n):
+            want = AltValue.zero(n, om.k - 1)
+            for a in range(n):
+                want = want + i_dir(a, om).scale(g_inv[a][b])
+            got = v.comps[b]
+            assert set(got.coeffs) == set(want.coeffs)
+            for key, c in want.coeffs.items():
+                assert got.coeffs[key].c == pytest.approx(c.c, rel=1e-14, abs=1e-15)
 
 
 def test_degree_guards():

@@ -212,13 +212,17 @@ def test_eval_bad_point(capsys, eval_config):
 
 
 @pytest.mark.parametrize(
-    "src, expr, at",
-    [("exp(1000*x)", "f", "0.9"), ("(1 + x)^1e308", "d(f)", "0.5")],
-    ids=["exp", "integer-power"],
+    "src, expr, at, error",
+    [
+        ("exp(1000*x)", "f", "0.9", "DomainError"),
+        ("(1 + x)^1e308", "d(f)", "0.5", "DomainError"),
+        ("x*1e308*10", "f", "0.5", "NonFiniteValue"),
+    ],
+    ids=["exp", "integer-power", "product"],
 )
-def test_eval_overflow_is_a_domain_error(capsys, tmp_path, src, expr, at):
-    # exp(900) and 1.5^1e308 overflow a float: a typed error and exit 2,
-    # not a traceback and not a printed inf
+def test_eval_overflow_is_a_domain_error(capsys, tmp_path, src, expr, at, error):
+    # exp(900), 1.5^1e308 and 5e307*10 overflow a float: a typed error and
+    # exit 2, not a traceback and not a printed inf
     cfg = {
         "version": "excal-config v1",
         "name": "steep",
@@ -232,7 +236,7 @@ def test_eval_overflow_is_a_domain_error(capsys, tmp_path, src, expr, at):
     path.write_text(json.dumps(cfg))
     code, _, err = run(capsys, "eval", str(path), "--expr", expr, "--at", at)
     assert code == 2
-    assert err.startswith("error: DomainError") and "Traceback" not in err
+    assert err.startswith(f"error: {error}") and "Traceback" not in err
 
 
 def test_seed_env_and_flag(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from excal import sexpr
 from excal.alt import AltValue, VecAltValue, interior, trace, wedge
 from excal.catalog import builtin
-from excal.compare import max_abs, within
+from excal.compare import alt_errors, within, zero_like
 from excal.errors import NonFiniteValue, NotADerivation
 from excal.geometry import sample_points
 from excal.jets import Jet, jet_diff
@@ -65,7 +65,8 @@ def test_d_squared_zero_pointwise():
     ctx = ctx_at(E3)
     for k in range(0, 3):
         w = random_form(E3, k, 21).at(ctx)
-        assert max_abs(value_of(ext_d(ctx, ext_d(ctx, w)))) < 1e-12
+        dd = ext_d(ctx, ext_d(ctx, w))
+        assert alt_errors(dd, zero_like(dd))[0] < 1e-12
 
 
 def test_classical_lie_derivative_oracle():
@@ -127,7 +128,7 @@ def test_identity_is_parallel_on_curved_chart():
     S = builtin("sphere2").geometry
     ctx = ctx_at(S, order=2)
     out = d_nabla(ctx, VecAltValue.identity(2))
-    assert max_abs(value_of(out)) < 1e-12
+    assert alt_errors(out, zero_like(out))[0] < 1e-12
 
 
 def test_codiff_euclidean_divergence():
@@ -164,12 +165,12 @@ def test_graded_commutator_signs():
     w = random_form(E3, 1, 3).at(ctx)
     # [d, d] = 2 d^2 = 0 (odd-odd commutator is an anticommutator)
     out = graded_comm(ctx, op_d(), op_d(), w)
-    assert max_abs(value_of(out)) < 1e-12
+    assert alt_errors(out, zero_like(out))[0] < 1e-12
     # [eps_f, eps_g] = 0 for two even (degree-0) multiplications
     f = random_form(E3, 0, 4)
     g = random_form(E3, 0, 5)
     out = graded_comm(ctx, op_eps(f), op_eps(g), w)
-    assert max_abs(value_of(out)) < 1e-13
+    assert alt_errors(out, zero_like(out))[0] < 1e-13
 
 
 def test_nabla_vec_vector_case_on_flat_chart():
@@ -229,7 +230,7 @@ def test_nijenhuis_vanishes_for_constant_structure():
     K = builtin("flat_kahler(1)").geometry
     ctx = ctx_at(K, order=2)
     N = nijenhuis(ctx, ctx.structure("J"))
-    assert max_abs(value_of(N)) < 1e-14
+    assert alt_errors(N, zero_like(N))[0] < 1e-14
 
 
 def test_lie_metric_killing_and_not():

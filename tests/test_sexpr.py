@@ -79,6 +79,13 @@ def test_negative_base_integer_exponent():
     assert ev("pow(0-2, 2)") == 4.0
     j = sexpr.eval_jet(sexpr.parse("(x-1)^2", XY), (0.0, 0.0), 2)
     assert j.value == 1.0
+    # a negated and a plain constant exponent on a negative base
+    from excal.jets import jet_partial
+
+    for src, value, slope in (("(x-1)^-2", 1.0, 2.0), ("(x-1)^3", -1.0, 3.0)):
+        j = sexpr.eval_jet(sexpr.parse(src, XY), (0.0, 0.0), 2)
+        assert j.value == value
+        assert jet_partial(j, (1, 0)) == slope
 
 
 @pytest.mark.parametrize(

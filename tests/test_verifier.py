@@ -42,20 +42,11 @@ class TestRandomForm:
         b = random_form(E3, 2, 3)
         assert _coeff_values(a) != _coeff_values(b)
 
-    def test_kind_sensitivity(self):
-        a = random_form(E3, 1, 7, kind="poly")
-        b = random_form(E3, 1, 7, kind="trig")
-        assert _coeff_values(a) != _coeff_values(b)
-
     def test_degree_range(self):
         with pytest.raises(DegreeError):
             random_form(E3, 4, 1)
         with pytest.raises(DegreeError):
             random_form(E3, -1, 1)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            random_form(E3, 1, 1, kind="fourier")
 
     def test_vec_form_components_differ(self):
         v = random_vec_form(E3, 1, 9)
@@ -65,7 +56,7 @@ class TestRandomForm:
 
 
 def _zero_rhs(k):
-    def fn(ctx, env):
+    def fn(ctx):
         return AltValue.zero(ctx.geometry.n, k)
 
     return fn
@@ -139,7 +130,7 @@ class TestRunCheck:
         assert report["pass"] is False
 
     def test_point_errors_recorded_not_raised(self):
-        def boom(ctx, env):
+        def boom(ctx):
             raise RuntimeError("synthetic failure")
 
         report = run_check(make_check(id="test/error", lhs=boom))
@@ -151,7 +142,7 @@ class TestRunCheck:
     def test_non_finite_values_fail_the_point(self, lhs, rhs):
         # both used to pass: max(0.0, nan) is 0.0, and inf - inf is nan
         def side(value):
-            return lambda ctx, env: AltValue(ctx.geometry.n, 0, {(): value})
+            return lambda ctx: AltValue(ctx.geometry.n, 0, {(): value})
 
         report = run_check(make_check(id="test/nonfinite", lhs=side(lhs), rhs=side(rhs)))
         assert report["pass"] is False
