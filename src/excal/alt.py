@@ -8,6 +8,10 @@ algebra serves both pointwise checks and jet-valued operator evaluation.
 
 Degrees above the dimension are canonical zero values, never errors:
 operator compositions reach them routinely.
+
+Only AltValue's constructor drops zero coefficients (a plain zero or an
+identically-zero jet), so operators build coefficient dicts without
+testing for zeros first.
 """
 
 from functools import cache
@@ -155,6 +159,10 @@ class VecAltValue:
             raise DegreeError("not a tangent vector")
         return [c.get(()) for c in self.comps]
 
+    def column(self, c):
+        """The components of the image of e_c under a degree-1 value."""
+        return [comp.get((c,)) for comp in self.comps]
+
     def __add__(self, other):
         if self.n != other.n or self.k != other.k:
             raise DegreeError("mismatched tangent-valued values")
@@ -247,8 +255,7 @@ def interior(phi, omega):
                     continue
                 term = ca * cw
                 acc = acc + (term if sign * s2 > 0 else -term)
-        if not _is_num_zero(acc):
-            out[M] = acc
+        out[M] = acc
     return AltValue(n, m, out)
 
 

@@ -9,7 +9,7 @@ points before the entry is served.
 from .alt import AltValue, VecAltValue, interior, sharp, wedge, wedge_sv
 from .compare import alt_errors, exceeds, zero_like
 from .errors import NonFiniteValue, UnknownEntry, ValidationFailed
-from .geometry import CONFIG_VERSION, load_config, sample_points
+from .geometry import CONFIG_VERSION, load_config, metric_inner, sample_points
 from .jets import scalar_value
 from .operators import d_nabla, endo_compose, ext_d, lie_metric, nabla_vec_coord, nijenhuis
 
@@ -135,12 +135,7 @@ def _v_contact_algebra(entry, ctx):
     g = ctx.g()
     for i in range(n):
         for j in range(n):
-            pi = [phi.comps[b].coeffs.get((i,), 0.0) for b in range(n)]
-            pj = [phi.comps[b].coeffs.get((j,), 0.0) for b in range(n)]
-            lhs = 0.0
-            for a in range(n):
-                for b in range(n):
-                    lhs = lhs + g[a][b] * pi[a] * pj[b]
+            lhs = metric_inner(g, phi.column(i), phi.column(j))
             rhs = g[i][j] - eta.coeffs.get((i,), 0.0) * eta.coeffs.get((j,), 0.0)
             out.append(tuple(AltValue(n, 0, {(): scalar_value(v)}) for v in (lhs, rhs)))
     return out
@@ -166,15 +161,6 @@ def _v_normal(entry, ctx):
     deta = ext_d(ctx, eta)
     lhs = N + wedge_sv(deta, xi)
     return [(lhs, zero_like(lhs))]
-
-
-def _v_closed_structure(name):
-    def check(entry, ctx):
-        w = ctx.structure(name)
-        dw = ext_d(ctx, w)
-        return [(dw, zero_like(dw))]
-
-    return check
 
 
 # -- entry builders ----------------------------------------------------------
@@ -374,7 +360,7 @@ def _build_flat_cokahler(m):
         ("fundamental-sharp", _v_fundamental_sharp("phi")),
         ("nabla-xi", _v_nabla_xi("0")),
         ("closed-Phi", _v_closed("Phi")),
-        ("closed-eta", _v_closed_structure("eta")),
+        ("closed-eta", _v_closed("eta")),
         ("normality", _v_normal),
     ]
     return CatalogEntry(f"flat_cokahler({m})", g, checks)

@@ -16,7 +16,7 @@ import numpy as np
 from . import catalog, opexpr, verifier
 from .alt import AltValue, VecAltValue
 from .compare import DEFAULT_ATOL, DEFAULT_RTOL
-from .errors import ExcalError, ExprSyntaxError, NonFiniteValue
+from .errors import ExcalError, ExprSyntaxError, NonFiniteValue, UnknownIdentifier
 from .geometry import _tuple_to_key, dumps_config, load_config
 from .jets import MAX_ORDER
 from .operators import value_of
@@ -148,11 +148,10 @@ def cmd_eval(args):
         with np.errstate(over="ignore", invalid="ignore"):
             ctx = G.context(point, order)
             val = opexpr.evaluate_str(args.expr, ctx, {})
-    except ExprSyntaxError as exc:
+    except (ExprSyntaxError, UnknownIdentifier) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        offset = getattr(exc, "offset", None)
-        if offset is not None:
-            sys.stderr.write(f"  {args.expr}\n  {' ' * offset}^\n")
+        if exc.offset is not None:
+            sys.stderr.write(f"  {args.expr}\n  {' ' * exc.offset}^\n")
         return 2
     _print_value(val, sys.stdout)
     return 0

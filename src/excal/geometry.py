@@ -9,6 +9,7 @@ since identity checks revisit the same sampled points many times.
 
 import itertools
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +22,13 @@ from .jets import jet_apply, jet_const, jet_diff, scalar_value
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
+
+# Chart contexts kept per chart, least recently used dropped first. A built-in
+# run reuses 40 per chart (20 points at jet orders 0 and 2) and a 50-point
+# config check 50, revisited in one order, so fewer slots miss every time; 128
+# covers both with room and bounds a stream of one-point requests.
+CONTEXT_CACHE_SIZE = 128
+SAMPLE_ATTEMPTS = 10000  # draws sample_points may make before giving up
 
 # The structure tensors a chart may carry, in config order, with their
 # shapes: an endomorphism is an n x n matrix of expressions (row b, column
@@ -91,7 +99,7 @@ class Geometry:
     name: str = "chart"
 
     def __post_init__(self):
-        self._ctx_cache = {}
+        self._ctx_cache = OrderedDict()  # (p, order) -> ChartContext, LRU
 
     def parse_expr(self, src):
         return sexpr.parse(src, self.coord_names)
@@ -115,6 +123,10 @@ class Geometry:
         ctx = self._ctx_cache.get(key)
         if ctx is None:
             ctx = self._ctx_cache[key] = ChartContext(self, tuple(p), order)
+            if len(self._ctx_cache) > CONTEXT_CACHE_SIZE:
+                self._ctx_cache.popitem(last=False)
+        else:
+            self._ctx_cache.move_to_end(key)
         return ctx
 
 
@@ -221,6 +233,28 @@ def _invert_jets(g):
     return b
 
 
+def metric_inner(g, u, v):
+    """g(u, v) = sum_i sum_j g[i][j] u[i] v[j], summed with i outermost."""
+    n = len(g)
+    acc = 0.0
+    for i in range(n):
+        for j in range(n):
+            acc = acc + g[i][j] * u[i] * v[j]
+    return acc
+
+
+def metric_lower(g, v):
+    """The components sum_b g[c][b] v[b] of g(v, .), each summed over b in order."""
+    n = len(g)
+    out = []
+    for c in range(n):
+        acc = 0.0
+        for b in range(n):
+            acc = acc + g[c][b] * v[b]
+        out.append(acc)
+    return out
+
+
 def _christoffel_jets(g, g_inv):
     n = len(g)
     dg = [[[jet_diff(g[i][j], l) for l in range(n)] for j in range(n)] for i in range(n)]
@@ -229,10 +263,8 @@ def _christoffel_jets(g, g_inv):
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            for k in range(n):
-                acc = 0.0
-                for l in range(n):
-                    acc = acc + ginv[k][l] * (dg[j][l][i] + dg[i][l][j] - dg[i][j][l])
+            first_kind = [dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in range(n)]
+            for k, acc in enumerate(metric_lower(ginv, first_kind)):
                 val = acc * 0.5
                 gamma[k][i][j] = val
                 gamma[k][j][i] = val
@@ -249,21 +281,13 @@ def _gram_schmidt(g, descending=False):
     nv = g[0][0].n_vars
     order = g[0][0].order
     idx = list(range(n - 1, -1, -1)) if descending else list(range(n))
-
-    def inner(x, y):
-        acc = 0.0
-        for i in range(n):
-            for j in range(n):
-                acc = acc + g[i][j] * x[i] * y[j]
-        return acc
-
     frame = []
     for a in idx:
         v = [jet_const(1.0 if i == a else 0.0, nv, order) for i in range(n)]
         for u in frame:
-            c = inner(v, u)
+            c = metric_inner(g, v, u)
             v = [vi - c * ui for vi, ui in zip(v, u)]
-        nrm = inner(v, v)
+        nrm = metric_inner(g, v, v)
         if nrm.value <= 0:
             raise SingularMetric("Gram-Schmidt hit a nonpositive norm")
         inv = jet_apply("sqrt", nrm).reciprocal()
@@ -325,7 +349,7 @@ def curvature(G, p):
 # -- point sampling ---------------------------------------------------------
 
 
-def sample_points(G, count, seed, max_attempts=10000):
+def sample_points(G, count, seed):
     """Deterministic splitmix64 sampling in the domain box, rejecting
     excluded points."""
     rng = SplitMix64(seed)
@@ -334,7 +358,7 @@ def sample_points(G, count, seed, max_attempts=10000):
     while len(pts) < count:
         p = tuple(rng.uniform(lo, hi) for lo, hi in G.domain)
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > SAMPLE_ATTEMPTS:
             raise ConfigError(f"domain of {G.name!r} rejects too many samples")
         if G.in_domain(p):
             pts.append(p)

@@ -306,7 +306,10 @@ def jet_partial(a, alpha):
 
 
 def jet_diff(a, i):
-    """Partial derivative along variable i, as a jet of one order less."""
+    """Partial derivative along variable i, as a jet of one order less; a
+    plain-number coefficient is constant and differentiates to 0.0."""
+    if not isinstance(a, Jet):
+        return 0.0
     src, fac = a.space.diff_tables[i]
     target = jet_space(a.space.n, a.order - 1)
     return Jet(target, a.c[src] * fac)

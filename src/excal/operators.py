@@ -18,7 +18,8 @@ from .alt import AltValue, VecAltValue, _lookup, _shuffles, interior, sharp, wed
 from .alt import _is_num_zero as _alt_is_zero
 from .compare import alt_errors, exceeds
 from .errors import DegreeError, NotADerivation, ReconstructionMismatch
-from .jets import Jet, jet_const, jet_diff, jet_var, scalar_value
+from .geometry import metric_lower
+from .jets import jet_const, jet_diff, jet_var, scalar_value
 from .prng import SplitMix64, derive_seed
 
 
@@ -28,11 +29,7 @@ def _dx(n, a):
 
 def _diff_alt(w, a):
     """Coefficientwise partial derivative along coordinate a."""
-    out = {}
-    for I, c in w.coeffs.items():
-        if isinstance(c, Jet):
-            out[I] = jet_diff(c, a)
-    return AltValue(w.n, w.k, out)
+    return AltValue(w.n, w.k, {I: jet_diff(c, a) for I, c in w.coeffs.items()})
 
 
 # -- first-order operators -------------------------------------------------
@@ -72,10 +69,7 @@ def nabla_coord(ctx, a, w):
     n, k = w.n, w.k
     out = {}
     for I in combinations(range(n), k):
-        acc = 0.0
-        c = w.coeffs.get(I)
-        if isinstance(c, Jet):
-            acc = jet_diff(c, a)
+        acc = jet_diff(w.coeffs.get(I, 0.0), a)
         for s in range(k):
             for m in range(n):
                 if gz[m][a][I[s]]:
@@ -84,8 +78,7 @@ def nabla_coord(ctx, a, w):
                 if isinstance(cm, float) and cm == 0.0:
                     continue
                 acc = acc - gamma[m][a][I[s]] * cm
-        if not (isinstance(acc, float) and acc == 0.0):
-            out[I] = acc
+        out[I] = acc
     return AltValue(n, k, out)
 
 
@@ -277,25 +270,29 @@ def _test_form(ctx, degree, seed):
     return AltValue(n, degree, coeffs)
 
 
-def fn_decompose(ctx, D, rel_tol=1e-8, seed=12345):
+FN_REL_TOL = 1e-8  # relative tolerance of both validation passes
+FN_TEST_SEED = 12345  # seed of the validation test forms
+
+
+def fn_decompose(ctx, D):
     """Split a degree-p derivation into D = L_phi + i_psi.
 
     phi is read off from D on coordinate functions, psi from the residue of
     D on coordinate 1-forms.  Validates the Leibniz property on sampled
     products (NotADerivation) and the reconstruction on a randomized form
-    (ReconstructionMismatch), both by value to relative tolerance rel_tol;
-    a non-finite value raises NonFiniteValue.
+    (ReconstructionMismatch), both by value to relative tolerance
+    FN_REL_TOL; a non-finite value raises NonFiniteValue.
     """
     n = ctx.geometry.n
     p = D.degree
 
     # Leibniz check on products of sampled forms
-    alpha = _test_form(ctx, 0, seed)
-    beta = _test_form(ctx, 1, derive_seed(seed, 1))
+    alpha = _test_form(ctx, 0, FN_TEST_SEED)
+    beta = _test_form(ctx, 1, derive_seed(FN_TEST_SEED, 1))
     lhs = D(ctx, wedge(alpha, beta))
     rhs = wedge(D(ctx, alpha), beta) + wedge(alpha, D(ctx, beta))
     err, scale = alt_errors(lhs, rhs)
-    if exceeds(err, scale, 0.0, rel_tol):
+    if exceeds(err, scale, 0.0, FN_REL_TOL):
         raise NotADerivation(f"operator {D.name!r} fails the Leibniz property (err {err})")
 
     phi = VecAltValue(n, p, [D(ctx, _coord_fn(ctx, c)) for c in range(n)])
@@ -307,11 +304,11 @@ def fn_decompose(ctx, D, rel_tol=1e-8, seed=12345):
 
     # reconstruction check on a randomized degree-2 form
     if n >= 2:
-        test = _test_form(ctx, 2, derive_seed(seed, 2))
+        test = _test_form(ctx, 2, derive_seed(FN_TEST_SEED, 2))
         got = D(ctx, test)
         want = lie_vec(ctx, phi, test) + interior(psi, test)
         err, scale = alt_errors(got, want)
-        if exceeds(err, scale, 0.0, rel_tol):
+        if exceeds(err, scale, 0.0, FN_REL_TOL):
             raise ReconstructionMismatch(
                 f"decomposition of {D.name!r} fails to reconstruct it (err {err})"
             )
@@ -330,96 +327,47 @@ def endo_apply(T, v_comps):
 
 
 def endo_compose(T, S):
-    """Composition T o S of endomorphisms given as degree-1 VecAltValues."""
-    n = T.n
-    comps = []
-    for b in range(n):
-        row = {}
-        for c in range(n):
-            acc = 0.0
-            for m in range(n):
-                t = T.comps[b].coeffs.get((m,))
-                s = S.comps[m].coeffs.get((c,))
-                if t is None or s is None:
-                    continue
-                acc = acc + t * s
-            if not (isinstance(acc, float) and acc == 0.0):
-                row[(c,)] = acc
-        comps.append(AltValue(n, 1, row))
-    return VecAltValue(n, 1, comps)
+    """Composition T o S of endomorphisms given as degree-1 VecAltValues:
+    column c is T applied to column c of S."""
+    cols = [endo_apply(T, S.column(c)) for c in range(T.n)]
+    return VecAltValue.from_endomorphism(list(zip(*cols)))
 
 
 def nijenhuis(ctx, T):
     """Nijenhuis tensor of an endomorphism field, on coordinate vectors."""
     n = T.n
 
-    def tcol(c):
-        return [T.comps[b].coeffs.get((c,), 0.0) for b in range(n)]
-
-    def dvec(v, a):
-        out = []
-        for x in v:
-            out.append(jet_diff(x, a) if isinstance(x, Jet) else 0.0)
-        return out
-
     def bracket(x, y):
         # [X, Y]^b = sum_a X^a d_a Y^b - Y^a d_a X^b
         out = [0.0] * n
         for a in range(n):
-            dy = dvec(y, a)
-            dx = dvec(x, a)
             for b in range(n):
-                out[b] = out[b] + x[a] * dy[b] - y[a] * dx[b]
+                out[b] = out[b] + x[a] * jet_diff(y[b], a) - y[a] * jet_diff(x[b], a)
         return out
 
     comps_out = [dict() for _ in range(n)]
     for i in range(n):
-        ti = tcol(i)
+        ti = T.column(i)
         for j in range(i + 1, n):
-            tj = tcol(j)
+            tj = T.column(j)
             term = bracket(ti, tj)
             # [T e_i, e_j] = -d_j(T e_i); [e_i, T e_j] = d_i(T e_j)
-            b1 = [-x for x in dvec(ti, j)]
-            b2 = dvec(tj, i)
-            tb1 = endo_apply(T, b1)
-            tb2 = endo_apply(T, b2)
+            tb1 = endo_apply(T, [-jet_diff(x, j) for x in ti])
+            tb2 = endo_apply(T, [jet_diff(x, i) for x in tj])
             for b in range(n):
-                v = term[b] - tb1[b] - tb2[b]
-                if not (isinstance(v, float) and v == 0.0):
-                    comps_out[b][(i, j)] = v
+                comps_out[b][(i, j)] = term[b] - tb1[b] - tb2[b]
     return VecAltValue(n, 2, [AltValue(n, 2, d) for d in comps_out])
 
 
 def lie_metric(ctx, xi):
-    """(L_xi g)_{ij} as a jet matrix, assembled from Christoffel jets, by
-    the Killing identity (L_xi g)(Y,Z) = g(nabla_Y xi, Z) + g(Y, nabla_Z xi).
+    """(L_xi g)_{ij} as a jet matrix, by the Killing identity
+    (L_xi g)(Y,Z) = g(nabla_Y xi, Z) + g(Y, nabla_Z xi).
     """
     n = ctx.geometry.n
     g = ctx.g()
-    gamma = ctx.gamma()
-    comps = xi.as_vector()
-    # (nabla_a xi)^b = d_a xi^b + Gamma^b_{am} xi^m
-    nab = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            acc = jet_diff(comps[b], a) if isinstance(comps[b], Jet) else 0.0
-            for m in range(n):
-                acc = acc + gamma[b][a][m] * comps[m]
-            nab[a][b] = acc
-
-    def g_dot(u, v):
-        acc = 0.0
-        for i in range(n):
-            for j in range(n):
-                acc = acc + g[i][j] * u[i] * v[j]
-        return acc
-
-    e = lambda a: [1.0 if i == a else 0.0 for i in range(n)]
-    out = [[None] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[a][b] = g_dot(nab[a], e(b)) + g_dot(e(a), nab[b])
-    return out
+    # low[a][b] = g(nabla_a xi, e_b)
+    low = [metric_lower(g, nabla_vec_coord(ctx, a, xi).as_vector()) for a in range(n)]
+    return [[low[a][b] + low[b][a] for b in range(n)] for a in range(n)]
 
 
 def two_tensor_sharp(ctx, t):

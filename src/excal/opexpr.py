@@ -142,7 +142,7 @@ def evaluate(node, ctx, env):
 
     head, args = node.name, node.args
     if head not in _HEADS:
-        raise UnknownIdentifier(f"unknown operator {head!r} (offset {node.offset})")
+        raise UnknownIdentifier(head, node.offset)
     full = _HEADS[head]
     partial = head in ("eps", "i", "lie") and len(args) == full - 1
     if len(args) != full and not partial:
@@ -193,7 +193,7 @@ def _resolve(node, ctx, env):
     elif name in ctx.geometry.structures:
         return ctx.structure(name)
     else:
-        raise UnknownIdentifier(f"unknown name {name!r} (offset {node.offset})")
+        raise UnknownIdentifier(name, node.offset)
     if hasattr(v, "at"):
         return v.at(ctx)
     return v

@@ -19,7 +19,7 @@ from . import catalog, opexpr
 from .alt import AltValue, VecAltValue, interior, trace, wedge, wedge_sv
 from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, exceeds
 from .errors import ConfigError, DegreeError, UnknownSuite
-from .geometry import FormField, Geometry, VecFormField, sample_points
+from .geometry import FormField, Geometry, VecFormField, metric_lower, sample_points
 from .jets import scalar_value
 from .operators import (
     Operator,
@@ -184,16 +184,8 @@ def run_check(check):
 
 def _xi_flat(ctx, xi):
     """The 1-form g(xi, .) with jet coefficients."""
-    n = ctx.geometry.n
-    g = ctx.g()
-    comps = xi.as_vector()
-    out = {}
-    for c in range(n):
-        acc = 0.0
-        for b in range(n):
-            acc = acc + g[c][b] * comps[b]
-        out[(c,)] = acc
-    return AltValue(n, 1, out)
+    low = metric_lower(ctx.g(), xi.as_vector())
+    return AltValue(ctx.geometry.n, 1, {(c,): v for c, v in enumerate(low)})
 
 
 def _amatrix(ctx):
@@ -833,14 +825,8 @@ def _s_kanemaki(check, seed, G, gname):
         # symmetry of A: g(A e_i, e_j) as a matrix, compared both ways
         A = _amatrix(ctx)
         g = ctx.g()
-        sym = {}
-        for i in range(3):
-            for j in range(3):
-                acc = 0.0
-                for b in range(3):
-                    acc = acc + g[b][j] * A.comps[b].coeffs.get((i,), 0.0)
-                sym[(i, j)] = acc
-        asym = max(abs(scalar_value(sym[(i, j)] - sym[(j, i)])) for i in range(3) for j in range(3))
+        sym = [metric_lower(g, A.column(i)) for i in range(3)]
+        asym = max(abs(scalar_value(sym[i][j] - sym[j][i])) for i in range(3) for j in range(3))
         out.append(AltValue(3, 0, {(): asym}))
         return out
 
@@ -853,16 +839,11 @@ def _s_kanemaki(check, seed, G, gname):
         out = []
         for a in range(3):
             # (nabla_a phi)(Y) = eta(Y) A e_a - g(A e_a, Y) xi
-            Aa = [A.comps[b].coeffs.get((a,), 0.0) for b in range(3)]
+            Aa = A.column(a)
+            gA = metric_lower(g, Aa)
             comps = []
             for b in range(3):
-                row = {}
-                for c in range(3):
-                    gAc = 0.0
-                    for m in range(3):
-                        gAc = gAc + g[m][c] * Aa[m]
-                    v = eta.coeffs.get((c,), 0.0) * Aa[b] - gAc * xic[b]
-                    row[(c,)] = v
+                row = {(c,): eta.get((c,)) * Aa[b] - gA[c] * xic[b] for c in range(3)}
                 comps.append(AltValue(3, 1, row))
             out.append(VecAltValue(3, 1, comps))
         out.append(AltValue(3, 0, {(): 0.0}))

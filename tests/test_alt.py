@@ -155,6 +155,13 @@ def test_interior_identity_endomorphism():
                 assert got.get(M) == pytest.approx(k * om.get(M), abs=1e-14)
 
 
+def test_endomorphism_columns():
+    m = [[1.0, 0.0, -2.0], [0.5, 3.0, 0.0], [0.0, -1.5, 4.0]]
+    T = VecAltValue.from_endomorphism(m)
+    for c in range(3):
+        assert T.column(c) == [m[b][c] for b in range(3)]
+
+
 def test_interior_annihilates_functions():
     phi = rand_vec(3, 2, SplitMix64(9))
     f = AltValue(3, 0, {(): 2.5})

@@ -201,6 +201,14 @@ def test_eval_syntax_error_has_caret(capsys, eval_config):
     assert "^" in err
 
 
+def test_eval_unknown_name_has_caret(capsys):
+    expr = "sharp(d(x1))"
+    code, _, err = run(capsys, "eval", "sphere2", "--expr", expr, "--at", "0.5,0.5")
+    assert code == 2
+    assert err.startswith("error: unknown identifier 'x1'\n")
+    assert f"  {expr}\n  {' ' * 8}^\n" in err
+
+
 def test_eval_bad_point(capsys, eval_config):
     code, _, err = run(capsys, "eval", eval_config, "--expr", "f", "--at", "1")
     assert code == 2

@@ -9,12 +9,15 @@ import pytest
 from excal.catalog import builtin
 from excal.errors import ConfigError, PointExcluded, SingularMetric
 from excal.geometry import (
+    CONTEXT_CACHE_SIZE,
     christoffel,
     curvature,
     dumps_config,
     emit_config,
     load_config,
     metric_at,
+    metric_inner,
+    metric_lower,
     orthonormal_frame,
     sample_points,
 )
@@ -153,6 +156,31 @@ def test_context_caching():
     c2 = G.context((0.1, 0.2), 2)
     assert c1 is c2
     assert G.context((0.1, 0.2), 1) is not c1
+
+
+def test_context_cache_is_bounded_lru():
+    G = conformal_2d()
+    pts = sample_points(G, 300, 8)
+    first = G.context(pts[0], 1)
+    for p in pts[1:]:
+        ctx = G.context(p, 1)
+        assert len(G._ctx_cache) <= CONTEXT_CACHE_SIZE
+        # a context in steady use is the least likely to be dropped
+        assert G.context(pts[0], 1) is first
+    assert G.context(pts[-1], 1) is ctx
+    assert len(G._ctx_cache) == CONTEXT_CACHE_SIZE
+
+
+def test_metric_helpers_match_numpy():
+    G = builtin("sasakian_s3").geometry
+    p = sample_points(G, 1, 19)[0]
+    g = G.context(p, 1).g()
+    gv = G.context(p, 1).g_value()
+    assert gv[1][2] != 0.0  # a non-diagonal metric
+    u, v = [0.3, -1.2, 0.7], [1.1, 0.4, -0.9]
+    assert metric_inner(g, u, v).value == pytest.approx(np.array(u) @ gv @ np.array(v), abs=1e-14)
+    low = [c.value for c in metric_lower(g, v)]
+    np.testing.assert_allclose(low, gv @ np.array(v), rtol=0, atol=1e-14)
 
 
 def test_config_round_trip():

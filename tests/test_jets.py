@@ -60,6 +60,9 @@ def test_jet_diff_matches_partials():
     assert g.order == 2
     assert g.value == pytest.approx(2 * 0.7 * -0.3)
     assert jet_partial(g, (1, 1)) == pytest.approx(2.0)
+    # a plain-number coefficient is a constant
+    assert jet_diff(2.5, 0) == 0.0
+    assert jet_diff(0, 1) == 0.0
 
 
 def test_elementary_functions_chain_rule():

@@ -251,6 +251,12 @@ def test_lie_metric_killing_and_not():
     L = lie_metric(ctx, not_killing)
     th = ctx.p[0]
     assert L[1][1].value == pytest.approx(2 * math.sin(th) * math.cos(th), abs=1e-12)
+    # the Reeb field 2 d/dpsi of sasakian_s3 is Killing for a non-diagonal
+    # metric that does not depend on psi
+    S3 = builtin("sasakian_s3").geometry
+    ctx = ctx_at(S3, order=2)
+    L = lie_metric(ctx, jet_field(ctx, ["0", "0", "2"]))
+    assert max(abs(e.value) for row in L for e in row) < 1e-12
 
 
 def test_curvature_shuffle_matches_dnabla_squared():

@@ -135,6 +135,8 @@ def test_leaf_resolution_order(ctx, env):
     [
         ("bogus(om)", UnknownIdentifier),
         ("nope", UnknownIdentifier),
+        ("d(nope)", UnknownIdentifier),
+        ("eps(om, bogus(beta))", UnknownIdentifier),
         ("d(om, beta)", ArityError),
         ("comm(delta, eps(om))", ArityError),
         ("comm(om, delta, beta)", ArityError),
@@ -143,8 +145,13 @@ def test_leaf_resolution_order(ctx, env):
     ],
 )
 def test_evaluation_errors(ctx, env, src, exc):
-    with pytest.raises(exc):
+    with pytest.raises(exc) as info:
         opexpr.evaluate_str(src, ctx, env)
+    if exc is UnknownIdentifier:
+        # the error names the unknown name and points at it in the source
+        err = info.value
+        assert err.name in ("bogus", "nope")
+        assert src[err.offset :].startswith(err.name)
 
 
 def test_dsquared_is_zero_via_expressions(ctx, env):
