@@ -65,8 +65,8 @@ def _v_killing(entry, ctx):
 
 def _v_closed(form_name):
     def check(entry, ctx):
-        w = entry.geometry.forms[form_name].at(ctx)
-        return [(ext_d(ctx, w), zero_like(ext_d(ctx, w)))]
+        dw = ext_d(ctx, entry.geometry.forms[form_name].at(ctx))
+        return [(dw, zero_like(dw))]
 
     return check
 

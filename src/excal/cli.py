@@ -169,6 +169,14 @@ def cmd_catalog(args):
     return 0
 
 
+def _tolerance(text):
+    """A --tol-abs or --tol-rel value: a finite number >= 0."""
+    v = float(text)
+    if not (math.isfinite(v) and v >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return v
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="excal",
@@ -182,8 +190,8 @@ def build_parser():
     p_check.add_argument("--report", choices=("text", "json"), default="text")
     p_check.add_argument("--seed", type=int, default=None)
     p_check.add_argument("--points", type=int, default=None)
-    p_check.add_argument("--tol-abs", type=float, default=DEFAULT_ATOL)
-    p_check.add_argument("--tol-rel", type=float, default=DEFAULT_RTOL)
+    p_check.add_argument("--tol-abs", type=_tolerance, default=DEFAULT_ATOL)
+    p_check.add_argument("--tol-rel", type=_tolerance, default=DEFAULT_RTOL)
     p_check.set_defaults(fn=cmd_check)
 
     p_eval = sub.add_parser("eval", help="evaluate an operator expression at a point")

@@ -50,8 +50,9 @@ def _fold(pairs, label, where):
 
 
 def exceeds(err, scale, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL):
-    """Whether an error from alt_errors is outside the mixed tolerance."""
-    return err > atol + rtol * max(scale, 1.0)
+    """Whether an error from alt_errors is outside the mixed tolerance; a NaN
+    error or bound fails closed."""
+    return not err <= atol + rtol * max(scale, 1.0)
 
 
 def within(lhs, rhs, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL):

@@ -382,40 +382,78 @@ def _tuple_to_key(t):
     return ",".join(str(i + 1) for i in t)
 
 
+def _array(value, what, length=None):
+    """A JSON array field, of the given length if one is given."""
+    if not isinstance(value, (list, tuple)) or length is not None and len(value) != length:
+        size = "" if length is None else f" of {length}"
+        raise ConfigError(f"{what} must be a list{size}, got {value!r}")
+    return value
+
+
+def _object(value, what):
+    """An optional JSON object field; absent or null reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, what, convert=float):
+    """convert(value), or a ConfigError naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+
+
 def load_config(doc):
-    """Build a Geometry (with named forms) from a parsed JSON document."""
+    """Build a Geometry (with named forms) from a parsed JSON document; a
+    malformed field raises ConfigError naming it."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     version = doc.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version!r}")
     try:
-        n = int(doc["dim"])
-        coords = list(doc["coords"])
-        metric_src = doc["metric"]
-        domain = [list(map(float, iv)) for iv in doc["domain"]]
+        n = _number(doc["dim"], "dim", int)
+        coords = list(_array(doc["coords"], "coords"))
+        metric_src = _array(doc["metric"], "metric")
+        domain = [
+            [_number(b, "domain bound") for b in _array(iv, "domain interval", 2)]
+            for iv in _array(doc["domain"], "domain")
+        ]
     except KeyError as exc:
         raise ConfigError(f"config missing field {exc}")
     if len(coords) != n or len(domain) != n:
         raise ConfigError("coords/domain length must equal dim")
+    for i, c in enumerate(coords):
+        if (not isinstance(c, str) or not c.isidentifier() or c in coords[:i]
+                or c in sexpr.FUNCTIONS or c in sexpr.CONSTANTS):
+            raise ConfigError(
+                f"coordinate name {c!r} must be a distinct identifier that is "
+                "not a function or constant name"
+            )
     parse = lambda s: sexpr.parse(str(s), coords)
-    if len(metric_src) != n or any(len(r) != n for r in metric_src):
+    if len(metric_src) != n or any(len(_array(r, "metric row")) != n for r in metric_src):
         raise ConfigError("metric must be an n x n matrix of expressions")
     metric = [[parse(e) for e in row] for row in metric_src]
     exclude = parse(doc["exclude"]) if doc.get("exclude") else None
     structures = {}
-    for name, spec in (doc.get("structures") or {}).items():
+    for name, spec in _object(doc.get("structures"), "structures").items():
         if name not in STRUCTURES:
             raise ConfigError(f"unknown structure tensor {name!r}")
+        spec = _array(spec, f"structure tensor {name!r}")
         rows = spec if STRUCTURES[name] == "endomorphism" else [spec]
-        if any(len(row) != n for row in rows) or len(spec) != n:
+        if any(len(_array(row, f"row of {name!r}")) != n for row in rows) or len(spec) != n:
             raise ConfigError(f"structure tensor {name!r} must have {n} entries per row")
         structures[name] = _map_structure(name, spec, parse)
     forms = {}
-    for fname, fdoc in (doc.get("forms") or {}).items():
-        k = int(fdoc["degree"])
+    for fname, fdoc in _object(doc.get("forms"), "forms").items():
+        fdoc = _object(fdoc, f"form {fname!r}")
+        k = _number(fdoc.get("degree"), f"degree of form {fname!r}", int)
         coeffs = {}
-        for key, src in (fdoc.get("coeffs") or {}).items():
+        for key, src in _object(fdoc.get("coeffs"), f"coeffs of form {fname!r}").items():
             t = _key_to_tuple(key, n) if key else ()
             if len(t) != k:
                 raise ConfigError(f"form {fname!r}: key {key!r} has wrong length for degree {k}")

@@ -235,9 +235,10 @@ class Jet:
         return _compose(series, self)
 
     def __pow__(self, r):
-        if isinstance(r, (int, np.integer)) or (
-            isinstance(r, float) and r.is_integer() and self.value <= 0
-        ):
+        """self ** r.  An integral r, int or integral float, multiplies at any
+        base (a negative r through the reciprocal); any other r composes the
+        power series, which needs a positive base."""
+        if isinstance(r, (int, np.integer)) or float(r).is_integer():
             k = int(r)
             if k < 0:
                 return self.reciprocal() ** (-k)
@@ -373,8 +374,6 @@ def _series(fn, x0, order, r=None):
 
 def jet_apply(fn, a, r=None):
     """Apply an elementary function to a jet by Taylor composition."""
-    if fn == "pow" and r is not None and float(r).is_integer() and r >= 0 and a.value <= 0:
-        return a ** int(r)
     if not math.isfinite(a.value):
         raise DomainError(fn, a.value)
     try:

@@ -10,12 +10,17 @@ Grammar (operators by increasing precedence), part of the public
     atom   := number | ident | ident "(" args ")" | "(" expr ")"
 
 Known functions: sin cos tan exp log sqrt pow; constants: pi, e.
-Expressions evaluate either to plain floats or to jets.
+One walk evaluates an expression either to a plain float or to a jet.
+Literals and constants evaluate as numbers, so jet arithmetic starts only
+at a coordinate; a subexpression free of coordinates stays a float.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
+
+import numpy as np
 
 from .errors import (
     ArityError,
@@ -24,7 +29,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from .jets import jet_apply, jet_const, jet_var
+from .jets import Jet, jet_apply, jet_const, jet_var
 
 FUNCTIONS = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "pow": 2}
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -217,111 +222,86 @@ def parse(src, var_names):
 # -- evaluation ----------------------------------------------------------
 
 
-def _annotate(exc, node):
-    if isinstance(exc, (DomainError, DivisionByZeroAtPoint)) and not getattr(exc, "span", None):
-        exc.span = node.offset
-    return exc
-
-
 def eval_jet(e, p, order):
     """Evaluate an expression to a jet at point p."""
     n = len(p)
-    if isinstance(e, Num):
-        return jet_const(e.value, n, order)
-    if isinstance(e, Const):
-        return jet_const(CONSTANTS[e.name], n, order)
-    if isinstance(e, Var):
-        if e.index >= n:
-            raise ArityError(f"point has {n} coordinates, expression uses {e.name}")
-        return jet_var(p, e.index, order)
-    if isinstance(e, Neg):
-        return -eval_jet(e.arg, p, order)
-    if isinstance(e, Bin):
-        a = eval_jet(e.left, p, order)
-        b = eval_jet(e.right, p, order)
-        try:
-            if e.op == "^":
-                return _jet_pow(a, b)
-            if e.op == "+":
-                return a + b
-            if e.op == "-":
-                return a - b
-            if e.op == "*":
-                return a * b
-            if e.op == "/":
-                return a / b
-        except (DomainError, DivisionByZeroAtPoint) as exc:
-            raise _annotate(exc, e)
-    if isinstance(e, Call):
-        args = [eval_jet(a, p, order) for a in e.args]
-        try:
-            if e.fn == "pow":
-                base, expo = args
-                return _jet_pow(base, expo)
-            return jet_apply(e.fn, args[0])
-        except (DomainError, DivisionByZeroAtPoint) as exc:
-            raise _annotate(exc, e)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _jet_pow(a, b):
-    """General power a^b = exp(b log a) unless b is constant; an integral
-    constant exponent keeps integer-power semantics at value <= 0."""
-    if not b.c[1:].any():
-        r = b.value
-        return a ** (int(r) if r.is_integer() else r)
-    return jet_apply("exp", b * jet_apply("log", a))
+    # an overflowing product is refused as a typed error where it is used
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _eval(e, [jet_var(p, i, order) for i in range(n)])
+    return v if isinstance(v, Jet) else jet_const(v, n, order)
 
 
 def eval_value(e, p):
-    """Plain float evaluation (order-0 specialization of eval_jet)."""
+    """Plain float evaluation at point p."""
+    return _eval(e, [float(v) for v in p])
+
+
+def _eval(e, xs):
+    """The value of e with coordinate i bound to xs[i], a float or a jet."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, Const):
         return CONSTANTS[e.name]
     if isinstance(e, Var):
-        return float(p[e.index])
+        if e.index >= len(xs):
+            raise ArityError(f"point has {len(xs)} coordinates, expression uses {e.name}")
+        return xs[e.index]
     if isinstance(e, Neg):
-        return -eval_value(e.arg, p)
+        return -_eval(e.arg, xs)
     if isinstance(e, Bin):
-        a = eval_value(e.left, p)
-        b = eval_value(e.right, p)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0.0:
-                raise _annotate(DivisionByZeroAtPoint("division by zero"), e)
-            return a / b
-        if e.op == "^":
-            return _float_pow(a, b, e)
-    if isinstance(e, Call):
-        args = [eval_value(a, p) for a in e.args]
-        try:
-            if e.fn == "pow":
-                return _float_pow(args[0], args[1], e)
-            if e.fn in ("log", "sqrt") and args[0] <= 0.0:
-                raise DomainError(e.fn, args[0])
-            return getattr(math, e.fn)(args[0])
-        except (OverflowError, ValueError):  # math range and domain errors
-            raise _annotate(DomainError(e.fn, args[0]), e)
-        except DomainError as exc:
-            raise _annotate(exc, e)
-    raise TypeError(f"not an expression node: {e!r}")
+        fn, args = e.op, (_eval(e.left, xs), _eval(e.right, xs))
+    elif isinstance(e, Call):
+        fn, args = e.fn, [_eval(a, xs) for a in e.args]
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    try:
+        op = _ARITH.get(fn)
+        return op(*args) if op else _apply(fn, *args)
+    except (DomainError, DivisionByZeroAtPoint) as exc:
+        if not getattr(exc, "span", None):
+            exc.span = e.offset
+        raise
 
 
-def _float_pow(a, b, node):
+def _div(a, b):
+    if not isinstance(b, Jet) and b == 0.0:
+        raise DivisionByZeroAtPoint("division by zero")
+    return a / b
+
+
+def _apply(fn, x):
+    """An elementary function of a jet, or of a number through math."""
+    if isinstance(x, Jet):
+        return jet_apply(fn, x)
+    if fn in ("log", "sqrt") and x <= 0.0:
+        raise DomainError(fn, x)
+    try:
+        return getattr(math, fn)(x)
+    except (OverflowError, ValueError):  # math range and domain errors
+        raise DomainError(fn, x)
+
+
+def _pow(a, b):
+    """a^b: exp(b log a) for a non-constant jet b, else a power by a number."""
+    if isinstance(b, Jet):
+        if b.c[1:].any():
+            return _apply("exp", b * _apply("log", a))
+        b = b.value
+    if isinstance(a, Jet):
+        return a**b
     if a <= 0.0 and not float(b).is_integer():
-        raise _annotate(DomainError("pow", a), node)
+        raise DomainError("pow", a)
     if a == 0.0 and b < 0:
-        raise _annotate(DivisionByZeroAtPoint("zero raised to negative power"), node)
+        raise DivisionByZeroAtPoint("zero raised to negative power")
     try:
         return a**b
     except OverflowError:
-        raise _annotate(DomainError("pow", a), node)
+        raise DomainError("pow", a)
+
+
+_ARITH = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow, "pow": _pow,
+}
 
 
 # -- pretty printer ------------------------------------------------------

@@ -129,6 +129,16 @@ def test_check_usage_errors(capsys, tmp_path):
     assert code == 2 and "not both" in err
 
 
+@pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_check_refuses_a_tolerance_that_cannot_fail(capsys, flag, value):
+    # an infinite bound passes every residual and a negative one fails every
+    # check; a NaN one passed every residual before exceeds failed closed
+    code, _, err = run(capsys, "check", "--builtin", "dsquared", "--points", "1", flag, value)
+    assert code == 2
+    assert "finite number >= 0" in err and "Traceback" not in err
+
+
 def test_check_malformed_json(capsys, tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -289,3 +299,12 @@ def test_python_m_excal_passes_exit_codes_through():
     proc = run_module("check", "--builtin", "no-such-suite")
     assert proc.returncode == 2
     assert "UnknownSuite" in proc.stderr
+
+
+def test_malformed_config_field_exits_two_without_traceback(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(EVAL_CONFIG, dim="two")))
+    proc = run_module("check", str(cfg), "--points", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ConfigError: dim")
+    assert "Traceback" not in proc.stderr

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -203,6 +204,40 @@ def test_config_round_trip():
 )
 def test_config_errors(doc):
     with pytest.raises(ConfigError):
+        load_config(doc)
+
+
+def _config(**fields):
+    doc = {
+        "dim": 2,
+        "coords": ["x", "y"],
+        "metric": [["1", "0"], ["0", "1"]],
+        "domain": [[0, 1], [0, 1]],
+    }
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (_config(dim="two"), "dim"),
+        (_config(domain=[[0, 1], ["a", 1]]), "domain bound"),
+        (_config(domain=[[0, 1], [0]]), "domain interval"),
+        (_config(structures={"J": 5}), "structure tensor 'J'"),
+        (_config(forms={"w": 3}), "form 'w'"),
+        (_config(forms={"w": {"degree": "a", "coeffs": {}}}), "degree of form 'w'"),
+        (_config(forms={"w": {"degree": 0, "coeffs": [1]}}), "coeffs of form 'w'"),
+        (_config(coords=["x", "x"]), "coordinate name 'x'"),
+        (_config(coords=["x", "pi"]), "coordinate name 'pi'"),
+        (_config(coords=["sin", "y"]), "coordinate name 'sin'"),
+    ],
+    ids=["dim", "bound", "interval", "structure", "form", "degree", "coeffs",
+         "repeated-coord", "constant-coord", "function-coord"],
+)
+def test_config_malformed_field_names_it(doc, field):
+    # each of these was a traceback, or a coordinate silently misread
+    with pytest.raises(ConfigError, match=re.escape(field)):
         load_config(doc)
 
 

@@ -113,6 +113,12 @@ def test_integer_powers():
     assert jet_partial(cube, (1,)) == pytest.approx(12.0)
     inv = x**-2
     assert inv.value == pytest.approx(0.25)
+    # an integral float exponent multiplies at a positive base too
+    y = jet_var((1.5,), 0, 3)
+    np.testing.assert_array_equal((y**3.0).c, (y * y * y).c)
+    # integer powers go through ** only; the series needs a positive base
+    with pytest.raises(DomainError):
+        jet_apply("pow", x, 2)
 
 
 def test_truncation_is_prefix_slice():

@@ -51,6 +51,8 @@ def test_variables_and_functions():
     assert ev("cos(x)^2 + sin(x)^2", p) == pytest.approx(1.0)
     assert ev("log(exp(y))", p) == pytest.approx(1.7)
     assert ev("tan(x)", p) == pytest.approx(math.tan(0.3))
+    with pytest.raises(ArityError):  # y is past the end of a 1-d point
+        sexpr.eval_value(sexpr.parse("y", XY), (0.3,))
 
 
 def test_jet_evaluation_derivatives():
@@ -72,6 +74,10 @@ def test_jet_power_with_variable_exponent():
     from excal.jets import jet_partial
 
     assert jet_partial(j, (0, 1)) == pytest.approx(8.0 * math.log(2.0))
+    # a number base with a jet exponent
+    j = sexpr.eval_jet(sexpr.parse("2^x", XY), (3.0, 0.0), 1)
+    assert j.value == pytest.approx(8.0)
+    assert jet_partial(j, (1, 0)) == pytest.approx(8.0 * math.log(2.0))
 
 
 def test_negative_base_integer_exponent():
@@ -123,13 +129,17 @@ def test_syntax_error_offset():
         ("exp(2000*x)", DomainError),  # float overflow
         ("pow(x + 2, 1000.5)", DomainError),
         ("sin(x*1e308*10)", DomainError),  # sin of an infinite value
+        ("1/(2-2)", DivisionByZeroAtPoint),  # a zero number divisor
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evaluation_domain_errors(src, exc):
-    with pytest.raises(exc):
-        ev(src, (0.5, 0.5))
-    with pytest.raises(exc):
-        sexpr.eval_jet(sexpr.parse(src, XY), (0.5, 0.5), 2)
+    e = sexpr.parse(src, XY)
+    for evaluate in (sexpr.eval_value, lambda e, p: sexpr.eval_jet(e, p, 2)):
+        with pytest.raises(exc) as ei:
+            evaluate(e, (0.5, 0.5))
+        if exc is DivisionByZeroAtPoint:
+            assert ei.value.span == src.index("/")
 
 
 def test_pretty_round_trip():

@@ -117,6 +117,13 @@ class TestRunCheck:
         assert report["pass"] is False
         assert report["max_abs_err"] > 1e-3
 
+    def test_nan_tolerance_fails_closed(self):
+        # err > nan is false for every err, so the bound must not pass a residual
+        report = run_check(
+            make_check(id="test/fails", lhs="om", rhs=_zero_rhs(1), atol=float("nan"))
+        )
+        assert report["pass"] is False
+
     def test_expected_fail_inverts(self):
         report = run_check(
             make_check(id="test/xfail", lhs="om", rhs=_zero_rhs(1), expected_fail=True)
