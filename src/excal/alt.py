@@ -9,25 +9,17 @@ algebra serves both pointwise checks and jet-valued operator evaluation.
 Degrees above the dimension are canonical zero values, never errors:
 operator compositions reach them routinely.
 
-Only AltValue's constructor drops zero coefficients (a plain zero or an
-identically-zero jet), so operators build coefficient dicts without
-testing for zeros first.
+The zero rule: jets.is_zero alone decides zero, AltValue's constructor
+drops exactly the coefficients it finds, and so an absent key means zero.
+Operators skip absent keys; only raw scalars that never pass through an
+AltValue (a scale factor, a Christoffel symbol) call is_zero themselves.
 """
 
 from functools import cache
 from itertools import combinations
 
 from .errors import ArityError, DegreeError
-
-
-def _is_num_zero(c):
-    if isinstance(c, (int, float)):
-        return c == 0
-    # identically-zero jets (all Taylor coefficients zero) contribute
-    # nothing to any linear or product term; dropping them keeps the
-    # coefficient dicts sparse on flat charts
-    coeffs = getattr(c, "c", None)
-    return coeffs is not None and not coeffs.any()
+from .jets import is_zero
 
 
 @cache
@@ -44,11 +36,11 @@ def _sort_sign(seq):
 
 
 def _lookup(w, seq):
-    """The coefficient of w at an unsorted index tuple, signed; 0.0 if none."""
+    """The coefficient of w at an unsorted index tuple, signed; None if absent."""
     sign, key = _sort_sign(seq)
     c = w.coeffs.get(key) if sign else None
     if c is None:
-        return 0.0
+        return None
     return c if sign > 0 else -c
 
 
@@ -74,7 +66,7 @@ class AltValue:
         self.coeffs = {}
         if coeffs:
             for key, c in coeffs.items():
-                if not _is_num_zero(c):
+                if not is_zero(c):
                     self.coeffs[tuple(key)] = c
 
     @classmethod
@@ -83,9 +75,6 @@ class AltValue:
 
     def get(self, key):
         return self.coeffs.get(tuple(key), 0.0)
-
-    def is_structural_zero(self):
-        return self.k > self.n or self.k < 0
 
     # -- linear structure --
 
@@ -103,7 +92,7 @@ class AltValue:
         return AltValue(self.n, self.k, {key: -c for key, c in self.coeffs.items()})
 
     def scale(self, s):
-        if _is_num_zero(s):
+        if is_zero(s):
             return AltValue.zero(self.n, self.k)
         return AltValue(self.n, self.k, {key: s * c for key, c in self.coeffs.items()})
 
@@ -209,8 +198,6 @@ def wedge_sv(omega, phi):
 
 def i_dir(a, omega):
     """Classical interior product with the coordinate vector e_a."""
-    if omega.k == 0:
-        return AltValue.zero(omega.n, -1)
     out = {}
     for I, c in omega.coeffs.items():
         if a not in I:
@@ -239,7 +226,6 @@ def interior(phi, omega):
         return AltValue.zero(n, m)
     out = {}
     for M in combinations(range(n), m):
-        acc = 0.0
         for sign, chosen, rest in _shuffles(m, p):
             A = tuple(M[i] for i in chosen)
             R = tuple(M[i] for i in rest)
@@ -254,8 +240,8 @@ def interior(phi, omega):
                 if cw is None:
                     continue
                 term = ca * cw
-                acc = acc + (term if sign * s2 > 0 else -term)
-        out[M] = acc
+                term = term if sign * s2 > 0 else -term
+                out[M] = out[M] + term if M in out else term
     return AltValue(n, m, out)
 
 

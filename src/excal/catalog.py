@@ -9,7 +9,7 @@ points before the entry is served.
 from .alt import AltValue, VecAltValue, interior, sharp, wedge, wedge_sv
 from .compare import alt_errors, exceeds, zero_like
 from .errors import NonFiniteValue, UnknownEntry, ValidationFailed
-from .geometry import CONFIG_VERSION, load_config, metric_inner, sample_points
+from .geometry import CONFIG_VERSION, MAX_DIM, load_config, metric_inner, sample_points
 from .jets import scalar_value
 from .operators import d_nabla, endo_compose, ext_d, lie_metric, nabla_vec_coord, nijenhuis
 
@@ -207,8 +207,8 @@ def _fundamental_form_coeffs(pairs, scale="1"):
 
 
 def _build_euclidean(n, torus=False):
-    if not 1 <= n <= 6:
-        raise UnknownEntry(f"euclidean dimension must be 1..6, got {n}")
+    if not 1 <= n <= MAX_DIM:
+        raise UnknownEntry(f"euclidean dimension must be 1..{MAX_DIM}, got {n}")
     name = f"flat_torus({n})" if torus else f"euclidean({n})"
     coords = [f"x{i+1}" for i in range(n)]
     domain = [[0.0, 6.283185307179586]] * n if torus else [[-1.0, 1.0]] * n

@@ -22,6 +22,9 @@ from .jets import jet_apply, jet_const, jet_diff, scalar_value
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
+# the largest chart dimension a config may declare; the cost of a point
+# doubles with each dimension, and the catalog builds nothing above 6
+MAX_DIM = 6
 
 # Chart contexts kept per chart, least recently used dropped first. A built-in
 # run reuses 40 per chart (20 points at jet orders 0 and 2) and a 50-point
@@ -417,6 +420,8 @@ def load_config(doc):
         raise ConfigError(f"unsupported config version {version!r}")
     try:
         n = _number(doc["dim"], "dim", int)
+        if not 1 <= n <= MAX_DIM:
+            raise ConfigError(f"dim must be in 1..{MAX_DIM}, got {n}")
         coords = list(_array(doc["coords"], "coords"))
         metric_src = _array(doc["metric"], "metric")
         domain = [

@@ -130,6 +130,9 @@ def jet_space(n, order):
     return sp
 
 
+_NUMBER = (int, float, np.floating, np.integer)
+
+
 class Jet:
     """Immutable truncated Taylor expansion of a scalar at a point."""
 
@@ -164,20 +167,27 @@ class Jet:
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.space is self.space:
-                return self, other
-            if other.space.n != self.space.n:
-                raise ShapeMismatch(
-                    f"jet variable counts differ: {self.space.n} vs {other.space.n}"
-                )
-            k = min(self.order, other.order)
-            return self.truncate(k), other.truncate(k)
-        if isinstance(other, (int, float, np.floating, np.integer)):
-            return self, jet_const(float(other), self.space.n, self.order)
-        return self, NotImplemented
+        """self and a jet other, truncated to their common order."""
+        if not isinstance(other, Jet):
+            return self, NotImplemented
+        if other.space is self.space:
+            return self, other
+        if other.space.n != self.space.n:
+            raise ShapeMismatch(
+                f"jet variable counts differ: {self.space.n} vs {other.space.n}"
+            )
+        k = min(self.order, other.order)
+        return self.truncate(k), other.truncate(k)
+
+    def _shift(self, v):
+        """self + v for a number v: only the value coefficient moves."""
+        c = self.c.copy()
+        c[0] += v
+        return Jet(self.space, c)
 
     def __add__(self, other):
+        if isinstance(other, _NUMBER):
+            return self._shift(float(other))
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
@@ -186,12 +196,16 @@ class Jet:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, _NUMBER):
+            return self._shift(-float(other))
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
         return Jet(a.space, a.c - b.c)
 
     def __rsub__(self, other):
+        if isinstance(other, _NUMBER):
+            return (-self)._shift(float(other))
         a, b = self._coerce(other)
         if b is NotImplemented:
             return NotImplemented
@@ -201,7 +215,7 @@ class Jet:
         return Jet(self.space, -self.c)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBER):
             return Jet(self.space, self.c * float(other))
         a, b = self._coerce(other)
         if b is NotImplemented:
@@ -212,7 +226,7 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBER):
             return Jet(self.space, self.c / float(other))
         a, b = self._coerce(other)
         if b is NotImplemented:
@@ -287,6 +301,14 @@ def jet_var(p, i, order):
 
 
 # -- named operation surface --------------------------------------------
+
+
+def is_zero(c):
+    """Whether a coefficient is zero: a number equal to 0 (so -0.0 too), or a
+    jet with no nonzero Taylor coefficient.  A NaN is not zero."""
+    if isinstance(c, Jet):
+        return not np.count_nonzero(c.c)
+    return c == 0
 
 
 def scalar_value(c):

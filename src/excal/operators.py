@@ -15,11 +15,10 @@ Sign conventions, fixed globally:
 from itertools import combinations
 
 from .alt import AltValue, VecAltValue, _lookup, _shuffles, interior, sharp, wedge, wedge_sv
-from .alt import _is_num_zero as _alt_is_zero
 from .compare import alt_errors, exceeds
 from .errors import DegreeError, NotADerivation, ReconstructionMismatch
 from .geometry import metric_lower
-from .jets import jet_const, jet_diff, jet_var, scalar_value
+from .jets import is_zero, jet_const, jet_diff, jet_var, scalar_value
 from .prng import SplitMix64, derive_seed
 
 
@@ -53,7 +52,7 @@ def _gamma_zero_mask(ctx):
         gamma = ctx.gamma()
         n = len(gamma)
         return [
-            [[not gamma[m][a][i].c.any() for i in range(n)] for a in range(n)]
+            [[is_zero(gamma[m][a][i]) for i in range(n)] for a in range(n)]
             for m in range(n)
         ]
 
@@ -75,7 +74,7 @@ def nabla_coord(ctx, a, w):
                 if gz[m][a][I[s]]:
                     continue
                 cm = _lookup(w, I[:s] + (m,) + I[s + 1 :])
-                if isinstance(cm, float) and cm == 0.0:
+                if cm is None:
                     continue
                 acc = acc - gamma[m][a][I[s]] * cm
         out[I] = acc
@@ -91,11 +90,10 @@ def codiff(ctx, w, descending=False):
     nabla_all = [nabla_coord(ctx, a, w) for a in range(w.n)]
     out = AltValue.zero(w.n, w.k - 1)
     for X in ctx.frame(descending=descending):
-        comps = X.as_vector()
         nx = AltValue.zero(w.n, w.k)
         for a in range(w.n):
-            xa = comps[a]
-            if _alt_is_zero(xa):
+            xa = X.comps[a].coeffs.get(())
+            if xa is None:
                 continue
             nx = nx + nabla_all[a].scale(xa)
         out = out - interior(X, nx)
@@ -178,16 +176,10 @@ def omega_diamond(ctx, w, variant=0):
         return d_nabla(ctx, sharp_field(ctx, w)) + omega_nabla(ctx, w)
     if variant == 1:
         two_d = d_nabla(ctx, sharp_field(ctx, w)).scale(2.0)
-        return two_d + _sharp_or_zero(ctx, ext_d(ctx, w))
+        return two_d + sharp_field(ctx, ext_d(ctx, w))
     if variant == 2:
-        return omega_nabla(ctx, w).scale(2.0) - _sharp_or_zero(ctx, ext_d(ctx, w))
+        return omega_nabla(ctx, w).scale(2.0) - sharp_field(ctx, ext_d(ctx, w))
     raise ValueError(f"diamond variant must be 0, 1 or 2, got {variant!r}")
-
-
-def _sharp_or_zero(ctx, w):
-    if w.k > w.n:
-        return VecAltValue.zero(w.n, w.k - 1)
-    return sharp_field(ctx, w)
 
 
 # -- graded commutators ------------------------------------------------------

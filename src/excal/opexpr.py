@@ -4,6 +4,8 @@ Grammar (whitespace-insensitive):
 
     expr  := NAME | NAME '(' expr (',' expr)* ')'
 
+An expression nests at most sexpr.MAX_DEPTH levels deep.
+
 Built-in operator heads: d(F), delta(F), eps(F, G), i(V, F), lie(V, F),
 sharp(F), diamond(F), nablaF(F), comm(OP, OP, F), acomm(OP, OP, F).
 F and G name scalar forms, V names tangent-valued fields; in operator
@@ -31,6 +33,7 @@ from .operators import (
     op_lie,
     sharp_field,
 )
+from .sexpr import MAX_DEPTH
 
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[(),])")
 
@@ -73,21 +76,23 @@ def parse(src):
         idx += 1
         return tok, off
 
-    def expr():
+    def expr(depth):
         tok, off = take()
         if not tok[0].isalpha() and tok[0] != "_":
             raise ExprSyntaxError(f"expected a name, found {tok!r}", off)
         if peek() != "(":
             return Node(tok, None, off)
+        if depth == MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", off)
         take("(")
-        args = [expr()]
+        args = [expr(depth + 1)]
         while peek() == ",":
             take(",")
-            args.append(expr())
+            args.append(expr(depth + 1))
         take(")")
         return Node(tok, args, off)
 
-    root = expr()
+    root = expr(1)
     if idx < len(tokens):
         tok, off = tokens[idx]
         raise ExprSyntaxError(f"trailing input {tok!r}", off)

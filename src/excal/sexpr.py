@@ -9,7 +9,9 @@ Grammar (operators by increasing precedence), part of the public
     power  := atom ("^" unary)?
     atom   := number | ident | ident "(" args ")" | "(" expr ")"
 
-Known functions: sin cos tan exp log sqrt pow; constants: pi, e.
+Known functions: sin cos tan exp log sqrt pow; constants: pi, e.  A parsed
+tree nests at most MAX_DEPTH levels (a parenthesised group counts as one),
+so neither parsing nor evaluation can exhaust the Python stack.
 One walk evaluates an expression either to a plain float or to a jet.
 Literals and constants evaluate as numbers, so jet arithmetic starts only
 at a coordinate; a subexpression free of coordinates stays a float.
@@ -33,6 +35,9 @@ from .jets import Jet, jet_apply, jet_const, jet_var
 
 FUNCTIONS = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "pow": 2}
 CONSTANTS = {"pi": math.pi, "e": math.e}
+# levels a parsed tree may nest, a parenthesised group included; the trees
+# excal builds itself reach about 30 (random_form over 6 coordinates)
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -131,85 +136,101 @@ class _Tokenizer:
 
 
 class _Parser:
+    """Recursive descent; each rule takes the depth at which its subtree
+    starts and returns (node, height), so that both a deep recursion and a
+    long left-leaning chain stop at MAX_DEPTH levels."""
+
     def __init__(self, src, var_names):
         self.toks = _Tokenizer(src)
         self.vars = {name: i for i, name in enumerate(var_names)}
 
     def parse(self):
-        e = self.expr()
+        e, _ = self.expr(1)
         kind, _, off = self.toks.peek()
         if kind != "eof":
             raise ExprSyntaxError(f"unexpected token {kind!r}", off)
         return e
 
-    def expr(self):
-        left = self.term()
+    @staticmethod
+    def _level(h, off):
+        """h, a depth or height reached at offset off, within MAX_DEPTH."""
+        if h > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", off)
+        return h
+
+    def expr(self, depth):
+        left, h = self.term(depth)
         while True:
             kind, _, off = self.toks.peek()
-            if kind in ("+", "-"):
-                self.toks.next()
-                left = Bin(kind, left, self.term(), off)
-            else:
-                return left
+            if kind not in ("+", "-"):
+                return left, h
+            self.toks.next()
+            right, hr = self.term(depth + 1)
+            left, h = Bin(kind, left, right, off), self._level(max(h, hr) + 1, off)
 
-    def term(self):
-        left = self.unary()
+    def term(self, depth):
+        left, h = self.unary(depth)
         while True:
             kind, _, off = self.toks.peek()
-            if kind in ("*", "/"):
-                self.toks.next()
-                left = Bin(kind, left, self.unary(), off)
-            else:
-                return left
+            if kind not in ("*", "/"):
+                return left, h
+            self.toks.next()
+            right, hr = self.unary(depth + 1)
+            left, h = Bin(kind, left, right, off), self._level(max(h, hr) + 1, off)
 
-    def unary(self):
+    def unary(self, depth):
         kind, _, off = self.toks.peek()
+        self._level(depth, off)
         if kind == "-":
             self.toks.next()
-            return Neg(self.unary(), off)
-        return self.power()
+            arg, h = self.unary(depth + 1)
+            return Neg(arg, off), self._level(h + 1, off)
+        return self.power(depth)
 
-    def power(self):
-        base = self.atom()
+    def power(self, depth):
+        base, h = self.atom(depth)
         kind, _, off = self.toks.peek()
         if kind == "^":
             self.toks.next()
-            return Bin("^", base, self.unary(), off)
-        return base
+            exp, he = self.unary(depth + 1)
+            return Bin("^", base, exp, off), self._level(max(h, he) + 1, off)
+        return base, h
 
-    def atom(self):
+    def atom(self, depth):
         kind, text, off = self.toks.next()
         if kind == "num":
-            return Num(float(text), off)
+            return Num(float(text), off), 1
         if kind == "(":
-            e = self.expr()
+            # a parenthesised group counts as a level: it costs recursion
+            e, h = self.expr(depth + 1)
             k2, _, o2 = self.toks.next()
             if k2 != ")":
                 raise ExprSyntaxError("expected ')'", o2)
-            return e
+            return e, self._level(h + 1, off)
         if kind == "ident":
             nxt = self.toks.peek()
             if nxt[0] == "(":
                 if text not in FUNCTIONS:
                     raise UnknownIdentifier(text, off)
                 self.toks.next()
-                args = [self.expr()]
+                args = [self.expr(depth + 1)]
                 while True:
                     k2, _, o2 = self.toks.next()
                     if k2 == ")":
                         break
                     if k2 != ",":
                         raise ExprSyntaxError("expected ',' or ')'", o2)
-                    args.append(self.expr())
+                    args.append(self.expr(depth + 1))
                 if len(args) != FUNCTIONS[text]:
                     raise ArityError(
                         f"{text} takes {FUNCTIONS[text]} argument(s), got {len(args)}"
                     )
-                return Call(text, tuple(args), off)
+                h = max(ha for _, ha in args) + 1
+                return Call(text, tuple(a for a, _ in args), off), self._level(h, off)
             if text in CONSTANTS:
-                return Const(text, off)
+                return Const(text, off), 1
             if text in self.vars:
-                return Var(text, self.vars[text], off)
+                return Var(text, self.vars[text], off), 1
             raise UnknownIdentifier(text, off)
         raise ExprSyntaxError(f"unexpected token {kind!r}", off)
 
@@ -222,13 +243,28 @@ def parse(src, var_names):
 # -- evaluation ----------------------------------------------------------
 
 
+class _CoordJets:
+    """The coordinate jets at p, each built when the walk first reads it."""
+
+    def __init__(self, p, order):
+        self.p, self.order = p, order
+        self.jets = [None] * len(p)
+
+    def __len__(self):
+        return len(self.jets)
+
+    def __getitem__(self, i):
+        if self.jets[i] is None:
+            self.jets[i] = jet_var(self.p, i, self.order)
+        return self.jets[i]
+
+
 def eval_jet(e, p, order):
     """Evaluate an expression to a jet at point p."""
-    n = len(p)
     # an overflowing product is refused as a typed error where it is used
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _eval(e, [jet_var(p, i, order) for i in range(n)])
-    return v if isinstance(v, Jet) else jet_const(v, n, order)
+        v = _eval(e, _CoordJets(p, order))
+    return v if isinstance(v, Jet) else jet_const(v, len(p), order)
 
 
 def eval_value(e, p):

@@ -437,11 +437,7 @@ def _s_omegacov(check, seed, G, gname):
 
         def lhs(ctx, om=om):
             w = om.at(ctx)
-            dn = d_nabla(ctx, sharp_field(ctx, w))
-            dw = ext_d(ctx, w)
-            if dw.k > dw.n:
-                return dn
-            return dn + sharp_field(ctx, dw)
+            return d_nabla(ctx, sharp_field(ctx, w)) + sharp_field(ctx, ext_d(ctx, w))
 
         def rhs(ctx, om=om):
             return omega_nabla(ctx, om.at(ctx))

@@ -27,7 +27,7 @@ from excal.alt import (
     wedge_sv,
 )
 from excal.errors import ArityError, DegreeError
-from excal.jets import jet_var
+from excal.jets import is_zero, jet_const, jet_var
 from excal.prng import SplitMix64, derive_seed
 
 ORACLE_TOL = 1e-12
@@ -214,7 +214,33 @@ def test_degree_guards():
 def test_above_dimension_is_canonical_zero():
     a = AltValue(2, 2, {(0, 1): 1.0})
     w = wedge(a, a)
-    assert w.k == 4 and not w.coeffs and w.is_structural_zero()
+    assert w.k == 4 and not w.coeffs
+
+
+def test_constructor_drops_exactly_what_is_zero_finds():
+    nan_jet = jet_const(0.0, 3, 1)
+    nan_jet.c[1] = math.nan
+    values = [0, 0.0, -0.0, 1e-300, math.nan, -2.5, jet_const(0.0, 3, 1),
+              jet_var((0.0, 1.0, 2.0), 0, 1), nan_jet, jet_const(-0.0, 3, 0)]
+    keys = list(combinations(range(5), 2))
+    coeffs = dict(zip(keys, values))
+    w = AltValue(5, 2, coeffs)
+    assert list(w.coeffs) == [key for key, c in coeffs.items() if not is_zero(c)]
+    assert all(w.coeffs[key] is coeffs[key] for key in w.coeffs)
+    assert len(w.coeffs) == 5  # 1e-300, nan, -2.5, the gradient jet, the NaN jet
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sharp_above_dimension_is_empty(n):
+    # the sharp of a form of degree n + 1 is the zero tangent-valued value
+    # of degree n: interior finds no term, so no special case is needed
+    g_inv = [[1.0 if a == b else 0.0 for b in range(n)] for a in range(n)]
+    top = AltValue(n, n, {tuple(range(n)): 1.0})
+    w = wedge(AltValue(n, 1, {(0,): 1.0}), top)
+    assert w.k == n + 1
+    s = sharp(w, g_inv)
+    assert isinstance(s, VecAltValue) and s.k == n and len(s.comps) == n
+    assert all(c.k == n and not c.coeffs for c in s.comps)
 
 
 def _parity_by_cycles(seq):

@@ -257,6 +257,30 @@ def test_eval_overflow_is_a_domain_error(capsys, tmp_path, src, expr, at, error)
     assert err.startswith(f"error: {error}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["(" * 400 + "1" + ")" * 400, "-" * 3000 + "1", "1" + "+x" * 5000],
+    ids=["parens", "minus", "sum"],
+)
+def test_deeply_nested_metric_exits_two(capsys, tmp_path, entry):
+    # these were a RecursionError traceback, or a RecursionError at every
+    # point of the report
+    cfg = {"dim": 1, "coords": ["x"], "metric": [[entry]], "domain": [[-1, 1]]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "check", str(path), "--points", "1")
+    assert code == 2
+    assert err.startswith("error: ExprSyntaxError: expression nests deeper than 100 levels")
+
+
+def test_eval_deeply_nested_expression_has_caret(capsys):
+    expr = "d(" * 600 + "Omega" + ")" * 600
+    code, _, err = run(capsys, "eval", "hopf_lck", "--at", "0.5,0.5,0.5,0.5", "--expr", expr)
+    assert code == 2
+    assert err.startswith("error: expression nests deeper than 100 levels")
+    assert f"  {expr}\n  {' ' * 198}^\n" in err
+
+
 def test_seed_env_and_flag(capsys, monkeypatch):
     monkeypatch.setenv("EXCAL_SEED", "123")
     code, out, _ = run(

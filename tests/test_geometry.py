@@ -218,6 +218,16 @@ def _config(**fields):
     return doc
 
 
+def _flat_config(n):
+    """A well-formed flat chart of dimension n, whatever n is."""
+    return {
+        "dim": n,
+        "coords": [f"x{i}" for i in range(n)],
+        "metric": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+        "domain": [[0, 1]] * n,
+    }
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -231,12 +241,16 @@ def _config(**fields):
         (_config(coords=["x", "x"]), "coordinate name 'x'"),
         (_config(coords=["x", "pi"]), "coordinate name 'pi'"),
         (_config(coords=["sin", "y"]), "coordinate name 'sin'"),
+        # dim 0 failed later naming no field; a point's cost doubles with
+        # each dimension, so a large dim hung
+        (_flat_config(0), "dim must be in 1..6"),
+        (_flat_config(7), "dim must be in 1..6"),
     ],
     ids=["dim", "bound", "interval", "structure", "form", "degree", "coeffs",
-         "repeated-coord", "constant-coord", "function-coord"],
+         "repeated-coord", "constant-coord", "function-coord", "dim-0", "dim-7"],
 )
 def test_config_malformed_field_names_it(doc, field):
-    # each of these was a traceback, or a coordinate silently misread
+    # each of these was a traceback, a hang, or a coordinate silently misread
     with pytest.raises(ConfigError, match=re.escape(field)):
         load_config(doc)
 

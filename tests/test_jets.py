@@ -17,6 +17,7 @@ from excal.errors import (
 from excal.jets import (
     MAX_ORDER,
     Jet,
+    is_zero,
     jet_apply,
     jet_const,
     jet_diff,
@@ -199,3 +200,16 @@ def test_sin_cos_pythagoras():
     s, c = jet_apply("sin", x), jet_apply("cos", x)
     total = s * s + c * c
     np.testing.assert_allclose(total.c, jet_const(1.0, 2, 4).c, atol=1e-14)
+
+
+def test_is_zero():
+    # the one zero rule: a number equal to 0 (signed zero too), or a jet
+    # with no nonzero Taylor coefficient; tiny and NaN values are not zero
+    for c in (0, 0.0, -0.0, np.float64(0.0), jet_const(0.0, 2, 2), jet_const(-0.0, 2, 0)):
+        assert is_zero(c), c
+    grad_only = jet_var((0.0, 0.5), 0, 1)
+    assert grad_only.value == 0.0
+    nan_jet = jet_const(0.0, 2, 1)
+    nan_jet.c[2] = math.nan
+    for c in (1e-300, -1e-300, math.nan, grad_only, nan_jet, jet_const(1e-300, 2, 2)):
+        assert not is_zero(c), c

@@ -57,6 +57,7 @@ def test_parse_shapes():
         ("3om", "unexpected character"),
         ("(om)", "expected a name"),
         ("d(om))", "trailing input"),
+        pytest.param("d(" * 600 + "om" + ")" * 600, "nests deeper", id="deep-d"),
     ],
 )
 def test_parse_errors(src, needle):

@@ -106,6 +106,11 @@ def test_negative_base_integer_exponent():
         ("foo(x)", UnknownIdentifier),
         ("sin(x, y)", ArityError),
         ("pow(2)", ArityError),
+        # nesting past sexpr.MAX_DEPTH is refused, not a RecursionError in
+        # the parser or in evaluation
+        pytest.param("(" * 400 + "1" + ")" * 400, ExprSyntaxError, id="deep-parens"),
+        pytest.param("-" * 3000 + "1", ExprSyntaxError, id="deep-minus"),
+        pytest.param("1" + "+x" * 5000, ExprSyntaxError, id="long-sum"),
     ],
 )
 def test_parse_errors(src, exc):
