@@ -5,6 +5,8 @@ Values of scalar k-forms (AltValue) and tangent-valued k-forms
 contraction (trace), and the musical sharp.  Coefficients are any ring
 elements supporting + - * (plain floats or jets), which is how the same
 algebra serves both pointwise checks and jet-valued operator evaluation.
+By the constant rule of jets, a constant coefficient is a plain float and
+only a point-dependent one is a jet.
 
 Degrees above the dimension are canonical zero values, never errors:
 operator compositions reach them routinely.

@@ -9,6 +9,7 @@ since identity checks revisit the same sampled points many times.
 
 import itertools
 import json
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -18,7 +19,7 @@ import numpy as np
 from . import sexpr
 from .alt import AltValue, VecAltValue
 from .errors import ConfigError, PointExcluded, SingularMetric
-from .jets import jet_apply, jet_const, jet_diff, scalar_value
+from .jets import jet_apply, jet_diff, jet_space, scalar_value, truncated
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
@@ -138,6 +139,7 @@ class ChartContext:
 
     def __init__(self, geometry, p, order):
         geometry.check_point(p)
+        jet_space(geometry.n, order)  # refuses an order outside 0..MAX_ORDER
         self.geometry = geometry
         self.p = p
         self.order = order
@@ -157,11 +159,13 @@ class ChartContext:
         return self._memo("g_inv", lambda: _invert_jets(self.g()))
 
     def g_value(self):
-        return np.array([[e.value for e in row] for row in self.g()])
+        return np.array([[scalar_value(e) for e in row] for row in self.g()])
 
     def gamma(self):
         """Christoffel jets of order one less than the metric jets."""
-        return self._memo("gamma", lambda: _christoffel_jets(self.g(), self.g_inv()))
+        return self._memo(
+            "gamma", lambda: _christoffel_jets(self.g(), self.g_inv(), self.order - 1)
+        )
 
     def frame(self, descending=False):
         key = ("frame", descending)
@@ -169,7 +173,7 @@ class ChartContext:
 
     def curvature(self):
         """R[i][j][k][l] jets: coefficient of e_l in R(e_i, e_j) e_k."""
-        return self._memo("curv", lambda: _curvature_jets(self.gamma()))
+        return self._memo("curv", lambda: _curvature_jets(self.gamma(), self.order - 2))
 
     # -- fields ----------------------------------------------------------
 
@@ -196,7 +200,7 @@ def _metric_jets(G, p, order):
         [sexpr.eval_jet(G.metric[i][j], p, order) for j in range(G.n)]
         for i in range(G.n)
     ]
-    vals = np.array([[e.value for e in row] for row in g])
+    vals = np.array([[scalar_value(e) for e in row] for row in g])
     if not np.allclose(vals, vals.T, atol=1e-12, rtol=0.0):
         raise SingularMetric(f"metric not symmetric at {p}: {vals}")
     try:
@@ -209,22 +213,17 @@ def _metric_jets(G, p, order):
 
 
 def _invert_jets(g):
-    """Gauss-Jordan with partial pivoting on values, over jets."""
+    """Gauss-Jordan with partial pivoting on values, over jets and numbers."""
     n = len(g)
     a = [row[:] for row in g]
-    order = a[0][0].order
-    nv = a[0][0].n_vars
-    b = [
-        [jet_const(1.0 if i == j else 0.0, nv, order) for j in range(n)]
-        for i in range(n)
-    ]
+    b = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if abs(a[piv][col].value) < 1e-300:
+        piv = max(range(col, n), key=lambda r: abs(scalar_value(a[r][col])))
+        if abs(scalar_value(a[piv][col])) < 1e-300:
             raise SingularMetric("metric matrix is singular")
         a[col], a[piv] = a[piv], a[col]
         b[col], b[piv] = b[piv], b[col]
-        inv = a[col][col].reciprocal()
+        inv = 1.0 / a[col][col]
         a[col] = [e * inv for e in a[col]]
         b[col] = [e * inv for e in b[col]]
         for r in range(n):
@@ -258,11 +257,11 @@ def metric_lower(g, v):
     return out
 
 
-def _christoffel_jets(g, g_inv):
+def _christoffel_jets(g, g_inv, order):
+    """Christoffel symbols as jets of the given order, one less than g's."""
     n = len(g)
     dg = [[[jet_diff(g[i][j], l) for l in range(n)] for j in range(n)] for i in range(n)]
-    order = dg[0][0][0].order
-    ginv = [[e.truncate(order) for e in row] for row in g_inv]
+    ginv = [[truncated(e, order) for e in row] for row in g_inv]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -277,36 +276,33 @@ def _christoffel_jets(g, g_inv):
 def _gram_schmidt(g, descending=False):
     """Orthonormal frame jets from the coordinate frame.
 
-    Returns n tangent vectors as VecAltValue degree 0 with jet components,
-    in the order they were orthonormalized.
+    Returns n tangent vectors as VecAltValue degree 0 with jet or number
+    components, in the order they were orthonormalized.
     """
     n = len(g)
-    nv = g[0][0].n_vars
-    order = g[0][0].order
     idx = list(range(n - 1, -1, -1)) if descending else list(range(n))
     frame = []
     for a in idx:
-        v = [jet_const(1.0 if i == a else 0.0, nv, order) for i in range(n)]
+        v = [1.0 if i == a else 0.0 for i in range(n)]
         for u in frame:
             c = metric_inner(g, v, u)
             v = [vi - c * ui for vi, ui in zip(v, u)]
         nrm = metric_inner(g, v, v)
-        if nrm.value <= 0:
+        if scalar_value(nrm) <= 0:
             raise SingularMetric("Gram-Schmidt hit a nonpositive norm")
-        inv = jet_apply("sqrt", nrm).reciprocal()
+        inv = 1.0 / jet_apply("sqrt", nrm)
         frame.append([vi * inv for vi in v])
     return [VecAltValue.from_vector(v) for v in frame]
 
 
-def _curvature_jets(gamma):
-    """R(e_i, e_j) e_k = sum_l R[i][j][k][l] e_l, from Christoffel jets."""
+def _curvature_jets(gamma, order):
+    """R(e_i, e_j) e_k = sum_l R[i][j][k][l] e_l, as jets of the given order."""
     n = len(gamma)
     dgam = [
         [[[jet_diff(gamma[l][i][j], m) for m in range(n)] for j in range(n)] for i in range(n)]
         for l in range(n)
     ]
-    order = dgam[0][0][0][0].order
-    gam = [[[e.truncate(order) for e in row] for row in mat] for mat in gamma]
+    gam = [[[truncated(e, order) for e in row] for row in mat] for mat in gamma]
     R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -344,7 +340,7 @@ def curvature(G, p):
     R = ctx.curvature()
     n = G.n
     return [
-        [[[R[i][j][k][l].value for l in range(n)] for k in range(n)] for j in range(n)]
+        [[[scalar_value(R[i][j][k][l]) for l in range(n)] for k in range(n)] for j in range(n)]
         for i in range(n)
     ]
 
@@ -402,12 +398,24 @@ def _object(value, what):
     return value
 
 
-def _number(value, what, convert=float):
-    """convert(value), or a ConfigError naming the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+def _integer(value, what):
+    """A JSON integer field, or a ConfigError naming it: a bool, a string
+    or a float is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _finite(value, what):
+    """A finite JSON number field as a float, or a ConfigError naming it: a
+    bool, a string, an infinity or a NaN is refused."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
 def load_config(doc):
@@ -419,13 +427,13 @@ def load_config(doc):
     if version != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {version!r}")
     try:
-        n = _number(doc["dim"], "dim", int)
+        n = _integer(doc["dim"], "dim")
         if not 1 <= n <= MAX_DIM:
             raise ConfigError(f"dim must be in 1..{MAX_DIM}, got {n}")
         coords = list(_array(doc["coords"], "coords"))
         metric_src = _array(doc["metric"], "metric")
         domain = [
-            [_number(b, "domain bound") for b in _array(iv, "domain interval", 2)]
+            [_finite(b, "domain bound") for b in _array(iv, "domain interval", 2)]
             for iv in _array(doc["domain"], "domain")
         ]
     except KeyError as exc:
@@ -456,7 +464,9 @@ def load_config(doc):
     forms = {}
     for fname, fdoc in _object(doc.get("forms"), "forms").items():
         fdoc = _object(fdoc, f"form {fname!r}")
-        k = _number(fdoc.get("degree"), f"degree of form {fname!r}", int)
+        k = _integer(fdoc.get("degree"), f"degree of form {fname!r}")
+        if not 0 <= k <= n:
+            raise ConfigError(f"degree of form {fname!r} must be in 0..{n}, got {k}")
         coeffs = {}
         for key, src in _object(fdoc.get("coeffs"), f"coeffs of form {fname!r}").items():
             t = _key_to_tuple(key, n) if key else ()

@@ -7,6 +7,14 @@ error.  Storage is dense over all multi-indices of total degree <= order,
 in graded lexicographic order; truncating to a lower order is a prefix
 slice.  Internally coefficients are Taylor-normalized (d^a f / a!), the
 raw partials are recovered by :func:`jet_partial`.
+
+The constant rule: a value that does not depend on the point is a plain
+number, and a value that does is a jet, even at order 0.  Only jets carry
+derivatives, so JetBudgetExhausted fires exactly when a point-dependent
+value is differentiated past its order, while a constant differentiates
+to 0.0 at any order.  The functions that read or transform one
+coefficient take a number as a constant: is_zero, scalar_value,
+jet_partial, jet_diff, truncated and jet_apply.
 """
 
 import math
@@ -141,10 +149,6 @@ class Jet:
     def __init__(self, space, coeffs):
         self.space = space
         self.c = coeffs
-
-    @property
-    def n_vars(self):
-        return self.space.n
 
     @property
     def order(self):
@@ -317,7 +321,11 @@ def scalar_value(c):
 
 
 def jet_partial(a, alpha):
+    """The raw partial d^alpha a at the point; a plain number is constant,
+    so it is its own value and every other partial of it is 0.0."""
     alpha = tuple(alpha)
+    if not isinstance(a, Jet):
+        return 0.0 if any(alpha) else float(a)
     if len(alpha) != a.space.n:
         raise ShapeMismatch("multi-index length does not match variable count")
     if sum(alpha) > a.order:
@@ -326,6 +334,11 @@ def jet_partial(a, alpha):
         )
     i = a.space.index[alpha]
     return float(a.c[i] * a.space.fact[i])
+
+
+def truncated(a, order):
+    """A jet truncated to order; a plain number passes through unchanged."""
+    return a.truncate(order) if isinstance(a, Jet) else a
 
 
 def jet_diff(a, i):
@@ -395,7 +408,15 @@ def _series(fn, x0, order, r=None):
 
 
 def jet_apply(fn, a, r=None):
-    """Apply an elementary function to a jet by Taylor composition."""
+    """Apply an elementary function to a jet by Taylor composition, or to a
+    plain number through math."""
+    if not isinstance(a, Jet):
+        if fn in ("log", "sqrt") and a <= 0.0:
+            raise DomainError(fn, a)
+        try:
+            return getattr(math, fn)(a)
+        except (OverflowError, ValueError):  # math range and domain errors
+            raise DomainError(fn, a)
     if not math.isfinite(a.value):
         raise DomainError(fn, a.value)
     try:

@@ -1,9 +1,11 @@
 """Operator calculus on jet-valued forms at a chart point.
 
 All operators act on AltValue / VecAltValue objects whose coefficients are
-jets, obtained from fields via FormField.at(ctx).  Differentiation
-consumes one jet order per application; compositions fail loudly
-(JetBudgetExhausted) when the budget runs out.
+jets or, where constant, plain numbers, obtained from fields via
+FormField.at(ctx).  Differentiation consumes one jet order per
+application; differentiating a point-dependent coefficient past its order
+fails loudly (JetBudgetExhausted), while a constant one differentiates to
+zero at any order.
 
 Sign conventions, fixed globally:
   [A, B]  = A o B - (-1)^{|A||B|} B o A
@@ -18,7 +20,7 @@ from .alt import AltValue, VecAltValue, _lookup, _shuffles, interior, sharp, wed
 from .compare import alt_errors, exceeds
 from .errors import DegreeError, NotADerivation, ReconstructionMismatch
 from .geometry import metric_lower
-from .jets import is_zero, jet_const, jet_diff, jet_var, scalar_value
+from .jets import is_zero, jet_diff, jet_var, scalar_value
 from .prng import SplitMix64, derive_seed
 
 
@@ -68,7 +70,8 @@ def nabla_coord(ctx, a, w):
     n, k = w.n, w.k
     out = {}
     for I in combinations(range(n), k):
-        acc = jet_diff(w.coeffs.get(I, 0.0), a)
+        c = w.coeffs.get(I)
+        acc = None if c is None else jet_diff(c, a)
         for s in range(k):
             for m in range(n):
                 if gz[m][a][I[s]]:
@@ -76,8 +79,10 @@ def nabla_coord(ctx, a, w):
                 cm = _lookup(w, I[:s] + (m,) + I[s + 1 :])
                 if cm is None:
                     continue
-                acc = acc - gamma[m][a][I[s]] * cm
-        out[I] = acc
+                term = gamma[m][a][I[s]] * cm
+                acc = -term if acc is None else acc - term
+        if acc is not None:
+            out[I] = acc
     return AltValue(n, k, out)
 
 
@@ -246,7 +251,7 @@ def _coord_fn(ctx, c):
 
 def _coord_one_form(ctx, c):
     n = ctx.geometry.n
-    return AltValue(n, 1, {(c,): jet_const(1.0, n, ctx.order)})
+    return AltValue(n, 1, {(c,): 1.0})
 
 
 def _test_form(ctx, degree, seed):
@@ -255,7 +260,7 @@ def _test_form(ctx, degree, seed):
     rng = SplitMix64(derive_seed(seed, n, degree, "fn-test"))
     coeffs = {}
     for I in combinations(range(n), degree):
-        c = jet_const(rng.uniform(-1.0, 1.0), n, ctx.order)
+        c = rng.uniform(-1.0, 1.0)
         for v in range(n):
             c = c + rng.uniform(-1.0, 1.0) * jet_var(ctx.p, v, ctx.order)
         coeffs[I] = c

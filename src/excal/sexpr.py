@@ -14,7 +14,8 @@ tree nests at most MAX_DEPTH levels (a parenthesised group counts as one),
 so neither parsing nor evaluation can exhaust the Python stack.
 One walk evaluates an expression either to a plain float or to a jet.
 Literals and constants evaluate as numbers, so jet arithmetic starts only
-at a coordinate; a subexpression free of coordinates stays a float.
+at a coordinate; an expression or subexpression free of coordinates stays
+a float.
 """
 
 import math
@@ -31,7 +32,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from .jets import Jet, jet_apply, jet_const, jet_var
+from .jets import Jet, jet_apply, jet_var
 
 FUNCTIONS = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "pow": 2}
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -260,11 +261,12 @@ class _CoordJets:
 
 
 def eval_jet(e, p, order):
-    """Evaluate an expression to a jet at point p."""
+    """Evaluate an expression at point p: a jet of the given order when it
+    reads a coordinate, else a plain float, as the constant rule of jets
+    has it."""
     # an overflowing product is refused as a typed error where it is used
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _eval(e, _CoordJets(p, order))
-    return v if isinstance(v, Jet) else jet_const(v, len(p), order)
+        return _eval(e, _CoordJets(p, order))
 
 
 def eval_value(e, p):
@@ -292,7 +294,7 @@ def _eval(e, xs):
         raise TypeError(f"not an expression node: {e!r}")
     try:
         op = _ARITH.get(fn)
-        return op(*args) if op else _apply(fn, *args)
+        return op(*args) if op else jet_apply(fn, *args)
     except (DomainError, DivisionByZeroAtPoint) as exc:
         if not getattr(exc, "span", None):
             exc.span = e.offset
@@ -305,23 +307,14 @@ def _div(a, b):
     return a / b
 
 
-def _apply(fn, x):
-    """An elementary function of a jet, or of a number through math."""
-    if isinstance(x, Jet):
-        return jet_apply(fn, x)
-    if fn in ("log", "sqrt") and x <= 0.0:
-        raise DomainError(fn, x)
-    try:
-        return getattr(math, fn)(x)
-    except (OverflowError, ValueError):  # math range and domain errors
-        raise DomainError(fn, x)
-
-
 def _pow(a, b):
-    """a^b: exp(b log a) for a non-constant jet b, else a power by a number."""
+    """a^b: exp(b log a) for a non-constant jet b, else a power by a number;
+    a jet b keeps the power a jet, even when a is a number."""
     if isinstance(b, Jet):
         if b.c[1:].any():
-            return _apply("exp", b * _apply("log", a))
+            return jet_apply("exp", b * jet_apply("log", a))
+        if not isinstance(a, Jet):
+            return b * 0.0 + _pow(a, b.value)
         b = b.value
     if isinstance(a, Jet):
         return a**b

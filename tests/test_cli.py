@@ -205,6 +205,32 @@ def test_eval_catalog_entry_by_name(capsys):
         assert got[key] == pytest.approx(-eta[key], abs=1e-9)
 
 
+def test_eval_order_zero_differentiates_constants(capsys):
+    # delta(Omega) is exactly 0 on a flat Kaehler chart, whose coefficients
+    # are constants; d(Omega) on hopf_lck needs a jet order it was not given
+    code, out, _ = run(
+        capsys, "eval", "flat_kahler(1)", "--order", "0", "--at", "0.5,0.5",
+        "--expr", "delta(Omega)",
+    )
+    assert code == 0 and out == "0\n"
+    code, _, err = run(
+        capsys, "eval", "hopf_lck", "--order", "0", "--at", "0.5,0.5,0.5,0.5",
+        "--expr", "d(Omega)",
+    )
+    assert code == 2
+    assert err.startswith("error: JetBudgetExhausted") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ["-1", "5"])
+def test_eval_order_out_of_range_exits_two(capsys, order):
+    # refused even where every coefficient is a constant and no jet is built
+    code, _, err = run(
+        capsys, "eval", "flat_kahler(1)", "--order", order, "--at", "0.5,0.5",
+        "--expr", "Omega",
+    )
+    assert code == 2 and err.startswith("error: JetBudgetExhausted")
+
+
 def test_eval_syntax_error_has_caret(capsys, eval_config):
     code, _, err = run(capsys, "eval", eval_config, "--expr", "d(f", "--at", "0,0")
     assert code == 2

@@ -22,7 +22,7 @@ from excal.geometry import (
     orthonormal_frame,
     sample_points,
 )
-from excal.jets import jet_partial
+from excal.jets import Jet, jet_partial, scalar_value
 
 
 def conformal_2d():
@@ -44,7 +44,7 @@ def test_euclidean_christoffels_vanish():
     for k in range(3):
         for i in range(3):
             for j in range(3):
-                assert gam[k][i][j].value == pytest.approx(0.0, abs=1e-14)
+                assert scalar_value(gam[k][i][j]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sphere_christoffels():
@@ -83,11 +83,35 @@ def test_metric_compatibility(name):
             for j in range(n):
                 dg = jet_partial(g[i][j], e_a)
                 rhs = sum(
-                    gam[m][a][i].value * g[m][j].value
-                    + gam[m][a][j].value * g[i][m].value
+                    scalar_value(gam[m][a][i]) * scalar_value(g[m][j])
+                    + scalar_value(gam[m][a][j]) * scalar_value(g[i][m])
                     for m in range(n)
                 )
                 assert dg == pytest.approx(rhs, abs=1e-10)
+
+
+def _entries(x):
+    """The scalars of a nested list."""
+    return [e for item in x for e in _entries(item)] if isinstance(x, list) else [x]
+
+
+def test_flat_chart_values_are_numbers():
+    # the constant rule: a constant metric gives plain numbers all the way
+    # down, even at jet order 2
+    G = builtin("euclidean(3)").geometry
+    ctx = G.context((0.2, -0.4, 0.7), 2)
+    values = _entries([ctx.g(), ctx.g_inv(), ctx.gamma(), ctx.curvature()])
+    for descending in (False, True):
+        values += [c for X in ctx.frame(descending) for c in X.as_vector()]
+    assert len(values) == 9 + 9 + 27 + 81 + 18
+    assert all(isinstance(v, float) for v in values)
+
+
+def test_metric_entry_is_a_jet_where_it_depends_on_the_point():
+    # sphere2 has g = diag(1, sin(theta)^2)
+    g = builtin("sphere2").geometry.context((1.0, 2.0), 2).g()
+    assert isinstance(g[0][0], float) and g[0][0] == 1.0
+    assert isinstance(g[1][1], Jet) and g[1][1].order == 2
 
 
 def test_sphere_sectional_curvature_is_one():
@@ -116,8 +140,8 @@ def test_hopf_metric_values():
     for i in range(4):
         for j in range(4):
             want = (1.0 / r2 if i == j else 0.0)
-            assert g[i][j].value == pytest.approx(want)
-            assert g_inv[i][j].value == pytest.approx(r2 if i == j else 0.0)
+            assert scalar_value(g[i][j]) == pytest.approx(want)
+            assert scalar_value(g_inv[i][j]) == pytest.approx(r2 if i == j else 0.0)
 
 
 @pytest.mark.parametrize("name", ["sphere2", "sasakian_s3", "hopf_lck"])
@@ -179,8 +203,8 @@ def test_metric_helpers_match_numpy():
     gv = G.context(p, 1).g_value()
     assert gv[1][2] != 0.0  # a non-diagonal metric
     u, v = [0.3, -1.2, 0.7], [1.1, 0.4, -0.9]
-    assert metric_inner(g, u, v).value == pytest.approx(np.array(u) @ gv @ np.array(v), abs=1e-14)
-    low = [c.value for c in metric_lower(g, v)]
+    assert scalar_value(metric_inner(g, u, v)) == pytest.approx(np.array(u) @ gv @ np.array(v), abs=1e-14)
+    low = [scalar_value(c) for c in metric_lower(g, v)]
     np.testing.assert_allclose(low, gv @ np.array(v), rtol=0, atol=1e-14)
 
 
@@ -228,6 +252,12 @@ def _flat_config(n):
     }
 
 
+def _form_config(degree, coeffs=None):
+    """A flat 1-D chart with one form w of the given degree."""
+    coeffs = {"1": "x0"} if coeffs is None else coeffs
+    return dict(_flat_config(1), forms={"w": {"degree": degree, "coeffs": coeffs}})
+
+
 @pytest.mark.parametrize(
     "doc, field",
     [
@@ -245,9 +275,29 @@ def _flat_config(n):
         # each dimension, so a large dim hung
         (_flat_config(0), "dim must be in 1..6"),
         (_flat_config(7), "dim must be in 1..6"),
+        # each of these loaded, truncated or coerced to a number (an
+        # infinite bound sampled the point inf and passed checks there),
+        # or, for an integer beyond the float range, was an OverflowError
+        (dict(_flat_config(1), dim=1.9), "dim must be an integer"),
+        (dict(_flat_config(1), dim=True), "dim must be an integer"),
+        (dict(_flat_config(1), dim="1"), "dim must be an integer"),
+        (_form_config(1.7), "degree of form 'w' must be an integer"),
+        (_form_config(True), "degree of form 'w' must be an integer"),
+        (_form_config("1"), "degree of form 'w' must be an integer"),
+        (_form_config(-1, {}), "degree of form 'w' must be in 0..1"),
+        (dict(_config(), forms={"w": {"degree": 5, "coeffs": {}}}),
+         "degree of form 'w' must be in 0..2"),
+        (dict(_flat_config(1), domain=[[0, True]]), "domain bound must be a finite number"),
+        (dict(_flat_config(1), domain=[[0, "0.5"]]), "domain bound must be a finite number"),
+        (dict(_flat_config(1), domain=[[0, math.inf]]), "domain bound must be a finite number"),
+        (dict(_flat_config(1), domain=[[math.nan, 1]]), "domain bound must be a finite number"),
+        (dict(_flat_config(1), domain=[[0, 10**400]]), "domain bound must be a finite number"),
     ],
     ids=["dim", "bound", "interval", "structure", "form", "degree", "coeffs",
-         "repeated-coord", "constant-coord", "function-coord", "dim-0", "dim-7"],
+         "repeated-coord", "constant-coord", "function-coord", "dim-0", "dim-7",
+         "dim-float", "dim-bool", "dim-string", "degree-float", "degree-bool",
+         "degree-string", "degree-negative", "degree-above-dim", "bound-bool",
+         "bound-string", "bound-inf", "bound-nan", "bound-huge"],
 )
 def test_config_malformed_field_names_it(doc, field):
     # each of these was a traceback, a hang, or a coordinate silently misread

@@ -24,6 +24,7 @@ from excal.jets import (
     jet_partial,
     jet_space,
     jet_var,
+    truncated,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -130,6 +131,8 @@ def test_truncation_is_prefix_slice():
     np.testing.assert_allclose(t.c, f.c[: t.space.size])
     with pytest.raises(OrderExceeded):
         t.truncate(3)
+    assert truncated(f, 3) is f
+    np.testing.assert_array_equal(truncated(f, 1).c, t.c)
 
 
 def test_mixed_order_operands_auto_truncate():
@@ -213,3 +216,14 @@ def test_is_zero():
     nan_jet.c[2] = math.nan
     for c in (1e-300, -1e-300, math.nan, grad_only, nan_jet, jet_const(1e-300, 2, 2)):
         assert not is_zero(c), c
+
+
+def test_numbers_are_constants():
+    # the constant rule: a plain number is a point-independent value
+    assert jet_apply("sqrt", 4) == 2.0
+    for fn, x in (("log", -1.0), ("exp", 1000.0), ("sqrt", 0.0)):
+        with pytest.raises(DomainError):
+            jet_apply(fn, x)
+    assert jet_partial(2.5, (0, 0)) == 2.5
+    assert jet_partial(2.5, (1, 0)) == 0.0
+    assert truncated(2.5, 0) == 2.5

@@ -8,7 +8,7 @@ from excal import sexpr
 from excal.alt import AltValue, VecAltValue, interior, trace, wedge
 from excal.catalog import builtin
 from excal.compare import alt_errors, within, zero_like
-from excal.errors import NonFiniteValue, NotADerivation
+from excal.errors import JetBudgetExhausted, NonFiniteValue, NotADerivation
 from excal.geometry import sample_points
 from excal.jets import Jet, jet_diff
 from excal.operators import (
@@ -266,6 +266,28 @@ def test_curvature_shuffle_matches_dnabla_squared():
     lhs = value_of(d_nabla(ctx, d_nabla(ctx, phi)))
     rhs = value_of(curvature_shuffle(ctx, phi))
     assert within(lhs, rhs, atol=1e-10)
+
+
+def test_constant_coefficients_need_no_jet_order():
+    # delta Omega on a flat Kaehler chart reads only constant coefficients,
+    # so an order-0 context gives the order-2 value (exactly 0) instead of
+    # exhausting the jet budget
+    G = builtin("flat_kahler(1)").geometry
+    values = []
+    for order in (0, 2):
+        ctx = G.context((0.5, 0.5), order)
+        values.append(value_of(codiff(ctx, G.forms["Omega"].at(ctx))).coeffs)
+    assert values[0] == values[1]
+
+
+def test_point_dependent_coefficients_exhaust_the_jet_budget():
+    H = builtin("hopf_lck").geometry
+    ctx = H.context((0.5, 0.5, 0.5, 0.5), 0)
+    with pytest.raises(JetBudgetExhausted):
+        ext_d(ctx, H.forms["Omega"].at(ctx))
+    ctx = ctx_at(E3, order=0)
+    with pytest.raises(JetBudgetExhausted):
+        ext_d(ctx, random_form(E3, 1, seed=3).at(ctx))
 
 
 def test_value_of_strips_jets():

@@ -12,8 +12,10 @@ from excal.errors import (
     DivisionByZeroAtPoint,
     DomainError,
     ExprSyntaxError,
+    JetBudgetExhausted,
     UnknownIdentifier,
 )
+from excal.jets import Jet, jet_diff
 
 XY = ["x", "y"]
 
@@ -78,6 +80,29 @@ def test_jet_power_with_variable_exponent():
     j = sexpr.eval_jet(sexpr.parse("2^x", XY), (3.0, 0.0), 1)
     assert j.value == pytest.approx(8.0)
     assert jet_partial(j, (1, 0)) == pytest.approx(8.0 * math.log(2.0))
+
+
+def test_constant_expression_is_a_number():
+    # the constant rule: an expression that reads no coordinate evaluates to
+    # a plain float at any order, the float that eval_value gives
+    e = sexpr.parse("2*pi - sqrt(4)", XY)
+    for order in (0, 2):
+        v = sexpr.eval_jet(e, (0.5, 2.0), order)
+        assert type(v) is float and v == sexpr.eval_value(e, (0.5, 2.0))
+
+
+@pytest.mark.parametrize(
+    "src, order", [("x", 0), ("x - x", 0), ("2^x", 0), ("2^(x^2)", 1)]
+)
+def test_point_dependent_expression_stays_a_jet(src, order):
+    # even where its derivatives vanish at the point, so that differentiating
+    # it past its order raises rather than silently reading 0
+    j = sexpr.eval_jet(sexpr.parse(src, XY), (0.0, 2.0), order)
+    assert isinstance(j, Jet) and j.order == order
+    for _ in range(order):
+        j = jet_diff(j, 0)
+    with pytest.raises(JetBudgetExhausted):
+        jet_diff(j, 0)
 
 
 def test_negative_base_integer_exponent():
