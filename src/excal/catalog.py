@@ -6,6 +6,8 @@ and a list of structural validation checks that must pass at 20 seeded
 points before the entry is served.
 """
 
+import re
+
 from .alt import AltValue, VecAltValue, interior, sharp, wedge, wedge_sv
 from .compare import alt_errors, exceeds, zero_like
 from .errors import NonFiniteValue, UnknownEntry, ValidationFailed
@@ -378,24 +380,27 @@ FAMILIES = [
 ]
 
 
+_NAME = re.compile(r"(\w+)(?:\(([0-9]+)\))?")
+
+
 def _parse_name(name):
-    name = name.strip()
-    if "(" in name:
-        base, _, rest = name.partition("(")
-        arg = rest.rstrip(")").strip()
+    """(base, argument or None) of a catalog name with its spaces removed:
+    exactly `base` or `base(<digits>)`, anything else an UnknownEntry."""
+    m = _NAME.fullmatch(name)
+    if m is not None:
         try:
-            return base.strip(), int(arg)
-        except ValueError:
-            raise UnknownEntry(f"bad catalog entry name {name!r}")
-    return name, None
+            return m[1], None if m[2] is None else int(m[2])
+        except ValueError:  # more digits than int() reads
+            pass
+    raise UnknownEntry(f"bad catalog entry name {name!r}")
 
 
 def builtin(name):
     """Return a validated catalog entry by name, e.g. 'flat_kahler(2)'."""
-    key = name.replace(" ", "")
+    key = _parse_name(name.replace(" ", ""))
     if key in _cache:
         return _cache[key]
-    base, arg = _parse_name(key)
+    base, arg = key
     if base == "euclidean" and arg is not None:
         entry = _build_euclidean(arg)
     elif base == "flat_torus" and arg is not None:

@@ -4,7 +4,10 @@ A Geometry is a single coordinate chart with expression-valued metric
 entries, a sampling box with optional exclusion predicate, and optional
 structure tensors (J, phi, xi, eta, theta).  All evaluation goes through
 per-point ChartContext objects that cache metric/Christoffel/frame jets,
-since identity checks revisit the same sampled points many times.
+since identity checks revisit the same sampled points many times.  A
+context is the one place a point becomes jets: it builds its coordinate
+jets once, as ``coords``, and every jet at the point is evaluated from
+them, so the orders of everything derived follow from the jets rule.
 """
 
 import itertools
@@ -19,7 +22,7 @@ import numpy as np
 from . import sexpr
 from .alt import AltValue, VecAltValue
 from .errors import ConfigError, PointExcluded, SingularMetric
-from .jets import jet_apply, jet_diff, jet_space, scalar_value, truncated
+from .jets import jet_apply, jet_diff, jet_var, scalar_value
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
@@ -74,7 +77,7 @@ class FormField:
     def _eval(self, ctx):
         out = {}
         for key, e in self.coeffs.items():
-            out[key] = sexpr.eval_jet(e, ctx.p, ctx.order)
+            out[key] = sexpr.eval_jet(e, ctx.coords)
         return AltValue(ctx.geometry.n, self.degree, out)
 
 
@@ -135,14 +138,19 @@ class Geometry:
 
 
 class ChartContext:
-    """Cached jet data for one (geometry, point, order) triple."""
+    """Cached jet data for one (geometry, point, order) triple.
+
+    ``coords[i]`` is the jet of coordinate i at the point, of the context's
+    order; every jet at the point is built from these.
+    """
 
     def __init__(self, geometry, p, order):
         geometry.check_point(p)
-        jet_space(geometry.n, order)  # refuses an order outside 0..MAX_ORDER
         self.geometry = geometry
         self.p = p
         self.order = order
+        # refuses an order outside 0..MAX_ORDER
+        self.coords = tuple(jet_var(p, i, order) for i in range(geometry.n))
         self._cache = {}
 
     def _memo(self, key, fn):
@@ -153,7 +161,7 @@ class ChartContext:
     # -- metric ----------------------------------------------------------
 
     def g(self):
-        return self._memo("g", lambda: _metric_jets(self.geometry, self.p, self.order))
+        return self._memo("g", lambda: _metric_jets(self))
 
     def g_inv(self):
         return self._memo("g_inv", lambda: _invert_jets(self.g()))
@@ -163,9 +171,7 @@ class ChartContext:
 
     def gamma(self):
         """Christoffel jets of order one less than the metric jets."""
-        return self._memo(
-            "gamma", lambda: _christoffel_jets(self.g(), self.g_inv(), self.order - 1)
-        )
+        return self._memo("gamma", lambda: _christoffel_jets(self.g(), self.g_inv()))
 
     def frame(self, descending=False):
         key = ("frame", descending)
@@ -173,7 +179,7 @@ class ChartContext:
 
     def curvature(self):
         """R[i][j][k][l] jets: coefficient of e_l in R(e_i, e_j) e_k."""
-        return self._memo("curv", lambda: _curvature_jets(self.gamma(), self.order - 2))
+        return self._memo("curv", lambda: _curvature_jets(self.gamma()))
 
     # -- fields ----------------------------------------------------------
 
@@ -183,7 +189,7 @@ class ChartContext:
     def _eval_structure(self, name):
         if name not in STRUCTURES:
             raise ConfigError(f"unknown structure tensor {name!r}")
-        ev = lambda e: sexpr.eval_jet(e, self.p, self.order)
+        ev = lambda e: sexpr.eval_jet(e, self.coords)
         vals = _map_structure(name, self.geometry.structures[name], ev)
         if STRUCTURES[name] == "endomorphism":
             return VecAltValue.from_endomorphism(vals)
@@ -195,20 +201,17 @@ class ChartContext:
 # -- metric machinery ------------------------------------------------------
 
 
-def _metric_jets(G, p, order):
-    g = [
-        [sexpr.eval_jet(G.metric[i][j], p, order) for j in range(G.n)]
-        for i in range(G.n)
-    ]
+def _metric_jets(ctx):
+    g = [[sexpr.eval_jet(e, ctx.coords) for e in row] for row in ctx.geometry.metric]
     vals = np.array([[scalar_value(e) for e in row] for row in g])
     if not np.allclose(vals, vals.T, atol=1e-12, rtol=0.0):
-        raise SingularMetric(f"metric not symmetric at {p}: {vals}")
+        raise SingularMetric(f"metric not symmetric at {ctx.p}: {vals}")
     try:
         eig = np.linalg.eigvalsh(vals)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(str(exc))
     if eig.min() <= 0:
-        raise SingularMetric(f"metric not positive-definite at {p} (eigmin={eig.min()})")
+        raise SingularMetric(f"metric not positive-definite at {ctx.p} (eigmin={eig.min()})")
     return g
 
 
@@ -257,16 +260,15 @@ def metric_lower(g, v):
     return out
 
 
-def _christoffel_jets(g, g_inv, order):
-    """Christoffel symbols as jets of the given order, one less than g's."""
+def _christoffel_jets(g, g_inv):
+    """Christoffel symbols as jets of one order less than g's."""
     n = len(g)
     dg = [[[jet_diff(g[i][j], l) for l in range(n)] for j in range(n)] for i in range(n)]
-    ginv = [[truncated(e, order) for e in row] for row in g_inv]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             first_kind = [dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in range(n)]
-            for k, acc in enumerate(metric_lower(ginv, first_kind)):
+            for k, acc in enumerate(metric_lower(g_inv, first_kind)):
                 val = acc * 0.5
                 gamma[k][i][j] = val
                 gamma[k][j][i] = val
@@ -295,14 +297,14 @@ def _gram_schmidt(g, descending=False):
     return [VecAltValue.from_vector(v) for v in frame]
 
 
-def _curvature_jets(gamma, order):
-    """R(e_i, e_j) e_k = sum_l R[i][j][k][l] e_l, as jets of the given order."""
-    n = len(gamma)
+def _curvature_jets(gam):
+    """R(e_i, e_j) e_k = sum_l R[i][j][k][l] e_l, as jets of one order less
+    than the Christoffel symbols'."""
+    n = len(gam)
     dgam = [
-        [[[jet_diff(gamma[l][i][j], m) for m in range(n)] for j in range(n)] for i in range(n)]
+        [[[jet_diff(gam[l][i][j], m) for m in range(n)] for j in range(n)] for i in range(n)]
         for l in range(n)
     ]
-    gam = [[[truncated(e, order) for e in row] for row in mat] for mat in gamma]
     R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -313,36 +315,6 @@ def _curvature_jets(gamma, order):
                         acc = acc + gam[m][j][k] * gam[l][i][m] - gam[m][i][k] * gam[l][j][m]
                     R[i][j][k][l] = acc
     return R
-
-
-# -- convenience evaluation surface ----------------------------------------
-
-
-def metric_at(G, p, order):
-    ctx = G.context(p, order)
-    return ctx.g(), ctx.g_inv()
-
-
-def christoffel(G, p, order):
-    ctx = G.context(p, order + 1)
-    return ctx.gamma()
-
-
-def orthonormal_frame(G, p, descending=False):
-    ctx = G.context(p, 0)
-    return [
-        [scalar_value(c) for c in v.as_vector()] for v in ctx.frame(descending=descending)
-    ]
-
-
-def curvature(G, p):
-    ctx = G.context(p, 2)
-    R = ctx.curvature()
-    n = G.n
-    return [
-        [[[scalar_value(R[i][j][k][l]) for l in range(n)] for k in range(n)] for j in range(n)]
-        for i in range(n)
-    ]
 
 
 # -- point sampling ---------------------------------------------------------
@@ -418,6 +390,22 @@ def _finite(value, what):
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
+def _interval(iv):
+    """A domain interval [lo, hi] as floats, or a ConfigError naming it:
+    lo > hi, or a width hi - lo beyond the float range, is refused."""
+    lo, hi = (_finite(b, "domain bound") for b in _array(iv, "domain interval", 2))
+    if not lo <= hi or not math.isfinite(hi - lo):
+        raise ConfigError(f"domain interval {iv!r} must have lo <= hi and a finite width")
+    return [lo, hi]
+
+
+def _string(value, what):
+    """A JSON string field, or a ConfigError naming it."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def load_config(doc):
     """Build a Geometry (with named forms) from a parsed JSON document; a
     malformed field raises ConfigError naming it."""
@@ -432,10 +420,7 @@ def load_config(doc):
             raise ConfigError(f"dim must be in 1..{MAX_DIM}, got {n}")
         coords = list(_array(doc["coords"], "coords"))
         metric_src = _array(doc["metric"], "metric")
-        domain = [
-            [_finite(b, "domain bound") for b in _array(iv, "domain interval", 2)]
-            for iv in _array(doc["domain"], "domain")
-        ]
+        domain = [_interval(iv) for iv in _array(doc["domain"], "domain")]
     except KeyError as exc:
         raise ConfigError(f"config missing field {exc}")
     if len(coords) != n or len(domain) != n:
@@ -482,7 +467,7 @@ def load_config(doc):
         exclude=exclude,
         structures=structures,
         forms=forms,
-        name=doc.get("name", "chart"),
+        name=_string(doc.get("name", "chart"), "name"),
     )
 
 

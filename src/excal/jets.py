@@ -4,9 +4,15 @@ A jet carries the exact partial derivatives of a scalar quantity at a
 point up to a configured order, so every differential-operator identity
 downstream holds to floating-point roundoff rather than finite-difference
 error.  Storage is dense over all multi-indices of total degree <= order,
-in graded lexicographic order; truncating to a lower order is a prefix
-slice.  Internally coefficients are Taylor-normalized (d^a f / a!), the
-raw partials are recovered by :func:`jet_partial`.
+in graded lexicographic order, so a jet's coefficients up to a lower order
+are a prefix of its array.  Internally coefficients are Taylor-normalized
+(d^a f / a!), the raw partials are recovered by :func:`jet_partial`.
+
+The order rule: arithmetic on two jets of different orders gives a jet of
+the lower order, reading the longer operand's prefix in place, so no
+caller tracks orders; :func:`jet_diff` is the only thing that lowers an
+order.  Reading in place is safe because a jet's array is never written
+after the jet is built.
 
 The constant rule: a value that does not depend on the point is a plain
 number, and a value that does is a jet, even at order 0.  Only jets carry
@@ -14,7 +20,7 @@ derivatives, so JetBudgetExhausted fires exactly when a point-dependent
 value is differentiated past its order, while a constant differentiates
 to 0.0 at any order.  The functions that read or transform one
 coefficient take a number as a constant: is_zero, scalar_value,
-jet_partial, jet_diff, truncated and jet_apply.
+jet_partial, jet_diff and jet_apply.
 """
 
 import math
@@ -171,17 +177,16 @@ class Jet:
     # -- arithmetic -----------------------------------------------------
 
     def _coerce(self, other):
-        """self and a jet other, truncated to their common order."""
-        if not isinstance(other, Jet):
-            return self, NotImplemented
+        """The common space of self and a jet other, the lower order's, and
+        each one's coefficients read at it: prefix views, not copies."""
         if other.space is self.space:
-            return self, other
+            return self.space, self.c, other.c
         if other.space.n != self.space.n:
             raise ShapeMismatch(
                 f"jet variable counts differ: {self.space.n} vs {other.space.n}"
             )
-        k = min(self.order, other.order)
-        return self.truncate(k), other.truncate(k)
+        sp = self.space if self.order < other.order else other.space
+        return sp, self.c[: sp.size], other.c[: sp.size]
 
     def _shift(self, v):
         """self + v for a number v: only the value coefficient moves."""
@@ -192,28 +197,25 @@ class Jet:
     def __add__(self, other):
         if isinstance(other, _NUMBER):
             return self._shift(float(other))
-        a, b = self._coerce(other)
-        if b is NotImplemented:
+        if not isinstance(other, Jet):
             return NotImplemented
-        return Jet(a.space, a.c + b.c)
+        sp, a, b = self._coerce(other)
+        return Jet(sp, a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, _NUMBER):
             return self._shift(-float(other))
-        a, b = self._coerce(other)
-        if b is NotImplemented:
+        if not isinstance(other, Jet):
             return NotImplemented
-        return Jet(a.space, a.c - b.c)
+        sp, a, b = self._coerce(other)
+        return Jet(sp, a - b)
 
     def __rsub__(self, other):
         if isinstance(other, _NUMBER):
             return (-self)._shift(float(other))
-        a, b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Jet(a.space, b.c - a.c)
+        return NotImplemented
 
     def __neg__(self):
         return Jet(self.space, -self.c)
@@ -221,21 +223,21 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
             return Jet(self.space, self.c * float(other))
-        a, b = self._coerce(other)
-        if b is NotImplemented:
+        if not isinstance(other, Jet):
             return NotImplemented
-        ia, ib, io = a.space.mul_table
-        return Jet(a.space, mul_coeffs(a.c, b.c, ia, ib, io, a.space.size))
+        sp, a, b = self._coerce(other)
+        ia, ib, io = sp.mul_table
+        return Jet(sp, mul_coeffs(a, b, ia, ib, io, sp.size))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, _NUMBER):
             return Jet(self.space, self.c / float(other))
-        a, b = self._coerce(other)
-        if b is NotImplemented:
+        if not isinstance(other, Jet):
             return NotImplemented
-        return a * b.reciprocal()
+        sp, _, b = self._coerce(other)
+        return self * Jet(sp, b).reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -334,11 +336,6 @@ def jet_partial(a, alpha):
         )
     i = a.space.index[alpha]
     return float(a.c[i] * a.space.fact[i])
-
-
-def truncated(a, order):
-    """A jet truncated to order; a plain number passes through unchanged."""
-    return a.truncate(order) if isinstance(a, Jet) else a
 
 
 def jet_diff(a, i):

@@ -20,7 +20,7 @@ from .alt import AltValue, VecAltValue, _lookup, _shuffles, interior, sharp, wed
 from .compare import alt_errors, exceeds
 from .errors import DegreeError, NotADerivation, ReconstructionMismatch
 from .geometry import metric_lower
-from .jets import is_zero, jet_diff, jet_var, scalar_value
+from .jets import is_zero, jet_diff, scalar_value
 from .prng import SplitMix64, derive_seed
 
 
@@ -246,7 +246,7 @@ def graded_comm(ctx, A, B, w, anti=False):
 
 def _coord_fn(ctx, c):
     n = ctx.geometry.n
-    return AltValue(n, 0, {(): jet_var(ctx.p, c, ctx.order)})
+    return AltValue(n, 0, {(): ctx.coords[c]})
 
 
 def _coord_one_form(ctx, c):
@@ -262,7 +262,7 @@ def _test_form(ctx, degree, seed):
     for I in combinations(range(n), degree):
         c = rng.uniform(-1.0, 1.0)
         for v in range(n):
-            c = c + rng.uniform(-1.0, 1.0) * jet_var(ctx.p, v, ctx.order)
+            c = c + rng.uniform(-1.0, 1.0) * ctx.coords[v]
         coeffs[I] = c
     return AltValue(n, degree, coeffs)
 

@@ -32,7 +32,7 @@ from .errors import (
     ExprSyntaxError,
     UnknownIdentifier,
 )
-from .jets import Jet, jet_apply, jet_var
+from .jets import Jet, jet_apply
 
 FUNCTIONS = {"sin": 1, "cos": 1, "tan": 1, "exp": 1, "log": 1, "sqrt": 1, "pow": 2}
 CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -244,29 +244,13 @@ def parse(src, var_names):
 # -- evaluation ----------------------------------------------------------
 
 
-class _CoordJets:
-    """The coordinate jets at p, each built when the walk first reads it."""
-
-    def __init__(self, p, order):
-        self.p, self.order = p, order
-        self.jets = [None] * len(p)
-
-    def __len__(self):
-        return len(self.jets)
-
-    def __getitem__(self, i):
-        if self.jets[i] is None:
-            self.jets[i] = jet_var(self.p, i, self.order)
-        return self.jets[i]
-
-
-def eval_jet(e, p, order):
-    """Evaluate an expression at point p: a jet of the given order when it
-    reads a coordinate, else a plain float, as the constant rule of jets
-    has it."""
+def eval_jet(e, coords):
+    """Evaluate an expression with coordinate i bound to coords[i], a chart
+    context's coordinate jets: a jet of their order when it reads a
+    coordinate, else a plain float, as the constant rule of jets has it."""
     # an overflowing product is refused as a typed error where it is used
     with np.errstate(over="ignore", invalid="ignore"):
-        return _eval(e, _CoordJets(p, order))
+        return _eval(e, coords)
 
 
 def eval_value(e, p):

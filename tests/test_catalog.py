@@ -55,10 +55,22 @@ def test_cache_returns_same_entry():
     assert a is b
 
 
+def test_argument_beyond_int_conversion_is_unknown():
+    # int() refuses a string of more than 4300 digits with a ValueError
+    with pytest.raises(UnknownEntry):
+        builtin("euclidean(" + "9" * 5000 + ")")
+
+
+def test_cache_keys_the_parsed_name():
+    assert builtin("euclidean(02)") is builtin("euclidean(2)")
+
+
 @pytest.mark.parametrize(
     "name",
     ["euclidean(0)", "euclidean(7)", "flat_kahler(4)", "flat_cokahler(0)",
-     "sphere3", "sphere2(2)", "euclidean(x)", "euclidean"],
+     "sphere3", "sphere2(2)", "euclidean(x)", "euclidean",
+     # each of these resolved to euclidean(3): a name parses exactly
+     "euclidean(3", "euclidean(3))", "euclidean(+3)"],
 )
 def test_unknown_entries(name):
     with pytest.raises(UnknownEntry):

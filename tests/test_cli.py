@@ -358,3 +358,24 @@ def test_malformed_config_field_exits_two_without_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ConfigError: dim")
     assert "Traceback" not in proc.stderr
+
+
+def test_malformed_config_name_exits_two_without_traceback(tmp_path):
+    # a non-string name was a TypeError traceback with exit 1
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(dict(EVAL_CONFIG, name=["quadratic"])))
+    proc = run_module("check", str(cfg), "--points", "2")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ConfigError: name")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, expr, at",
+    [("euclidean(3", "d(x1)", "0.1,0.2,0.3"), ("flat_kahler(1))", "Omega", "0.5,0.5")],
+)
+def test_malformed_catalog_name_exits_two(capsys, name, expr, at):
+    # each resolved to the entry named without the stray parenthesis
+    code, out, err = run(capsys, "eval", name, "--expr", expr, "--at", at)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert "nor a catalog entry" in err

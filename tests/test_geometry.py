@@ -8,21 +8,18 @@ import numpy as np
 import pytest
 
 from excal.catalog import builtin
-from excal.errors import ConfigError, PointExcluded, SingularMetric
+from excal.errors import ConfigError, JetBudgetExhausted, PointExcluded, SingularMetric
 from excal.geometry import (
     CONTEXT_CACHE_SIZE,
-    christoffel,
-    curvature,
+    FormField,
     dumps_config,
     emit_config,
     load_config,
-    metric_at,
     metric_inner,
     metric_lower,
-    orthonormal_frame,
     sample_points,
 )
-from excal.jets import Jet, jet_partial, scalar_value
+from excal.jets import MAX_ORDER, Jet, jet_partial, scalar_value
 
 
 def conformal_2d():
@@ -40,7 +37,7 @@ def conformal_2d():
 
 def test_euclidean_christoffels_vanish():
     G = builtin("euclidean(3)").geometry
-    gam = christoffel(G, (0.2, -0.4, 0.7), 1)
+    gam = G.context((0.2, -0.4, 0.7), 2).gamma()
     for k in range(3):
         for i in range(3):
             for j in range(3):
@@ -50,7 +47,7 @@ def test_euclidean_christoffels_vanish():
 def test_sphere_christoffels():
     G = builtin("sphere2").geometry
     th = 1.0
-    gam = christoffel(G, (th, 2.0), 1)
+    gam = G.context((th, 2.0), 2).gamma()
     assert gam[0][1][1].value == pytest.approx(-math.sin(th) * math.cos(th))
     assert gam[1][0][1].value == pytest.approx(math.cos(th) / math.sin(th))
     assert gam[1][1][0].value == gam[1][0][1].value  # torsion-free
@@ -60,7 +57,7 @@ def test_sphere_christoffels():
 def test_conformal_christoffels():
     # g = e^{2f} delta with f = x gives Gamma^k_ij = d_i f d_jk + d_j f d_ik - d_k f d_ij
     G = conformal_2d()
-    gam = christoffel(G, (0.3, -0.2), 1)
+    gam = G.context((0.3, -0.2), 2).gamma()
     assert gam[0][0][0].value == pytest.approx(1.0)
     assert gam[0][1][1].value == pytest.approx(-1.0)
     assert gam[1][0][1].value == pytest.approx(1.0)
@@ -95,6 +92,11 @@ def _entries(x):
     return [e for item in x for e in _entries(item)] if isinstance(x, list) else [x]
 
 
+def _values(x):
+    """A nested list of jets and numbers with each entry's value as a float."""
+    return [_values(e) for e in x] if isinstance(x, list) else scalar_value(x)
+
+
 def test_flat_chart_values_are_numbers():
     # the constant rule: a constant metric gives plain numbers all the way
     # down, even at jet order 2
@@ -117,7 +119,7 @@ def test_metric_entry_is_a_jet_where_it_depends_on_the_point():
 def test_sphere_sectional_curvature_is_one():
     G = builtin("sphere2").geometry
     for p in sample_points(G, 3, 5):
-        R = curvature(G, p)
+        R = _values(G.context(p, 2).curvature())
         g = G.context(p, 2).g_value()
         num = sum(R[0][1][1][l] * g[l][0] for l in range(2))
         den = g[0][0] * g[1][1] - g[0][1] ** 2
@@ -127,7 +129,7 @@ def test_sphere_sectional_curvature_is_one():
 def test_flat_curvature_vanishes():
     G = builtin("flat_kahler(2)").geometry
     p = sample_points(G, 1, 3)[0]
-    R = curvature(G, p)
+    R = _values(G.context(p, 2).curvature())
     flat = np.array(R)
     assert np.abs(flat).max() < 1e-13
 
@@ -135,7 +137,8 @@ def test_flat_curvature_vanishes():
 def test_hopf_metric_values():
     G = builtin("hopf_lck").geometry
     p = (0.5, 0.5, 0.5, 0.5)
-    g, g_inv = metric_at(G, p, 0)
+    ctx = G.context(p, 0)
+    g, g_inv = ctx.g(), ctx.g_inv()
     r2 = sum(x * x for x in p)
     for i in range(4):
         for j in range(4):
@@ -148,12 +151,13 @@ def test_hopf_metric_values():
 def test_orthonormal_frame(name):
     G = builtin(name).geometry
     p = sample_points(G, 1, 11)[0]
-    g = G.context(p, 0).g_value()
-    frame = np.array(orthonormal_frame(G, p))
+    ctx = G.context(p, 0)
+    g = ctx.g_value()
+    frame = np.array([_values(v.as_vector()) for v in ctx.frame()])
     gram = frame @ g @ frame.T
     np.testing.assert_allclose(gram, np.eye(G.n), atol=1e-12)
     # descending order gives a (generally different) orthonormal frame
-    frame_d = np.array(orthonormal_frame(G, p, descending=True))
+    frame_d = np.array([_values(v.as_vector()) for v in ctx.frame(descending=True)])
     gram_d = frame_d @ g @ frame_d.T
     np.testing.assert_allclose(gram_d, np.eye(G.n), atol=1e-12)
 
@@ -173,6 +177,25 @@ def test_point_excluded():
         G.context((0.0, 1.0), 1)  # theta below the chart box
     with pytest.raises(PointExcluded):
         G.context((1.0,), 1)  # wrong arity
+
+
+def test_context_coords_are_the_coordinate_jets():
+    G = builtin("hopf_lck").geometry
+    p = (0.5, 0.25, 0.75, 0.375)
+    ctx = G.context(p, 3)
+    for i, x in enumerate(ctx.coords):
+        assert isinstance(x, Jet) and x.value == p[i] and x.order == ctx.order
+        for j in range(G.n):
+            assert jet_partial(x, tuple(int(t == j) for t in range(G.n))) == (i == j)
+    # every jet at the point is built from them: a coordinate is the very jet
+    f = FormField(0, {(): G.parse_expr("x1")})
+    assert f.at(ctx).coeffs[()] is ctx.coords[0]
+
+
+@pytest.mark.parametrize("order", [-1, MAX_ORDER + 1])
+def test_context_order_out_of_range(order):
+    with pytest.raises(JetBudgetExhausted):
+        builtin("sphere2").geometry.context((1.0, 2.0), order)
 
 
 def test_context_caching():
@@ -292,17 +315,33 @@ def _form_config(degree, coeffs=None):
         (dict(_flat_config(1), domain=[[0, math.inf]]), "domain bound must be a finite number"),
         (dict(_flat_config(1), domain=[[math.nan, 1]]), "domain bound must be a finite number"),
         (dict(_flat_config(1), domain=[[0, 10**400]]), "domain bound must be a finite number"),
+        # each of these loaded: a reversed or overflowing interval was
+        # refused after 10000 draws as "rejects too many samples", a
+        # non-string name was a TypeError traceback where a seed is
+        # derived from it, or, for a number, a silent seed salt
+        (dict(_flat_config(1), domain=[[1.0, 0.0]]), "domain interval [1.0, 0.0]"),
+        (dict(_flat_config(1), domain=[[-1e308, 1e308]]), "domain interval [-1e+308, 1e+308]"),
+        (dict(_flat_config(1), name=["a"]), "name must be a string"),
+        (dict(_flat_config(1), name={"a": 1}), "name must be a string"),
+        (dict(_flat_config(1), name=None), "name must be a string"),
+        (dict(_flat_config(1), name=1.5), "name must be a string"),
     ],
     ids=["dim", "bound", "interval", "structure", "form", "degree", "coeffs",
          "repeated-coord", "constant-coord", "function-coord", "dim-0", "dim-7",
          "dim-float", "dim-bool", "dim-string", "degree-float", "degree-bool",
          "degree-string", "degree-negative", "degree-above-dim", "bound-bool",
-         "bound-string", "bound-inf", "bound-nan", "bound-huge"],
+         "bound-string", "bound-inf", "bound-nan", "bound-huge", "domain-reversed",
+         "domain-width-overflow", "name-list", "name-object", "name-null", "name-number"],
 )
 def test_config_malformed_field_names_it(doc, field):
     # each of these was a traceback, a hang, or a coordinate silently misread
     with pytest.raises(ConfigError, match=re.escape(field)):
         load_config(doc)
+
+
+def test_degenerate_domain_interval_samples_its_point():
+    G = load_config(dict(_flat_config(2), domain=[[0.5, 0.5], [0, 1]]))
+    assert all(p[0] == 0.5 for p in sample_points(G, 5, 1))
 
 
 def test_config_bad_form_key():

@@ -1,6 +1,7 @@
 """Jet arithmetic: exact derivatives, ring laws, truncation, error paths."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from excal.jets import (
     jet_partial,
     jet_space,
     jet_var,
-    truncated,
 )
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -131,8 +131,6 @@ def test_truncation_is_prefix_slice():
     np.testing.assert_allclose(t.c, f.c[: t.space.size])
     with pytest.raises(OrderExceeded):
         t.truncate(3)
-    assert truncated(f, 3) is f
-    np.testing.assert_array_equal(truncated(f, 1).c, t.c)
 
 
 def test_mixed_order_operands_auto_truncate():
@@ -140,6 +138,27 @@ def test_mixed_order_operands_auto_truncate():
     b = jet_var((1.0,), 0, 2)
     assert (a * b).order == 2
     assert (a + b).order == 2
+
+
+@pytest.mark.parametrize("orders", [(3, 2), (2, 0), (4, 1)])
+@pytest.mark.parametrize(
+    "fn", [operator.add, operator.sub, operator.mul, operator.truediv],
+    ids=["add", "sub", "mul", "div"],
+)
+def test_mixed_orders_read_the_common_prefix(orders, fn):
+    # a mixed-order result is the same operation on both operands truncated
+    # to the lower order, bit for bit, and leaves both operands as they were
+    p = (0.3, -0.7)
+    a = jet_apply("exp", jet_var(p, 0, orders[0]) * jet_var(p, 1, orders[0]))
+    b = jet_apply("cos", jet_var(p, 0, orders[1]) - jet_var(p, 1, orders[1]))
+    k = min(orders)
+    for x, y in ((a, b), (b, a)):
+        before = x.c.copy(), y.c.copy()
+        got = fn(x, y)
+        assert got.order == k
+        np.testing.assert_array_equal(got.c, fn(x.truncate(k), y.truncate(k)).c)
+        np.testing.assert_array_equal(x.c, before[0])
+        np.testing.assert_array_equal(y.c, before[1])
 
 
 def test_error_paths():
@@ -226,4 +245,3 @@ def test_numbers_are_constants():
             jet_apply(fn, x)
     assert jet_partial(2.5, (0, 0)) == 2.5
     assert jet_partial(2.5, (1, 0)) == 0.0
-    assert truncated(2.5, 0) == 2.5

@@ -44,14 +44,14 @@ def ctx_at(G, order=3, seed=17):
 def jet_field(ctx, srcs):
     """Vector field with jet components from expression strings."""
     G = ctx.geometry
-    comps = [sexpr.eval_jet(G.parse_expr(s), ctx.p, ctx.order) for s in srcs]
+    comps = [sexpr.eval_jet(G.parse_expr(s), ctx.coords) for s in srcs]
     return VecAltValue.from_vector(comps)
 
 
 def test_exterior_derivative_basic():
     ctx = ctx_at(E3)
     # d(x1 dx2) = dx1 ^ dx2
-    x1 = sexpr.eval_jet(E3.parse_expr("x1"), ctx.p, ctx.order)
+    x1 = sexpr.eval_jet(E3.parse_expr("x1"), ctx.coords)
     w = AltValue(3, 1, {(1,): x1})
     dw = value_of(ext_d(ctx, w))
     assert dw.get((0, 1)) == pytest.approx(1.0)
@@ -135,7 +135,7 @@ def test_codiff_euclidean_divergence():
     # delta(w) = -div on 1-forms in flat coordinates
     G = builtin("euclidean(2)").geometry
     ctx = ctx_at(G, order=2)
-    x1 = sexpr.eval_jet(G.parse_expr("x1"), ctx.p, ctx.order)
+    x1 = sexpr.eval_jet(G.parse_expr("x1"), ctx.coords)
     w = AltValue(2, 1, {(0,): x1})
     out = value_of(codiff(ctx, w))
     assert out.get(()) == pytest.approx(-1.0)
@@ -238,13 +238,13 @@ def test_lie_metric_killing_and_not():
     ctx = ctx_at(S, order=2)
     # the rotation field d/dphi is Killing on the round sphere
     killing = VecAltValue.from_vector(
-        [sexpr.eval_jet(S.parse_expr(s), ctx.p, ctx.order) for s in ("0", "1")]
+        [sexpr.eval_jet(S.parse_expr(s), ctx.coords) for s in ("0", "1")]
     )
     L = lie_metric(ctx, killing)
     assert max(abs(e.value) for row in L for e in row) < 1e-12
     # d/dtheta is not Killing: L_xi g = 2 sin cos dphi^2
     not_killing = VecAltValue.from_vector(
-        [sexpr.eval_jet(S.parse_expr(s), ctx.p, ctx.order) for s in ("1", "0")]
+        [sexpr.eval_jet(S.parse_expr(s), ctx.coords) for s in ("1", "0")]
     )
     import math
 

@@ -15,13 +15,18 @@ from excal.errors import (
     JetBudgetExhausted,
     UnknownIdentifier,
 )
-from excal.jets import Jet, jet_diff
+from excal.jets import Jet, jet_diff, jet_var
 
 XY = ["x", "y"]
 
 
 def ev(src, p=(0.0, 0.0)):
     return sexpr.eval_value(sexpr.parse(src, XY), p)
+
+
+def _coords(p, order):
+    """The coordinate jets at p, as a chart context builds them."""
+    return tuple(jet_var(p, i, order) for i in range(len(p)))
 
 
 @pytest.mark.parametrize(
@@ -61,7 +66,7 @@ def test_jet_evaluation_derivatives():
     from excal.jets import jet_partial
 
     e = sexpr.parse("sin(x*y)", XY)
-    j = sexpr.eval_jet(e, (0.5, 2.0), 2)
+    j = sexpr.eval_jet(e, _coords((0.5, 2.0), 2))
     assert j.value == pytest.approx(math.sin(1.0))
     assert jet_partial(j, (1, 0)) == pytest.approx(2.0 * math.cos(1.0))
     assert jet_partial(j, (0, 1)) == pytest.approx(0.5 * math.cos(1.0))
@@ -71,13 +76,13 @@ def test_jet_evaluation_derivatives():
 
 def test_jet_power_with_variable_exponent():
     e = sexpr.parse("x^y", XY)
-    j = sexpr.eval_jet(e, (2.0, 3.0), 1)
+    j = sexpr.eval_jet(e, _coords((2.0, 3.0), 1))
     assert j.value == pytest.approx(8.0)
     from excal.jets import jet_partial
 
     assert jet_partial(j, (0, 1)) == pytest.approx(8.0 * math.log(2.0))
     # a number base with a jet exponent
-    j = sexpr.eval_jet(sexpr.parse("2^x", XY), (3.0, 0.0), 1)
+    j = sexpr.eval_jet(sexpr.parse("2^x", XY), _coords((3.0, 0.0), 1))
     assert j.value == pytest.approx(8.0)
     assert jet_partial(j, (1, 0)) == pytest.approx(8.0 * math.log(2.0))
 
@@ -87,7 +92,7 @@ def test_constant_expression_is_a_number():
     # a plain float at any order, the float that eval_value gives
     e = sexpr.parse("2*pi - sqrt(4)", XY)
     for order in (0, 2):
-        v = sexpr.eval_jet(e, (0.5, 2.0), order)
+        v = sexpr.eval_jet(e, _coords((0.5, 2.0), order))
         assert type(v) is float and v == sexpr.eval_value(e, (0.5, 2.0))
 
 
@@ -97,7 +102,7 @@ def test_constant_expression_is_a_number():
 def test_point_dependent_expression_stays_a_jet(src, order):
     # even where its derivatives vanish at the point, so that differentiating
     # it past its order raises rather than silently reading 0
-    j = sexpr.eval_jet(sexpr.parse(src, XY), (0.0, 2.0), order)
+    j = sexpr.eval_jet(sexpr.parse(src, XY), _coords((0.0, 2.0), order))
     assert isinstance(j, Jet) and j.order == order
     for _ in range(order):
         j = jet_diff(j, 0)
@@ -108,13 +113,13 @@ def test_point_dependent_expression_stays_a_jet(src, order):
 def test_negative_base_integer_exponent():
     assert ev("(-2)^3") == -8.0
     assert ev("pow(0-2, 2)") == 4.0
-    j = sexpr.eval_jet(sexpr.parse("(x-1)^2", XY), (0.0, 0.0), 2)
+    j = sexpr.eval_jet(sexpr.parse("(x-1)^2", XY), _coords((0.0, 0.0), 2))
     assert j.value == 1.0
     # a negated and a plain constant exponent on a negative base
     from excal.jets import jet_partial
 
     for src, value, slope in (("(x-1)^-2", 1.0, 2.0), ("(x-1)^3", -1.0, 3.0)):
-        j = sexpr.eval_jet(sexpr.parse(src, XY), (0.0, 0.0), 2)
+        j = sexpr.eval_jet(sexpr.parse(src, XY), _coords((0.0, 0.0), 2))
         assert j.value == value
         assert jet_partial(j, (1, 0)) == slope
 
@@ -165,7 +170,7 @@ def test_syntax_error_offset():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_evaluation_domain_errors(src, exc):
     e = sexpr.parse(src, XY)
-    for evaluate in (sexpr.eval_value, lambda e, p: sexpr.eval_jet(e, p, 2)):
+    for evaluate in (sexpr.eval_value, lambda e, p: sexpr.eval_jet(e, _coords(p, 2))):
         with pytest.raises(exc) as ei:
             evaluate(e, (0.5, 0.5))
         if exc is DivisionByZeroAtPoint:
@@ -202,5 +207,5 @@ coords = st.floats(min_value=0.1, max_value=3.0)
 def test_jet_value_agrees_with_float_eval(x, y):
     e = sexpr.parse("x^2*cos(y) + sqrt(x + y) - y/x", XY)
     want = sexpr.eval_value(e, (x, y))
-    got = sexpr.eval_jet(e, (x, y), 2).value
+    got = sexpr.eval_jet(e, _coords((x, y), 2)).value
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
