@@ -22,7 +22,7 @@ import numpy as np
 from . import sexpr
 from .alt import AltValue, VecAltValue
 from .errors import ConfigError, PointExcluded, SingularMetric
-from .jets import jet_apply, jet_diff, jet_var, scalar_value
+from .jets import Jet, jet_apply, jet_diff, jet_var, poly_block, scalar_value
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
@@ -61,7 +61,15 @@ _field_serial = itertools.count()
 
 @dataclass
 class FormField:
-    """A degree-k differential form with expression coefficients."""
+    """A degree-k differential form with expression coefficients.
+
+    When every coefficient is a sum of c, c*x_a and (c*x_a)*x_b terms over
+    one shared monomial list (sexpr.quadratic_terms), as random_form's are,
+    the field is evaluated from a monomial table, built from the trees on
+    first use: all its coefficient jets come from one jets.poly_block call.
+    Any other field, or a table the point cannot take, evaluates each
+    coefficient with sexpr.eval_jet.  Both give the same bits.
+    """
 
     degree: int
     coeffs: dict  # increasing 0-based multi-index tuple -> Expr
@@ -69,16 +77,48 @@ class FormField:
     def __post_init__(self):
         # unique id for per-context value caching (object ids can be reused)
         self._serial = next(_field_serial)
+        self._table = None
 
     def at(self, ctx):
         """Evaluate to an AltValue with jet coefficients (cached per context)."""
         return ctx._memo(("field", self._serial), lambda: self._eval(ctx))
 
+    def _poly_table(self):
+        """The field's monomial table, (keys, C, monomials, highest variable
+        index) with C[i, t] the coefficient of monomials[t] in keys[i]; or ()
+        when it has none."""
+        if self._table is None:
+            self._table = _monomial_table(self.coeffs)
+        return self._table
+
     def _eval(self, ctx):
-        out = {}
-        for key, e in self.coeffs.items():
-            out[key] = sexpr.eval_jet(e, ctx.coords)
+        table = self._poly_table()
+        # a variable the chart lacks walks, to the walker's ArityError
+        if table and table[3] < len(ctx.coords):
+            keys, C, monomials, _ = table
+            block = poly_block(C, monomials, ctx.coords)
+            if block is not None:
+                sp = ctx.coords[0].space
+                out = {key: Jet(sp, row) for key, row in zip(keys, block)}
+                return AltValue(ctx.geometry.n, self.degree, out)
+        out = {key: sexpr.eval_jet(e, ctx.coords) for key, e in self.coeffs.items()}
         return AltValue(ctx.geometry.n, self.degree, out)
+
+
+def _monomial_table(coeffs):
+    """FormField._poly_table of the given coefficients: () when one is not a
+    quadratic, their monomial lists differ, or a variable index is negative."""
+    terms = [sexpr.quadratic_terms(e) for e in coeffs.values()]
+    if not terms or None in terms:
+        return ()
+    monomials = tuple(m for _, m in terms[0])
+    if any(tuple(m for _, m in ts) != monomials for ts in terms):
+        return ()
+    indices = [a for m in monomials for a in m]
+    if min(indices) < 0:
+        return ()
+    C = np.array([[c for c, _ in ts] for ts in terms])
+    return tuple(coeffs), C, monomials, max(indices)
 
 
 @dataclass

@@ -285,6 +285,46 @@ def _eval(e, xs):
         raise
 
 
+def _literal(e):
+    """The value of a number leaf, Num or Neg(Num) holding a float (the
+    parser reads -0.5 as Neg(Num(0.5))), else None."""
+    if isinstance(e, Neg) and isinstance(e.arg, Num) and type(e.arg.value) is float:
+        return -e.arg.value
+    if isinstance(e, Num) and type(e.value) is float:
+        return e.value
+    return None
+
+
+def _term(e):
+    """(c, monomial) for a term c, c*x_a or (c*x_a)*x_b with c a number leaf,
+    the monomial being (), (a,) or (a, b); else None."""
+    mono = []
+    while isinstance(e, Bin) and e.op == "*" and isinstance(e.right, Var) and len(mono) < 2:
+        mono.insert(0, e.right.index)
+        e = e.left
+    c = _literal(e)
+    return None if c is None else (c, tuple(mono))
+
+
+def quadratic_terms(e):
+    """The terms [(c, monomial)] of e, in the order the walker sums them, when
+    e is a left-to-right sum of c, c*x_a and (c*x_a)*x_b terms with at least
+    one variable; else None.
+
+    None also for a bare Var (the walker returns the coordinate jet itself),
+    a Const, a Call, a / or ^, a cubic term, x_a*c, and a sum free of
+    coordinates, which must stay a float by the constant rule.
+    """
+    terms = []
+    while isinstance(e, Bin) and e.op == "+":
+        terms.append(_term(e.right))
+        e = e.left
+    terms.append(_term(e))
+    if None in terms or not any(m for _, m in terms):
+        return None
+    return terms[::-1]
+
+
 def _div(a, b):
     if not isinstance(b, Jet) and b == 0.0:
         raise DivisionByZeroAtPoint("division by zero")

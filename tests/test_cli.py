@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,24 @@ def test_check_builtin_json_report(capsys):
     assert doc["seed"] == 7
     assert doc["pass"] is True
     assert doc["reports"] and all(r["pass"] for r in doc["reports"])
+
+
+def test_check_overflow_is_silent_and_its_verdicts_ignore_warning_filters(capsys, tmp_path):
+    # a flat chart whose random quadratics overflow: some checks compare zero
+    # forms and pass, the rest meet a non-finite value and fail
+    cfg = tmp_path / "wide.json"
+    wide = dict(EVAL_CONFIG, name="wide", domain=[[1e200, 2e200], [1e200, 2e200]])
+    del wide["forms"]
+    cfg.write_text(json.dumps(wide))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "check", str(cfg), "--points", "2")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "RuntimeWarning" not in err
+    assert code == 1 and "PASS  lie-wedge/wide/k1p1l1" in out and "FAIL  main-lie/wide/p1" in out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, "check", str(cfg), "--points", "2") == (code, out, err)
 
 
 def test_check_failing_suite_exits_one(capsys, tmp_path):

@@ -1,0 +1,254 @@
+"""Form fields evaluated from a monomial table: the same bits as the walker."""
+
+import functools
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from excal import jets, sexpr
+from excal.catalog import builtin
+from excal.errors import ArityError
+from excal.geometry import FormField, load_config, sample_points
+from excal.jets import Jet, jet_var, poly_block
+from excal.sexpr import Bin, Num, Var
+from excal.verifier import IdentityCheck, random_form, run_check
+
+XY = ["x", "y"]
+# a flat chart whose quadratics overflow: (c*x)*y is about 1e400
+WIDE = {
+    "name": "wide",
+    "dim": 2,
+    "coords": XY,
+    "metric": [["1", "0"], ["0", "1"]],
+    "domain": [[1e200, 2e200], [1e200, 2e200]],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def flat(n):
+    names = [f"x{i + 1}" for i in range(n)]
+    metric = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    return load_config(
+        {"name": f"flat{n}", "dim": n, "coords": names, "metric": metric,
+         "domain": [[-10, 10]] * n}
+    )
+
+
+def same_bits(a, b):
+    """Equal arrays, signed zeros and NaN payloads included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_walker_bits(field, coords, block):
+    keys, _, _, _ = field._poly_table()
+    assert block is not None and len(block) == len(keys)
+    for key, row in zip(keys, block):
+        walked = sexpr.eval_jet(field.coeffs[key], coords)
+        assert isinstance(walked, Jet) and same_bits(row, walked.c), key
+
+
+# -- which trees are quadratics ----------------------------------------------
+
+
+def test_random_form_terms_are_in_walker_order():
+    G = flat(2)
+    f = random_form(G, 1, 42)
+    for e in f.coeffs.values():
+        terms = sexpr.quadratic_terms(e)
+        assert [m for _, m in terms] == [(), (0,), (1,), (0, 0), (0, 1), (1, 1)]
+        assert all(type(c) is float and -1.0 <= c <= 1.0 for c, _ in terms)
+
+
+def test_parsed_negative_literals_are_numbers():
+    # the parser reads -0.5 as Neg(Num(0.5)); -0.0 keeps its sign
+    e = sexpr.parse("-0.5 + -0.0*x + 2.0*y*x + 1.5 + -3.0*x*x", XY)
+    terms = sexpr.quadratic_terms(e)
+    assert terms == [(-0.5, ()), (-0.0, (0,)), (2.0, (1, 0)), (1.5, ()), (-3.0, (0, 0))]
+    assert np.signbit(terms[1][0])
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "x",  # a bare Var is the coordinate jet itself
+        "2.0*x + y",
+        "pi*x",
+        "2.0*e",
+        "2.0*sin(x)",
+        "x/2.0",
+        "1.0/2.0*x",
+        "2.0*x^2",
+        "2.0*x*y*x",  # cubic
+        "x*2.0",
+        "2.0*(x*y)",
+        "-(2.0*x)",
+        "2.0*x - 3.0*y",
+        "1.0 + (2.0*x + 3.0*y)",
+        "1.0 + 2.0",  # free of coordinates: stays a float
+        "3.0",
+    ],
+)
+def test_other_shapes_are_not_quadratics(src):
+    assert sexpr.quadratic_terms(sexpr.parse(src, XY)) is None
+
+
+def test_only_float_literals_are_numbers():
+    # the walker keeps an int literal's own arithmetic, so it is not tabled
+    x = Var("x", 0)
+    assert sexpr.quadratic_terms(Bin("*", Num(2), x)) is None
+    assert sexpr.quadratic_terms(Bin("*", Num(2.0), x)) == [(2.0, (0,))]
+
+
+# -- the table reproduces the walker ----------------------------------------
+
+COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
+COORD = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def quadratic_fields(draw):
+    """(field, point): a random_form, or parsed keys in the text shape of a
+    benchmark form (c + c*x + c*x*y, negative literals written as such) with
+    their shared monomials drawn in any order, numbers anywhere among them;
+    at a point of the field's chart that may have a coordinate at 0.0."""
+    n = draw(st.integers(1, 6))
+    G = flat(n)
+    p = tuple(draw(st.lists(COORD, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return random_form(G, draw(st.integers(0, n)), draw(st.integers(0, 2**32))), p
+    names = G.coord_names
+    # linear-only sums keep the -0.0 entries that a quadratic's +0.0 would clear
+    degree = draw(st.integers(1, 2))
+    pool = [()] + [(a,) for a in range(n)]
+    pool += [(a, b) for a in range(n) for b in range(n)] if degree == 2 else []
+    monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    if not any(monos):
+        monos.append((draw(st.integers(0, n - 1)),))
+    coeffs = {}
+    for key in range(draw(st.integers(1, 3))):
+        terms = ["*".join([repr(draw(COEFF))] + [names[a] for a in m]) for m in monos]
+        coeffs[(key,)] = G.parse_expr(" + ".join(terms))
+    return FormField(1, coeffs), p
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(quadratic_fields(), st.integers(0, jets.MAX_ORDER))
+# one key at order 0: every term lands on one entry, where a pairwise sum
+# would regroup the additions
+@example((random_form(flat(6), 0, 1), (0.5, -1.5, 2.25, 0.0, 3.5, -7.75)), 0)
+# a trailing number must leave the -0.0 entries of -1.0*x1 as they are
+@example((FormField(0, {(): flat(3).parse_expr("-1.0*x1 + 2.0")}), (0.5, 0.0, 1.5)), 2)
+# a quadratic's entries start at +0.0, so a lone -0.0 product lands as +0.0
+@example((FormField(1, {(0,): flat(2).parse_expr("-0.0*x1*x2"),
+                        (1,): flat(2).parse_expr("-1.0*x1*x2")}), (0.5, 0.0)), 2)
+@example((FormField(0, {(): flat(2).parse_expr("-0.0*x2*x2")}), (0.5, 0.0)), 2)
+def test_table_matches_the_walker_bit_for_bit(case, order):
+    field, p = case
+    coords = tuple(jet_var(p, i, order) for i in range(len(p)))
+    _, C, monomials, _ = field._poly_table()
+    assert_walker_bits(field, coords, poly_block(C, monomials, coords))
+
+
+def test_a_seeded_random_form_makes_no_walk_and_no_jet_product(monkeypatch):
+    G = builtin("hopf_lck").geometry
+    f = random_form(G, 2, 42)
+    ctx = G.context((0.5, 0.25, 0.75, 0.375), 2)
+    calls = {"eval_jet": 0, "mul_coeffs": 0}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sexpr, "eval_jet")
+    counted(jets, "mul_coeffs")
+    value = f.at(ctx)
+    assert calls == {"eval_jet": 0, "mul_coeffs": 0}
+    assert len(value.coeffs) == 6
+
+
+# -- fields the table cannot take use the walker ----------------------------
+
+
+def _walks(field, ctx, monkeypatch):
+    """field.at(ctx), requiring that it walked its coefficients' trees."""
+    walked = []
+    eval_jet = sexpr.eval_jet
+    monkeypatch.setattr(sexpr, "eval_jet", lambda e, xs: walked.append(e) or eval_jet(e, xs))
+    value = field.at(ctx)
+    assert walked == list(field.coeffs.values())
+    return value
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        {(0,): "1.5*x1 + 2.0*x1*x2", (1,): "sin(x1)*x2"},  # not a quadratic
+        {(0,): "1.5 + 2.0*x1", (1,): "2.0*x1 + 1.5"},  # monomial lists differ
+        {(0,): "1.5 + 2.0*x1", (1,): "1.0 + 2.0"},  # a key free of coordinates
+    ],
+)
+def test_fields_without_a_table_walk(coeffs, monkeypatch):
+    G = flat(2)
+    field = FormField(1, {k: G.parse_expr(s) for k, s in coeffs.items()})
+    ctx = G.context((0.5, -1.25), 2)
+    assert field._poly_table() == ()
+    value = _walks(field, ctx, monkeypatch)
+    for key, e in field.coeffs.items():
+        walked = sexpr.eval_jet(e, ctx.coords)
+        got = value.coeffs[key]
+        assert type(got) is type(walked)
+        if isinstance(walked, Jet):
+            assert same_bits(got.c, walked.c)
+        else:
+            assert type(got) is float and got == walked  # a constant stays a float
+
+
+def test_variable_beyond_the_chart_walks_to_the_same_error():
+    G, G3 = flat(2), flat(3)
+    field = FormField(0, {(): G3.parse_expr("1.0 + 2.0*x1*x3")})
+    assert field._poly_table()
+    with pytest.raises(ArityError) as walked:
+        sexpr.eval_jet(field.coeffs[()], G.context((0.5, 0.5), 1).coords)
+    with pytest.raises(ArityError) as got:
+        field.at(G.context((0.5, 0.5), 1))
+    assert str(got.value) == str(walked.value)
+
+
+# -- overflow ----------------------------------------------------------------
+
+
+def test_overflow_is_silent_typed_and_never_passes():
+    G = load_config(WIDE)
+    p = sample_points(G, 1, 7)[0]
+    ctx = G.context(p, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(3):
+            field = random_form(G, k, 42)
+            _, C, monomials, _ = field._poly_table()
+            block = poly_block(C, monomials, ctx.coords)
+            assert not np.isfinite(block).all()
+            assert_walker_bits(field, ctx.coords, block)
+            report = run_check(IdentityCheck(f"wide/{k}", G, field.at, field.at, points=[p]))
+            assert not report["pass"]
+            assert all(r["error"].startswith("NonFiniteValue") for r in report["points"])
+
+
+def test_overflowing_operand_walks(monkeypatch):
+    # c*p_a overflows, so the full jet product spreads NaNs: the walker decides
+    G = load_config(WIDE)
+    ctx = G.context(sample_points(G, 1, 7)[0], 2)
+    field = FormField(0, {(): G.parse_expr("1.0*x + 1e300*x*y")})
+    _, C, monomials, _ = field._poly_table()
+    assert poly_block(C, monomials, ctx.coords) is None
+    got = _walks(field, ctx, monkeypatch).coeffs[()]
+    assert np.isnan(got.c).any()
+    assert same_bits(got.c, sexpr.eval_jet(field.coeffs[()], ctx.coords).c)
