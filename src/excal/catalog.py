@@ -75,11 +75,7 @@ def _v_closed(form_name):
 def _v_parallel_structure(name):
     def check(entry, ctx):
         T = ctx.structure(name)
-        out = []
-        for a in range(entry.geometry.n):
-            nT = nabla_vec_coord(ctx, a, T)
-            out.append((nT, zero_like(nT)))
-        return out
+        return [(nT, zero_like(nT)) for nT in nabla_vec_coord(ctx, T)]
 
     return check
 

@@ -7,11 +7,10 @@ A non-finite coefficient on either side passes under no tolerance: the
 comparison raises NonFiniteValue, naming where it sits.
 """
 
-import math
+import numpy as np
 
-from .alt import AltValue, VecAltValue
-from .errors import NonFiniteValue
-from .jets import scalar_value
+from .alt import AltValue, VecAltValue, _basis
+from .errors import DegreeError, NonFiniteValue
 
 DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-8
@@ -26,17 +25,20 @@ def alt_errors(lhs, rhs):
 def _errors(lhs, rhs, where):
     if isinstance(lhs, (list, tuple)) or isinstance(rhs, (list, tuple)):
         return _fold(zip(lhs, rhs), "slot", where)
-    if isinstance(lhs, VecAltValue) or isinstance(rhs, VecAltValue):
-        return _fold(zip(lhs.comps, rhs.comps), "component", where)
-    err = scale = 0.0
-    for key in set(lhs.coeffs) | set(rhs.coeffs):
-        a = scalar_value(lhs.coeffs.get(key, 0.0))
-        b = scalar_value(rhs.coeffs.get(key, 0.0))
-        if not (math.isfinite(a) and math.isfinite(b)):
-            at = ", ".join(where + (f"basis key {key}",))
-            raise NonFiniteValue(f"non-finite value at {at}: lhs {a!r}, rhs {b!r}")
-        err = max(err, abs(a - b))
-        scale = max(scale, abs(a), abs(b))
+    if lhs.n != rhs.n or lhs.k != rhs.k or type(lhs) is not type(rhs):
+        raise DegreeError(f"compared values differ in kind or degree: {lhs!r} vs {rhs!r}")
+    a, b = lhs.c[..., 0], rhs.c[..., 0]
+    finite = np.isfinite(a) & np.isfinite(b)
+    if not finite.all():
+        at = tuple(int(i) for i in np.argwhere(~finite)[0])
+        names = (f"basis key {_basis(lhs.n, lhs.k)[at[-1]]}",)
+        if len(at) == 2:
+            names = (f"component {at[0]}",) + names
+        raise NonFiniteValue(
+            f"non-finite value at {', '.join(where + names)}: lhs {float(a[at])!r}, rhs {float(b[at])!r}"
+        )
+    err = float(np.max(np.abs(a - b), initial=0.0))
+    scale = float(max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0)))
     return err, scale
 
 

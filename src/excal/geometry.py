@@ -10,6 +10,7 @@ jets once, as ``coords``, and every jet at the point is evaluated from
 them, so the orders of everything derived follow from the jets rule.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -20,9 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import sexpr
-from .alt import AltValue, VecAltValue
+from .alt import AltValue, VecAltValue, _alt, _dense, _Product, _rows
 from .errors import ConfigError, PointExcluded, SingularMetric
-from .jets import Jet, jet_apply, jet_diff, jet_var, poly_block, scalar_value
+from .jets import Jet, jet_apply, jet_diff, jet_space, jet_var, poly_block, scalar_value
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
@@ -92,17 +93,19 @@ class FormField:
         return self._table
 
     def _eval(self, ctx):
+        n = ctx.geometry.n
         table = self._poly_table()
         # a variable the chart lacks walks, to the walker's ArityError
         if table and table[3] < len(ctx.coords):
             keys, C, monomials, _ = table
             block = poly_block(C, monomials, ctx.coords)
             if block is not None:
-                sp = ctx.coords[0].space
-                out = {key: Jet(sp, row) for key, row in zip(keys, block)}
-                return AltValue(ctx.geometry.n, self.degree, out)
+                where = _rows(n, self.degree)
+                c = np.zeros((len(where), block.shape[1]))
+                c[[where[key] for key in keys]] = block
+                return _alt(n, self.degree, ctx.coords[0].space, c)
         out = {key: sexpr.eval_jet(e, ctx.coords) for key, e in self.coeffs.items()}
-        return AltValue(ctx.geometry.n, self.degree, out)
+        return AltValue(n, self.degree, out)
 
 
 def _monomial_table(coeffs):
@@ -214,12 +217,30 @@ class ChartContext:
         return self._memo("gamma", lambda: _christoffel_jets(self.g(), self.g_inv()))
 
     def frame(self, descending=False):
-        key = ("frame", descending)
-        return self._memo(key, lambda: _gram_schmidt(self.g(), descending))
+        """The orthonormal frame as tangent vectors, in the order built."""
+        return [VecAltValue.from_vector(v) for v in _gram_schmidt(self.g(), descending)]
 
     def curvature(self):
         """R[i][j][k][l] jets: coefficient of e_l in R(e_i, e_j) e_k."""
         return self._memo("curv", lambda: _curvature_jets(self.gamma()))
+
+    # -- dense arrays, as alt's tables read them: (space, array) with the
+    # -- nesting of the jets above and a Taylor axis last
+
+    def g_inv_array(self):
+        return self._memo("g_inv_array", lambda: _dense(self.g_inv()))
+
+    def gamma_array(self):
+        return self._memo("gamma_array", lambda: _dense(self.gamma()))
+
+    def frame_square(self, descending=False):
+        """F[a][b] = sum_X X^a X^b over the orthonormal frame, the frame
+        contraction of the codifferential."""
+        key = ("frame_square", descending)
+        return self._memo(key, lambda: _frame_square(_gram_schmidt(self.g(), descending)))
+
+    def curvature_array(self):
+        return self._memo("curv_array", lambda: _dense(self.curvature()))
 
     # -- fields ----------------------------------------------------------
 
@@ -318,8 +339,8 @@ def _christoffel_jets(g, g_inv):
 def _gram_schmidt(g, descending=False):
     """Orthonormal frame jets from the coordinate frame.
 
-    Returns n tangent vectors as VecAltValue degree 0 with jet or number
-    components, in the order they were orthonormalized.
+    Returns n tangent vectors as lists of jet or number components, in the
+    order they were orthonormalized.
     """
     n = len(g)
     idx = list(range(n - 1, -1, -1)) if descending else list(range(n))
@@ -334,17 +355,43 @@ def _gram_schmidt(g, descending=False):
             raise SingularMetric("Gram-Schmidt hit a nonpositive norm")
         inv = 1.0 / jet_apply("sqrt", nrm)
         frame.append([vi * inv for vi in v])
-    return [VecAltValue.from_vector(v) for v in frame]
+    return frame
+
+
+@functools.cache
+def _outer(n):
+    """sum_X X^a X^b over n vectors X, at out row a*n + b."""
+    terms = [(1, x * n + a, x * n + b, a * n + b)
+             for a in range(n) for b in range(n) for x in range(n)]
+    return _Product(terms, n * n, n * n)
+
+
+def _frame_square(frame):
+    """(space, F) with F[a][b] = sum_X X^a X^b over the frame vectors X."""
+    sp, X = _dense(frame)
+    n = len(frame)
+    sp, F = _outer(n)(sp, X, sp, X)
+    return sp, F.reshape(n, n, -1)
+
+
+def _lowered(c):
+    """A Christoffel jet read one order lower, in place; a number as is."""
+    if not isinstance(c, Jet):
+        return c
+    sp = jet_space(c.space.n, c.order - 1)
+    return Jet(sp, c.c[: sp.size])
 
 
 def _curvature_jets(gam):
     """R(e_i, e_j) e_k = sum_l R[i][j][k][l] e_l, as jets of one order less
-    than the Christoffel symbols'."""
+    than the Christoffel symbols'.  Their products are taken at that order,
+    reading their prefixes, since the derivative terms have it anyway."""
     n = len(gam)
     dgam = [
         [[[jet_diff(gam[l][i][j], m) for m in range(n)] for j in range(n)] for i in range(n)]
         for l in range(n)
     ]
+    low = [[[_lowered(c) for c in row] for row in mat] for mat in gam]
     R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -352,7 +399,7 @@ def _curvature_jets(gam):
                 for l in range(n):
                     acc = dgam[l][j][k][i] - dgam[l][i][k][j]
                     for m in range(n):
-                        acc = acc + gam[m][j][k] * gam[l][i][m] - gam[m][i][k] * gam[l][j][m]
+                        acc = acc + low[m][j][k] * low[l][i][m] - low[m][i][k] * low[l][j][m]
                     R[i][j][k][l] = acc
     return R
 

@@ -1,11 +1,22 @@
 """Operator calculus on jet-valued forms at a chart point.
 
-All operators act on AltValue / VecAltValue objects whose coefficients are
-jets or, where constant, plain numbers, obtained from fields via
-FormField.at(ctx).  Differentiation consumes one jet order per
-application; differentiating a point-dependent coefficient past its order
-fails loudly (JetBudgetExhausted), while a constant one differentiates to
-zero at any order.
+All operators act on AltValue / VecAltValue objects, dense coefficient
+arrays whose entries are Taylor coefficients of jets or, for a constant
+value, plain numbers, obtained from fields via FormField.at(ctx).
+Differentiation consumes one jet order per application; differentiating
+a point-dependent value past its order fails loudly (JetBudgetExhausted),
+while a constant one differentiates to zero at any order.
+
+Each operator is a few whole-array steps built on the tables of alt: d is
+the partials of every coefficient (alt._partials) and one signed gather,
+a _Gather whose terms (sign, (a, I) row, out row) come from _sort_sign of
+(a,) + I; nabla adds to the partials one product of the Christoffel array
+with the form, a _Product whose terms pair Gamma^m_{a I_s} with the
+coefficient at I with I_s replaced by m, the sort sign folded into the
+gather; delta, omega-nabla, the curvature shuffle sum, endomorphism
+composition and the Nijenhuis tensor are each one _Product over the
+context's dense arrays (ChartContext.g_inv_array, gamma_array,
+frame_square, curvature_array).
 
 Sign conventions, fixed globally:
   [A, B]  = A o B - (-1)^{|A||B|} B o A
@@ -14,23 +25,139 @@ Sign conventions, fixed globally:
   nabla_phi = L_phi - (-1)^p i_{d^nabla phi}
 """
 
-from itertools import combinations
+from functools import cache
 
-from .alt import AltValue, VecAltValue, _lookup, _shuffles, interior, sharp, wedge, wedge_sv
+import numpy as np
+
+from .alt import (
+    AltValue,
+    VecAltValue,
+    _alt,
+    _basis,
+    _dense,
+    _Gather,
+    _partials,
+    _Product,
+    _rows,
+    _sharp_dense,
+    _shuffles,
+    _sort_sign,
+    _split,
+    _sum,
+    _vec,
+    interior,
+    wedge,
+)
 from .compare import alt_errors, exceeds
 from .errors import DegreeError, NotADerivation, ReconstructionMismatch
 from .geometry import metric_lower
-from .jets import is_zero, jet_diff, scalar_value
 from .prng import SplitMix64, derive_seed
 
 
-def _dx(n, a):
-    return AltValue(n, 1, {(a,): 1.0})
+# -- tables ------------------------------------------------------------------
 
 
-def _diff_alt(w, a):
-    """Coefficientwise partial derivative along coordinate a."""
-    return AltValue(w.n, w.k, {I: jet_diff(c, a) for I, c in w.coeffs.items()})
+@cache
+def _ext_d(n, k, comps):
+    """d from the partials (a, component, I) of comps components of degree k."""
+    rk, out = len(_basis(n, k)), _rows(n, k + 1)
+    terms = []
+    for a in range(n):
+        for b in range(comps):
+            for i, I in enumerate(_basis(n, k)):
+                s, key = _sort_sign((a,) + I)
+                if s:
+                    terms.append((s, (a * comps + b) * rk + i, b * len(out) + out[key]))
+    return _Gather(terms, n * comps * rk, comps * len(out))
+
+
+@cache
+def _connection(n, k, vec):
+    """The Christoffel part of nabla_a for every direction a: Gamma^m_{a i}
+    at row (m*n + a)*n + i, a form (or each of n components of a
+    tangent-valued one, with vec) of degree k; out row (a, component, I)."""
+    where, rk = _rows(n, k), len(_basis(n, k))
+    comps = n if vec else 1
+    terms = []
+    for a in range(n):
+        for b in range(comps):
+            for r, I in enumerate(_basis(n, k)):
+                o = (a * comps + b) * rk + r
+                for s in range(k):
+                    for m in range(n):
+                        sign, key = _sort_sign(I[:s] + (m,) + I[s + 1 :])
+                        if sign:
+                            terms.append((-sign, (m * n + a) * n + I[s], b * rk + where[key], o))
+                if vec:
+                    for m in range(n):
+                        terms.append((1, (b * n + a) * n + m, m * rk + r, o))
+    return _Product(terms, n * n * n, n * comps * rk)
+
+
+@cache
+def _codiff(n, k):
+    """delta w = -sum_{a,b} F^{ab} i_{e_b} nabla_a w, F^{ab} at row a*n + b."""
+    where, rk = _rows(n, k), len(_basis(n, k))
+    terms = []
+    for j, J in enumerate(_basis(n, k - 1)):
+        for b in range(n):
+            s, key = _sort_sign((b,) + J)
+            if s:
+                for a in range(n):
+                    terms.append((-s, a * n + b, a * rk + where[key], j))
+    return _Product(terms, n * n, len(_basis(n, k - 1)))
+
+
+@cache
+def _raise_first(n, rows):
+    """out^b_r = sum_a g^{ab} t_{a r}, g^{ab} at row a*n + b."""
+    terms = [(1, a * n + b, a * rows + r, b * rows + r)
+             for b in range(n) for r in range(rows) for a in range(n)]
+    return _Product(terms, n * n, n * rows)
+
+
+@cache
+def _compose(n):
+    """(T o S)^b_c = sum_m T^b_m S^m_c for degree-1 tangent-valued T, S."""
+    terms = [(1, b * n + m, m * n + c, b * n + c)
+             for b in range(n) for c in range(n) for m in range(n)]
+    return _Product(terms, n * n, n * n)
+
+
+@cache
+def _nijenhuis(n):
+    """N^b_{ij} from T^b_c at row b*n + c and d_a T^b_c at row (a*n + b)*n + c:
+    sum_a T^a_i d_a T^b_j - T^a_j d_a T^b_i, plus sum_c T^b_c d_j T^c_i
+    - T^b_c d_i T^c_j; out row (b, (i, j))."""
+    out = _rows(n, 2)
+    terms = []
+    for b in range(n):
+        for (i, j), r in out.items():
+            o = b * len(out) + r
+            for a in range(n):
+                terms.append((1, a * n + i, (a * n + b) * n + j, o))
+                terms.append((-1, a * n + j, (a * n + b) * n + i, o))
+            for c in range(n):
+                terms.append((1, b * n + c, (j * n + c) * n + i, o))
+                terms.append((-1, b * n + c, (i * n + c) * n + j, o))
+    return _Product(terms, n * n, n * len(out))
+
+
+@cache
+def _curvature(n, p):
+    """(d^nabla)^2 phi by the curvature shuffle sum, R[i][j][b][l] at row
+    ((i*n + j)*n + b)*n + l and phi of degree p."""
+    m = p + 2
+    rp, rm = _rows(n, p), len(_basis(n, m))
+    terms = []
+    for o, M in enumerate(_basis(n, m)):
+        for sign, chosen, others in _shuffles(m, 2):
+            i, j = M[chosen[0]], M[chosen[1]]
+            rest = rp[tuple(M[t] for t in others)]
+            for b in range(n):
+                for l in range(n):
+                    terms.append((sign, ((i * n + j) * n + b) * n + l, b * len(rp) + rest, l * rm + o))
+    return _Product(terms, n ** 4, n * rm)
 
 
 # -- first-order operators -------------------------------------------------
@@ -38,94 +165,52 @@ def _diff_alt(w, a):
 
 def ext_d(ctx, w):
     """Exterior derivative from coefficient jets."""
-    n = w.n
-    if w.k + 1 > n:
-        return AltValue.zero(n, w.k + 1)
-    out = AltValue.zero(n, w.k + 1)
-    for a in range(n):
-        out = out + wedge(_dx(n, a), _diff_alt(w, a))
-    return out
-
-
-def _gamma_zero_mask(ctx):
-    """gamma_zero[m][a][i] is True when Gamma^m_{a i} vanishes identically."""
-
-    def build():
-        gamma = ctx.gamma()
-        n = len(gamma)
-        return [
-            [[is_zero(gamma[m][a][i]) for i in range(n)] for a in range(n)]
-            for m in range(n)
-        ]
-
-    return ctx._memo("gamma_zero", build)
-
-
-def nabla_coord(ctx, a, w):
-    """Covariant derivative along the coordinate vector e_a."""
-    if w.k == 0:
-        return _diff_alt(w, a)
-    gamma = ctx.gamma()
-    gz = _gamma_zero_mask(ctx)
     n, k = w.n, w.k
-    out = {}
-    for I in combinations(range(n), k):
-        c = w.coeffs.get(I)
-        acc = None if c is None else jet_diff(c, a)
-        for s in range(k):
-            for m in range(n):
-                if gz[m][a][I[s]]:
-                    continue
-                cm = _lookup(w, I[:s] + (m,) + I[s + 1 :])
-                if cm is None:
-                    continue
-                term = gamma[m][a][I[s]] * cm
-                acc = -term if acc is None else acc - term
-        if acc is not None:
-            out[I] = acc
-    return AltValue(n, k, out)
+    if k + 1 > n:
+        return AltValue.zero(n, k + 1)
+    sp, D = _partials(n, w.space, w.c)
+    return _alt(n, k + 1, sp, _ext_d(n, k, 1)(D))
+
+
+def nabla_coord(ctx, w):
+    """Covariant derivatives along every coordinate vector e_a, of a form or
+    a tangent-valued form w, as (space, array) with the direction first:
+    shape (n,) + w.c.shape[:-1] + (S,)."""
+    n, k = w.n, w.k
+    vec = isinstance(w, VecAltValue)
+    sd, D = _partials(n, w.space, w.c)
+    if k == 0 and not vec:
+        return sd, D
+    sg, G = ctx.gamma_array()
+    sp, P = _connection(n, k, vec)(sg, G, w.space, w.c)
+    return _sum(sd, D, sp, P.reshape(D.shape[:-1] + P.shape[-1:]), 1.0)
 
 
 def codiff(ctx, w, descending=False):
-    """Hodge codifferential by the orthonormal-frame formula."""
-    if w.k == 0 or w.k > w.n:
+    """Hodge codifferential by the orthonormal-frame formula,
+    delta w = -sum_X i_X nabla_X w."""
+    n, k = w.n, w.k
+    if k == 0 or k > n:
         # degree k - 1 even when structurally zero, so compositions that
         # wedge or add the result keep consistent degree bookkeeping
-        return AltValue.zero(w.n, w.k - 1)
-    nabla_all = [nabla_coord(ctx, a, w) for a in range(w.n)]
-    out = AltValue.zero(w.n, w.k - 1)
-    for X in ctx.frame(descending=descending):
-        nx = AltValue.zero(w.n, w.k)
-        for a in range(w.n):
-            xa = X.comps[a].coeffs.get(())
-            if xa is None:
-                continue
-            nx = nx + nabla_all[a].scale(xa)
-        out = out - interior(X, nx)
-    return out
+        return AltValue.zero(n, k - 1)
+    sn, N = nabla_coord(ctx, w)
+    sf, F = ctx.frame_square(descending)
+    return _alt(n, k - 1, *_codiff(n, k)(sf, F, sn, N))
 
 
-def nabla_vec_coord(ctx, a, phi):
-    """Covariant derivative of a tangent-valued form along e_a."""
-    gamma = ctx.gamma()
-    gz = _gamma_zero_mask(ctx)
-    n = phi.n
-    comps = [nabla_coord(ctx, a, c) for c in phi.comps]
-    for b in range(n):
-        for m in range(n):
-            if gz[b][a][m] or not phi.comps[m].coeffs:
-                continue
-            comps[b] = comps[b] + phi.comps[m].scale(gamma[b][a][m])
-    return VecAltValue(n, phi.k, comps)
+def nabla_vec_coord(ctx, phi):
+    """Covariant derivatives of a tangent-valued form along each e_a, as a
+    list of n tangent-valued forms."""
+    sp, N = nabla_coord(ctx, phi)
+    return [_vec(phi.n, phi.k, sp, Na) for Na in N]
 
 
 def d_nabla(ctx, phi):
     """Covariant exterior derivative of a tangent-valued form."""
-    n = phi.n
-    out = VecAltValue.zero(n, phi.k + 1)
-    for a in range(n):
-        out = out + wedge_sv(_dx(n, a), nabla_vec_coord(ctx, a, phi))
-    return out
+    n, k = phi.n, phi.k
+    sp, N = nabla_coord(ctx, phi)
+    return _vec(n, k + 1, sp, _split(_ext_d(n, k, n)(N), n))
 
 
 def lie_vec(ctx, phi, w):
@@ -153,7 +238,7 @@ def nabla_vec(ctx, phi, w):
 
 def sharp_field(ctx, w):
     """Musical sharp with jet coefficients (evaluable in a neighborhood)."""
-    return sharp(w, ctx.g_inv())
+    return _sharp_dense(w, *ctx.g_inv_array())
 
 
 def omega_nabla(ctx, w):
@@ -161,16 +246,9 @@ def omega_nabla(ctx, w):
     if w.k == 0:
         raise DegreeError("omega_nabla needs a form of degree >= 1")
     n = w.n
-    g_inv = ctx.g_inv()
-    nabla_all = [nabla_coord(ctx, a, w) for a in range(n)]
-    comps = []
-    for b in range(n):
-        acc = AltValue.zero(n, w.k)
-        for a in range(n):
-            gab = g_inv[a][b]
-            acc = acc + nabla_all[a].scale(gab)
-        comps.append(acc)
-    return VecAltValue(n, w.k, comps)
+    sn, N = nabla_coord(ctx, w)
+    sp, c = _raise_first(n, len(_basis(n, w.k)))(*ctx.g_inv_array(), sn, N)
+    return _vec(n, w.k, sp, _split(c, n))
 
 
 def omega_diamond(ctx, w, variant=0):
@@ -245,8 +323,8 @@ def graded_comm(ctx, A, B, w, anti=False):
 
 
 def _coord_fn(ctx, c):
-    n = ctx.geometry.n
-    return AltValue(n, 0, {(): ctx.coords[c]})
+    x = ctx.coords[c]
+    return _alt(ctx.geometry.n, 0, x.space, x.c[None])
 
 
 def _coord_one_form(ctx, c):
@@ -258,13 +336,13 @@ def _test_form(ctx, degree, seed):
     """Deterministic low-degree polynomial jet form for validation passes."""
     n = ctx.geometry.n
     rng = SplitMix64(derive_seed(seed, n, degree, "fn-test"))
-    coeffs = {}
-    for I in combinations(range(n), degree):
-        c = rng.uniform(-1.0, 1.0)
-        for v in range(n):
-            c = c + rng.uniform(-1.0, 1.0) * ctx.coords[v]
-        coeffs[I] = c
-    return AltValue(n, degree, coeffs)
+    sp = ctx.coords[0].space
+    c = np.zeros((len(_basis(n, degree)), sp.size))
+    for row in c:
+        row[0] = rng.uniform(-1.0, 1.0)
+        for x in ctx.coords:
+            row += rng.uniform(-1.0, 1.0) * x.c
+    return _alt(n, degree, sp, c)
 
 
 FN_REL_TOL = 1e-8  # relative tolerance of both validation passes
@@ -317,43 +395,24 @@ def fn_decompose(ctx, D):
 
 def endo_apply(T, v_comps):
     """Apply an endomorphism (VecAltValue deg 1) to vector components."""
-    return [
-        sum(T.comps[b].coeffs.get((c,), 0.0) * v_comps[c] for c in range(T.n))
-        for b in range(T.n)
-    ]
+    cols = [T.column(c) for c in range(T.n)]
+    return [sum(cols[c][b] * v_comps[c] for c in range(T.n)) for b in range(T.n)]
 
 
 def endo_compose(T, S):
-    """Composition T o S of endomorphisms given as degree-1 VecAltValues:
-    column c is T applied to column c of S."""
-    cols = [endo_apply(T, S.column(c)) for c in range(T.n)]
-    return VecAltValue.from_endomorphism(list(zip(*cols)))
+    """Composition T o S of endomorphisms given as degree-1 VecAltValues."""
+    n = T.n
+    sp, c = _compose(n)(T.space, T.c, S.space, S.c)
+    return _vec(n, 1, sp, _split(c, n))
 
 
 def nijenhuis(ctx, T):
-    """Nijenhuis tensor of an endomorphism field, on coordinate vectors."""
+    """Nijenhuis tensor of an endomorphism field, on coordinate vectors:
+    N(e_i, e_j) = [T e_i, T e_j] - T[T e_i, e_j] - T[e_i, T e_j]."""
     n = T.n
-
-    def bracket(x, y):
-        # [X, Y]^b = sum_a X^a d_a Y^b - Y^a d_a X^b
-        out = [0.0] * n
-        for a in range(n):
-            for b in range(n):
-                out[b] = out[b] + x[a] * jet_diff(y[b], a) - y[a] * jet_diff(x[b], a)
-        return out
-
-    comps_out = [dict() for _ in range(n)]
-    for i in range(n):
-        ti = T.column(i)
-        for j in range(i + 1, n):
-            tj = T.column(j)
-            term = bracket(ti, tj)
-            # [T e_i, e_j] = -d_j(T e_i); [e_i, T e_j] = d_i(T e_j)
-            tb1 = endo_apply(T, [-jet_diff(x, j) for x in ti])
-            tb2 = endo_apply(T, [jet_diff(x, i) for x in tj])
-            for b in range(n):
-                comps_out[b][(i, j)] = term[b] - tb1[b] - tb2[b]
-    return VecAltValue(n, 2, [AltValue(n, 2, d) for d in comps_out])
+    sd, D = _partials(n, T.space, T.c)
+    sp, c = _nijenhuis(n)(T.space, T.c, sd, D)
+    return _vec(n, 2, sp, _split(c, n))
 
 
 def lie_metric(ctx, xi):
@@ -363,53 +422,28 @@ def lie_metric(ctx, xi):
     n = ctx.geometry.n
     g = ctx.g()
     # low[a][b] = g(nabla_a xi, e_b)
-    low = [metric_lower(g, nabla_vec_coord(ctx, a, xi).as_vector()) for a in range(n)]
+    low = [metric_lower(g, nx.as_vector()) for nx in nabla_vec_coord(ctx, xi)]
     return [[low[a][b] + low[b][a] for b in range(n)] for a in range(n)]
 
 
 def two_tensor_sharp(ctx, t):
     """Metric contraction of a symmetric (0,2)-tensor to an endomorphism."""
     n = ctx.geometry.n
-    g_inv = ctx.g_inv()
-    comps = []
-    for b in range(n):
-        row = {}
-        for j in range(n):
-            acc = 0.0
-            for a in range(n):
-                acc = acc + g_inv[a][b] * t[a][j]
-            row[(j,)] = acc
-        comps.append(AltValue(n, 1, row))
-    return VecAltValue(n, 1, comps)
+    sp, c = _raise_first(n, n)(*ctx.g_inv_array(), *_dense(t))
+    return _vec(n, 1, sp, _split(c, n))
 
 
 def curvature_shuffle(ctx, phi):
     """(d^nabla)^2 phi via the Riemann curvature shuffle sum."""
     n, p = phi.n, phi.k
-    R = ctx.curvature()
-    m = p + 2
-    comps_out = [dict() for _ in range(n)]
-    for M in combinations(range(n), m):
-        for sign, chosen, others in _shuffles(m, 2):
-            i, j = M[chosen[0]], M[chosen[1]]
-            rest = tuple(M[t] for t in others)
-            for b in range(n):
-                cb = phi.comps[b].coeffs.get(rest)
-                if cb is None:
-                    continue
-                for l in range(n):
-                    term = R[i][j][b][l] * cb
-                    term = term if sign > 0 else -term
-                    d = comps_out[l]
-                    d[M] = d[M] + term if M in d else term
-    return VecAltValue(n, m, [AltValue(n, m, d) for d in comps_out])
+    sp, c = _curvature(n, p)(*ctx.curvature_array(), phi.space, phi.c)
+    return _vec(n, p + 2, sp, _split(c, n))
 
 
 # -- pointwise extraction -----------------------------------------------------
 
 
 def value_of(w):
-    """Strip jets down to order-0 coefficient values."""
-    if isinstance(w, VecAltValue):
-        return VecAltValue(w.n, w.k, [value_of(c) for c in w.comps])
-    return AltValue(w.n, w.k, {I: scalar_value(c) for I, c in w.coeffs.items()})
+    """Strip jets down to order-0 coefficient values: a constant value."""
+    make = _vec if isinstance(w, VecAltValue) else _alt
+    return make(w.n, w.k, None, w.c[..., :1].copy())

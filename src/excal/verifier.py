@@ -821,7 +821,7 @@ def _s_cokahler(check, seed, G, gname):
 def _s_kanemaki(check, seed, G, gname):
     def lhs(ctx):
         phi = ctx.structure("phi")
-        out = [nabla_vec_coord(ctx, a, phi) for a in range(3)]
+        out = nabla_vec_coord(ctx, phi)
         # symmetry of A: g(A e_i, e_j) as a matrix, compared both ways
         A = _amatrix(ctx)
         g = ctx.g()

@@ -4,17 +4,21 @@
 when one it reads a metric from is gone. This checks the same names from
 the test suite, so a refactor that renames or deletes one fails here and
 not only in the benchmark's own tests. It only looks the names up; it
-wraps nothing.
+wraps nothing. It also pins the jet-multiply kernel the benchmark counts:
+its arguments, and one call per wedge or interior product.
 """
 
 import importlib
+import inspect
 import sys
+from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import spans  # noqa: E402
 
 from excal import jets  # noqa: E402
+from excal.alt import AltValue, VecAltValue, interior, wedge  # noqa: E402
 
 
 def test_every_required_boundary_exists():
@@ -30,3 +34,31 @@ def test_every_required_boundary_exists():
 def test_kernel_counter_exists():
     assert spans.KERNEL == "jets.mul_coeffs"
     assert callable(jets.mul_coeffs)
+
+
+def test_kernel_keeps_the_arguments_the_benchmark_counts():
+    # perfbench's kernel counter wraps these six positional arguments
+    params = inspect.signature(jets.mul_coeffs).parameters
+    assert list(params) == ["a", "b", "idx_a", "idx_b", "idx_out", "size"]
+
+
+def test_one_kernel_call_per_product(monkeypatch):
+    # a wedge or an interior of jet values is one table-driven product, not
+    # a loop of scalar jet products
+    calls = []
+    kernel = jets.mul_coeffs
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return kernel(*args)
+
+    monkeypatch.setattr(jets, "mul_coeffs", counted)
+    p = (0.3, -0.2, 0.5, 0.7)
+    x = [jets.jet_var(p, i, 2) for i in range(4)]
+    a = AltValue(4, 1, {(i,): x[i] * x[(i + 1) % 4] for i in range(4)})
+    b = AltValue(4, 2, {I: x[I[0]] + 2.0 * x[I[1]] for I in combinations(range(4), 2)})
+    phi = VecAltValue(4, 1, [a, a, a, a])
+    for product in (lambda: wedge(a, b), lambda: interior(phi, b)):
+        calls.clear()
+        product()
+        assert len(calls) == 1 and calls[0] > 0

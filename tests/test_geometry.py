@@ -187,9 +187,12 @@ def test_context_coords_are_the_coordinate_jets():
         assert isinstance(x, Jet) and x.value == p[i] and x.order == ctx.order
         for j in range(G.n):
             assert jet_partial(x, tuple(int(t == j) for t in range(G.n))) == (i == j)
-    # every jet at the point is built from them: a coordinate is the very jet
+    # every jet at the point is built from them: a coordinate holds the very
+    # coefficients of its jet, bit for bit
     f = FormField(0, {(): G.parse_expr("x1")})
-    assert f.at(ctx).coeffs[()] is ctx.coords[0]
+    got = f.at(ctx).coeffs[()]
+    assert got.space is ctx.coords[0].space
+    assert np.array_equal(got.c.view(np.int64), ctx.coords[0].c.view(np.int64))
 
 
 @pytest.mark.parametrize("order", [-1, MAX_ORDER + 1])
