@@ -298,6 +298,22 @@ def _scaling(count):
 
 
 @cache
+def _matmul(n):
+    """(T S)^b_c = sum_m T^b_m S^m_c for n x n matrices at rows b*n + m."""
+    terms = [(1, b * n + m, m * n + c, b * n + c)
+             for b in range(n) for c in range(n) for m in range(n)]
+    return _Product(terms, n * n, n * n)
+
+
+@cache
+def _raise_first(n, rows):
+    """out^b_r = sum_a g^{ab} t_{a r}, g^{ab} at row a*n + b."""
+    terms = [(1, a * n + b, a * rows + r, b * rows + r)
+             for b in range(n) for r in range(rows) for a in range(n)]
+    return _Product(terms, n * n, n * rows)
+
+
+@cache
 def _wedge(n, ka, kb, comps):
     """a ^ b for a of degree ka and each of comps components of b."""
     out, rb, rm = _rows(n, ka + kb), len(_basis(n, kb)), len(_basis(n, ka + kb))
@@ -592,16 +608,11 @@ def trace(phi):
 
 def sharp(omega, g_inv):
     """Musical sharp: sum_{a,b} g^{ab} (i_{e_a} omega) wedge e_b, for g_inv
-    an n x n nested list of jets and numbers."""
-    return _sharp_dense(omega, *_dense(g_inv))
-
-
-def _sharp_dense(omega, space, g_inv):
-    """sharp for g_inv given as the (space, array) pair dense makes."""
+    the (space, array) pair ChartContext.g_inv gives, g^{ab} at [a, b]."""
     if omega.k == 0:
         raise DegreeError("sharp needs a form of degree >= 1")
     n, k = omega.n, omega.k
-    sp, c = _sharp_table(n, k)(space, g_inv, omega.space, omega.c)
+    sp, c = _sharp_table(n, k)(*g_inv, omega.space, omega.c)
     return _vec(n, k - 1, sp, _split(c, n))
 
 

@@ -3,11 +3,19 @@
 A Geometry is a single coordinate chart with expression-valued metric
 entries, a sampling box with optional exclusion predicate, and optional
 structure tensors (J, phi, xi, eta, theta).  All evaluation goes through
-per-point ChartContext objects that cache metric/Christoffel/frame jets,
-since identity checks revisit the same sampled points many times.  A
-context is the one place a point becomes jets: it builds its coordinate
-jets once, as ``coords``, and every jet at the point is evaluated from
-them, so the orders of everything derived follow from the jets rule.
+per-point ChartContext objects, cached per chart, since identity checks
+revisit the same sampled points many times.  A context is the one place a
+point becomes jets: it builds its coordinate jets once, as ``coords``, and
+every jet at the point is evaluated from them, so the orders of everything
+derived follow from the jets rule.
+
+A context evaluates the metric entries once, as jets, and builds what
+depends on them as dense (space, array) pairs with the Taylor axis last,
+each memoized: g^{-1} by a truncated Neumann series about the value's
+inverse, the Christoffel symbols from the metric's partials and one
+product with g^{-1}, and the curvature from theirs and one product.  The
+orthonormal frame is built by Gram-Schmidt on demand and not kept; no
+operator reads it.
 """
 
 import functools
@@ -21,9 +29,10 @@ from typing import Optional
 import numpy as np
 
 from . import sexpr
-from .alt import AltValue, VecAltValue, _alt, _dense, _Product, _rows
+from .alt import (AltValue, VecAltValue, _alt, _dense, _matmul, _partials, _Product,
+                  _raise_first, _rows, _sum, _width)
 from .errors import ConfigError, PointExcluded, SingularMetric
-from .jets import Jet, jet_apply, jet_diff, jet_space, jet_var, poly_block, scalar_value
+from .jets import jet_apply, jet_var, poly_block, scalar_value
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
@@ -204,43 +213,33 @@ class ChartContext:
     # -- metric ----------------------------------------------------------
 
     def g(self):
+        """The metric as an n x n nested list of jets and numbers."""
         return self._memo("g", lambda: _metric_jets(self))
 
-    def g_inv(self):
-        return self._memo("g_inv", lambda: _invert_jets(self.g()))
+    def _g_array(self):
+        return self._memo("g_array", lambda: _dense(self.g()))
 
     def g_value(self):
-        return np.array([[scalar_value(e) for e in row] for row in self.g()])
+        return self._g_array()[1][..., 0].copy()
+
+    # -- (space, array) pairs with a Taylor axis last, as alt's tables read them
+
+    def g_inv(self):
+        """g^{ab} at [a, b], of the metric's order."""
+        return self._memo("g_inv", lambda: _inverse(*self._g_array()))
 
     def gamma(self):
-        """Christoffel jets of order one less than the metric jets."""
-        return self._memo("gamma", lambda: _christoffel_jets(self.g(), self.g_inv()))
+        """Gamma^k_{ij} at [k, i, j], one order below the metric."""
+        return self._memo("gamma", lambda: _christoffel(*self._g_array(), *self.g_inv()))
+
+    def curvature(self):
+        """R at [i, j, k, l], the coefficient of e_l in R(e_i, e_j) e_k, one
+        order below Gamma."""
+        return self._memo("curv", lambda: _curvature(*self.gamma()))
 
     def frame(self, descending=False):
         """The orthonormal frame as tangent vectors, in the order built."""
         return [VecAltValue.from_vector(v) for v in _gram_schmidt(self.g(), descending)]
-
-    def curvature(self):
-        """R[i][j][k][l] jets: coefficient of e_l in R(e_i, e_j) e_k."""
-        return self._memo("curv", lambda: _curvature_jets(self.gamma()))
-
-    # -- dense arrays, as alt's tables read them: (space, array) with the
-    # -- nesting of the jets above and a Taylor axis last
-
-    def g_inv_array(self):
-        return self._memo("g_inv_array", lambda: _dense(self.g_inv()))
-
-    def gamma_array(self):
-        return self._memo("gamma_array", lambda: _dense(self.gamma()))
-
-    def frame_square(self, descending=False):
-        """F[a][b] = sum_X X^a X^b over the orthonormal frame, the frame
-        contraction of the codifferential."""
-        key = ("frame_square", descending)
-        return self._memo(key, lambda: _frame_square(_gram_schmidt(self.g(), descending)))
-
-    def curvature_array(self):
-        return self._memo("curv_array", lambda: _dense(self.curvature()))
 
     # -- fields ----------------------------------------------------------
 
@@ -276,27 +275,23 @@ def _metric_jets(ctx):
     return g
 
 
-def _invert_jets(g):
-    """Gauss-Jordan with partial pivoting on values, over jets and numbers."""
+def _inverse(sg, g):
+    """g^{-1} of a metric (space, array) as A sum_m (-H A)^m, with A the
+    inverse of g's value and H = g - g(p).  H A has no value, so the series
+    ends at the jet order r; in Horner form, Y <- A - (A H) Y, it is r
+    jet-matrix products.  _metric_jets has found g symmetric positive-
+    definite, so nothing pivots."""
+    A = np.linalg.inv(g[..., 0])
+    if sg is None or sg.order == 0:
+        return sg, A[..., None]
     n = len(g)
-    a = [row[:] for row in g]
-    b = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(scalar_value(a[r][col])))
-        if abs(scalar_value(a[piv][col])) < 1e-300:
-            raise SingularMetric("metric matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        inv = 1.0 / a[col][col]
-        a[col] = [e * inv for e in a[col]]
-        b[col] = [e * inv for e in b[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            f = a[r][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-    return b
+    AH = np.tensordot(A, g, 1)
+    AH[..., 0] = 0.0
+    sy, Y = None, A[..., None]
+    for _ in range(sg.order):
+        sp, P = _matmul(n)(sg, AH, sy, Y)
+        sy, Y = _sum(None, A[..., None], sp, P.reshape(n, n, -1), -1.0)
+    return sy, Y
 
 
 def metric_inner(g, u, v):
@@ -321,19 +316,15 @@ def metric_lower(g, v):
     return out
 
 
-def _christoffel_jets(g, g_inv):
-    """Christoffel symbols as jets of one order less than g's."""
+def _christoffel(sg, g, si, g_inv):
+    """Gamma^k_{ij} = sum_l g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) / 2 at
+    [k, i, j], from the metric's partials D[l, i, j] = d_l g_ij."""
     n = len(g)
-    dg = [[[jet_diff(g[i][j], l) for l in range(n)] for j in range(n)] for i in range(n)]
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            first_kind = [dg[j][l][i] + dg[i][l][j] - dg[i][j][l] for l in range(n)]
-            for k, acc in enumerate(metric_lower(g_inv, first_kind)):
-                val = acc * 0.5
-                gamma[k][i][j] = val
-                gamma[k][j][i] = val
-    return gamma
+    sd, D = _partials(n, sg, g)
+    E = np.moveaxis(D, 2, 0)  # E[l, i, j] = d_i g_jl
+    first = (E + E.swapaxes(1, 2) - D) * 0.5
+    sp, c = _raise_first(n, n * n)(si, g_inv, sd, first)
+    return sp, c.reshape(n, n, n, -1)
 
 
 def _gram_schmidt(g, descending=False):
@@ -359,49 +350,32 @@ def _gram_schmidt(g, descending=False):
 
 
 @functools.cache
-def _outer(n):
-    """sum_X X^a X^b over n vectors X, at out row a*n + b."""
-    terms = [(1, x * n + a, x * n + b, a * n + b)
-             for a in range(n) for b in range(n) for x in range(n)]
-    return _Product(terms, n * n, n * n)
+def _christoffel_square(n):
+    """sum_m Gamma^m_{jk} Gamma^l_{im}, Gamma^l_{ij} at row (l*n + i)*n + j;
+    out row ((i*n + j)*n + k)*n + l."""
+    terms = [(1, (m * n + j) * n + k, (l * n + i) * n + m, ((i * n + j) * n + k) * n + l)
+             for i, j, k, l in itertools.product(range(n), repeat=4) for m in range(n)]
+    return _Product(terms, n ** 3, n ** 4)
 
 
-def _frame_square(frame):
-    """(space, F) with F[a][b] = sum_X X^a X^b over the frame vectors X."""
-    sp, X = _dense(frame)
-    n = len(frame)
-    sp, F = _outer(n)(sp, X, sp, X)
-    return sp, F.reshape(n, n, -1)
-
-
-def _lowered(c):
-    """A Christoffel jet read one order lower, in place; a number as is."""
-    if not isinstance(c, Jet):
-        return c
-    sp = jet_space(c.space.n, c.order - 1)
-    return Jet(sp, c.c[: sp.size])
-
-
-def _curvature_jets(gam):
-    """R(e_i, e_j) e_k = sum_l R[i][j][k][l] e_l, as jets of one order less
-    than the Christoffel symbols'.  Their products are taken at that order,
-    reading their prefixes, since the derivative terms have it anyway."""
+def _curvature(sg, gam):
+    """R at [i, j, k, l] for Gamma = (sg, gam).  The Gamma Gamma products are
+    taken at the curvature's order, reading Gamma's prefix, since the
+    derivative terms have it anyway."""
     n = len(gam)
-    dgam = [
-        [[[jet_diff(gam[l][i][j], m) for m in range(n)] for j in range(n)] for i in range(n)]
-        for l in range(n)
-    ]
-    low = [[[_lowered(c) for c in row] for row in mat] for mat in gam]
-    R = [[[[None] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc = dgam[l][j][k][i] - dgam[l][i][k][j]
-                    for m in range(n):
-                        acc = acc + low[m][j][k] * low[l][i][m] - low[m][i][k] * low[l][j][m]
-                    R[i][j][k][l] = acc
-    return R
+    sd, D = _partials(n, sg, gam)
+    low = gam[..., : _width(sd)]
+    return _riemann(sd, D, *_christoffel_square(n)(sd, low, sd, low))
+
+
+def _riemann(sd, D, sq, Q):
+    """R at [i, j, k, l], the coefficient of e_l in R(e_i, e_j) e_k, is
+    T[i, j, k, l] - T[j, i, k, l] with T = d_i Gamma^l_{jk} + sum_m
+    Gamma^m_{jk} Gamma^l_{im}, from the partials D[m, l, i, j] =
+    d_m Gamma^l_{ij} and the _christoffel_square product Q."""
+    E = D.transpose(0, 2, 3, 1, 4)  # E[i, j, k, l] = d_i Gamma^l_{jk}
+    sp, T = _sum(sd, E, sq, Q.reshape(E.shape[:-1] + Q.shape[-1:]), 1.0)
+    return sp, T - T.swapaxes(0, 1)
 
 
 # -- point sampling ---------------------------------------------------------

@@ -13,10 +13,11 @@ a _Gather whose terms (sign, (a, I) row, out row) come from _sort_sign of
 (a,) + I; nabla adds to the partials one product of the Christoffel array
 with the form, a _Product whose terms pair Gamma^m_{a I_s} with the
 coefficient at I with I_s replaced by m, the sort sign folded into the
-gather; delta, omega-nabla, the curvature shuffle sum, endomorphism
-composition and the Nijenhuis tensor are each one _Product over the
-context's dense arrays (ChartContext.g_inv_array, gamma_array,
-frame_square, curvature_array).
+gather, and skips it on a chart whose Christoffel symbols are the zero
+constant; delta (contracted with g^{-1}, no frame), omega-nabla, the
+curvature shuffle sum, endomorphism composition and the Nijenhuis tensor
+are each one _Product over the context's dense arrays (ChartContext.g_inv,
+gamma, curvature).
 
 Sign conventions, fixed globally:
   [A, B]  = A o B - (-1)^{|A||B|} B o A
@@ -36,16 +37,18 @@ from .alt import (
     _basis,
     _dense,
     _Gather,
+    _matmul,
     _partials,
     _Product,
+    _raise_first,
     _rows,
-    _sharp_dense,
     _shuffles,
     _sort_sign,
     _split,
     _sum,
     _vec,
     interior,
+    sharp,
     wedge,
 )
 from .compare import alt_errors, exceeds
@@ -96,7 +99,7 @@ def _connection(n, k, vec):
 
 @cache
 def _codiff(n, k):
-    """delta w = -sum_{a,b} F^{ab} i_{e_b} nabla_a w, F^{ab} at row a*n + b."""
+    """delta w = -sum_{a,b} g^{ab} i_{e_b} nabla_a w, g^{ab} at row a*n + b."""
     where, rk = _rows(n, k), len(_basis(n, k))
     terms = []
     for j, J in enumerate(_basis(n, k - 1)):
@@ -106,22 +109,6 @@ def _codiff(n, k):
                 for a in range(n):
                     terms.append((-s, a * n + b, a * rk + where[key], j))
     return _Product(terms, n * n, len(_basis(n, k - 1)))
-
-
-@cache
-def _raise_first(n, rows):
-    """out^b_r = sum_a g^{ab} t_{a r}, g^{ab} at row a*n + b."""
-    terms = [(1, a * n + b, a * rows + r, b * rows + r)
-             for b in range(n) for r in range(rows) for a in range(n)]
-    return _Product(terms, n * n, n * rows)
-
-
-@cache
-def _compose(n):
-    """(T o S)^b_c = sum_m T^b_m S^m_c for degree-1 tangent-valued T, S."""
-    terms = [(1, b * n + m, m * n + c, b * n + c)
-             for b in range(n) for c in range(n) for m in range(n)]
-    return _Product(terms, n * n, n * n)
 
 
 @cache
@@ -181,22 +168,23 @@ def nabla_coord(ctx, w):
     sd, D = _partials(n, w.space, w.c)
     if k == 0 and not vec:
         return sd, D
-    sg, G = ctx.gamma_array()
+    sg, G = ctx.gamma()
+    if sg is None and not G.any():  # a chart whose Christoffel symbols are zero
+        return sd, D
     sp, P = _connection(n, k, vec)(sg, G, w.space, w.c)
     return _sum(sd, D, sp, P.reshape(D.shape[:-1] + P.shape[-1:]), 1.0)
 
 
-def codiff(ctx, w, descending=False):
-    """Hodge codifferential by the orthonormal-frame formula,
-    delta w = -sum_X i_X nabla_X w."""
+def codiff(ctx, w):
+    """Hodge codifferential contracted with the inverse metric,
+    delta w = -sum_{a,b} g^{ab} i_{e_b} nabla_a w."""
     n, k = w.n, w.k
     if k == 0 or k > n:
         # degree k - 1 even when structurally zero, so compositions that
         # wedge or add the result keep consistent degree bookkeeping
         return AltValue.zero(n, k - 1)
     sn, N = nabla_coord(ctx, w)
-    sf, F = ctx.frame_square(descending)
-    return _alt(n, k - 1, *_codiff(n, k)(sf, F, sn, N))
+    return _alt(n, k - 1, *_codiff(n, k)(*ctx.g_inv(), sn, N))
 
 
 def nabla_vec_coord(ctx, phi):
@@ -238,7 +226,7 @@ def nabla_vec(ctx, phi, w):
 
 def sharp_field(ctx, w):
     """Musical sharp with jet coefficients (evaluable in a neighborhood)."""
-    return _sharp_dense(w, *ctx.g_inv_array())
+    return sharp(w, ctx.g_inv())
 
 
 def omega_nabla(ctx, w):
@@ -247,7 +235,7 @@ def omega_nabla(ctx, w):
         raise DegreeError("omega_nabla needs a form of degree >= 1")
     n = w.n
     sn, N = nabla_coord(ctx, w)
-    sp, c = _raise_first(n, len(_basis(n, w.k)))(*ctx.g_inv_array(), sn, N)
+    sp, c = _raise_first(n, len(_basis(n, w.k)))(*ctx.g_inv(), sn, N)
     return _vec(n, w.k, sp, _split(c, n))
 
 
@@ -402,7 +390,7 @@ def endo_apply(T, v_comps):
 def endo_compose(T, S):
     """Composition T o S of endomorphisms given as degree-1 VecAltValues."""
     n = T.n
-    sp, c = _compose(n)(T.space, T.c, S.space, S.c)
+    sp, c = _matmul(n)(T.space, T.c, S.space, S.c)
     return _vec(n, 1, sp, _split(c, n))
 
 
@@ -429,14 +417,14 @@ def lie_metric(ctx, xi):
 def two_tensor_sharp(ctx, t):
     """Metric contraction of a symmetric (0,2)-tensor to an endomorphism."""
     n = ctx.geometry.n
-    sp, c = _raise_first(n, n)(*ctx.g_inv_array(), *_dense(t))
+    sp, c = _raise_first(n, n)(*ctx.g_inv(), *_dense(t))
     return _vec(n, 1, sp, _split(c, n))
 
 
 def curvature_shuffle(ctx, phi):
     """(d^nabla)^2 phi via the Riemann curvature shuffle sum."""
     n, p = phi.n, phi.k
-    sp, c = _curvature(n, p)(*ctx.curvature_array(), phi.space, phi.c)
+    sp, c = _curvature(n, p)(*ctx.curvature(), phi.space, phi.c)
     return _vec(n, p + 2, sp, _split(c, n))
 
 

@@ -18,7 +18,7 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import catalog, opexpr
-from .alt import AltValue, VecAltValue, interior, trace, wedge, wedge_sv
+from .alt import AltValue, VecAltValue, _alt, interior, trace, wedge, wedge_sv
 from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, exceeds
 from .errors import ConfigError, DegreeError, UnknownSuite
 from .geometry import FormField, Geometry, VecFormField, metric_lower, sample_points
@@ -34,6 +34,7 @@ from .operators import (
     graded_comm,
     lie_metric,
     lie_vec,
+    nabla_coord,
     nabla_vec,
     nabla_vec_coord,
     omega_diamond,
@@ -405,6 +406,23 @@ def _s_deltasquared(check, seed, G, gname):
     yield check(f"deltasquared/{gname}", lhs, _zero_rhs(G.n, [q - 2 for q in betas]))
 
 
+def _frame_codiff(ctx, w, frame):
+    """delta w = -sum_X i_X nabla_X w over an orthonormal frame, with
+    nabla_X w = sum_a X^a nabla_a w: the frame formula, independent of the
+    inverse metric that codiff contracts with."""
+    n, k = w.n, w.k
+    out = AltValue.zero(n, k - 1)
+    if k == 0 or k > n:
+        return out
+    sn, N = nabla_coord(ctx, w)
+    for X in frame:
+        nabla_x = AltValue.zero(n, k)
+        for Na, x in zip(N, X.as_vector()):
+            nabla_x = nabla_x + _alt(n, k, sn, Na).scale(x)
+        out = out - interior(X, nabla_x)
+    return out
+
+
 @_per_geometry(GEOMS_ALL)
 def _s_frame_independence(check, seed, G, gname):
     betas = _betas(G, derive_seed(seed, gname, "frame"), range(1, G.n + 1))
@@ -413,7 +431,8 @@ def _s_frame_independence(check, seed, G, gname):
         return [codiff(ctx, b) for b in _beta_values(betas, ctx)]
 
     def rhs(ctx):
-        return [codiff(ctx, b, descending=True) for b in _beta_values(betas, ctx)]
+        frame = ctx.frame(descending=True)
+        return [_frame_codiff(ctx, b, frame) for b in _beta_values(betas, ctx)]
 
     yield check(f"frame-independence/{gname}", lhs, rhs)
 

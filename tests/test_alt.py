@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from excal.alt import (
     AltValue,
     VecAltValue,
+    _dense,
     _shuffles,
     _sort_sign,
     apply,
@@ -175,11 +176,11 @@ def test_sharp_lowers_degree_with_metric():
     n = 3
     g_inv = [[2.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     om = AltValue(n, 1, {(0,): 1.0, (2,): -3.0})
-    v = sharp(om, g_inv)
+    v = sharp(om, _dense(g_inv))
     assert v.k == 0
     assert v.as_vector() == [2.0, 0.0, -6.0]
     with pytest.raises(DegreeError):
-        sharp(AltValue(n, 0, {(): 1.0}), g_inv)
+        sharp(AltValue(n, 0, {(): 1.0}), _dense(g_inv))
     # a non-diagonal, symmetric, jet-valued g_inv against the defining sum
     # sharp(om)^b = sum_a g^{ab} i_{e_a} om, Taylor coefficient by coefficient
     x = [jet_var((0.3, -0.2, 0.5), i, 2) for i in range(n)]
@@ -191,7 +192,7 @@ def test_sharp_lowers_degree_with_metric():
         AltValue(n, 1, {(0,): x[1], (2,): -3.0}),
         AltValue(n, 2, {(0, 1): x[2], (1, 2): 0.5 * x[0], (0, 2): 1.5}),
     ):
-        v = sharp(om, g_inv)
+        v = sharp(om, _dense(g_inv))
         assert v.k == om.k - 1
         for b in range(n):
             want = AltValue.zero(n, om.k - 1)
@@ -243,7 +244,7 @@ def test_sharp_above_dimension_is_empty(n):
     top = AltValue(n, n, {tuple(range(n)): 1.0})
     w = wedge(AltValue(n, 1, {(0,): 1.0}), top)
     assert w.k == n + 1
-    s = sharp(w, g_inv)
+    s = sharp(w, _dense(g_inv))
     assert isinstance(s, VecAltValue) and s.k == n and len(s.comps) == n
     assert all(c.k == n and not c.coeffs for c in s.comps)
 

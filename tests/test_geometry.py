@@ -20,6 +20,7 @@ from excal.geometry import (
     sample_points,
 )
 from excal.jets import MAX_ORDER, Jet, jet_partial, scalar_value
+from excal.operators import nabla_coord
 
 
 def conformal_2d():
@@ -37,33 +38,30 @@ def conformal_2d():
 
 def test_euclidean_christoffels_vanish():
     G = builtin("euclidean(3)").geometry
-    gam = G.context((0.2, -0.4, 0.7), 2).gamma()
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                assert scalar_value(gam[k][i][j]) == pytest.approx(0.0, abs=1e-14)
+    space, gam = G.context((0.2, -0.4, 0.7), 2).gamma()
+    assert space is None and gam.shape == (3, 3, 3, 1) and not gam.any()
 
 
 def test_sphere_christoffels():
     G = builtin("sphere2").geometry
     th = 1.0
-    gam = G.context((th, 2.0), 2).gamma()
-    assert gam[0][1][1].value == pytest.approx(-math.sin(th) * math.cos(th))
-    assert gam[1][0][1].value == pytest.approx(math.cos(th) / math.sin(th))
-    assert gam[1][1][0].value == gam[1][0][1].value  # torsion-free
-    assert gam[0][0][0].value == pytest.approx(0.0, abs=1e-14)
+    gam = G.context((th, 2.0), 2).gamma()[1][..., 0]
+    assert gam[0, 1, 1] == pytest.approx(-math.sin(th) * math.cos(th))
+    assert gam[1, 0, 1] == pytest.approx(math.cos(th) / math.sin(th))
+    assert gam[1, 1, 0] == gam[1, 0, 1]  # torsion-free
+    assert gam[0, 0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_conformal_christoffels():
     # g = e^{2f} delta with f = x gives Gamma^k_ij = d_i f d_jk + d_j f d_ik - d_k f d_ij
     G = conformal_2d()
-    gam = G.context((0.3, -0.2), 2).gamma()
-    assert gam[0][0][0].value == pytest.approx(1.0)
-    assert gam[0][1][1].value == pytest.approx(-1.0)
-    assert gam[1][0][1].value == pytest.approx(1.0)
-    assert gam[1][0][0].value == pytest.approx(0.0, abs=1e-14)
-    assert gam[0][0][1].value == pytest.approx(0.0, abs=1e-14)
-    assert gam[1][1][1].value == pytest.approx(0.0, abs=1e-14)
+    gam = G.context((0.3, -0.2), 2).gamma()[1][..., 0]
+    assert gam[0, 0, 0] == pytest.approx(1.0)
+    assert gam[0, 1, 1] == pytest.approx(-1.0)
+    assert gam[1, 0, 1] == pytest.approx(1.0)
+    assert gam[1, 0, 0] == pytest.approx(0.0, abs=1e-14)
+    assert gam[0, 0, 1] == pytest.approx(0.0, abs=1e-14)
+    assert gam[1, 1, 1] == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("name", ["sphere2", "hopf_lck", "sasakian_s3"])
@@ -72,7 +70,7 @@ def test_metric_compatibility(name):
     G = builtin(name).geometry
     p = sample_points(G, 1, 77)[0]
     ctx = G.context(p, 2)
-    g, gam = ctx.g(), ctx.gamma()
+    g, gam = ctx.g(), ctx.gamma()[1][..., 0]
     n = G.n
     for a in range(n):
         e_a = tuple(1 if t == a else 0 for t in range(n))
@@ -80,8 +78,7 @@ def test_metric_compatibility(name):
             for j in range(n):
                 dg = jet_partial(g[i][j], e_a)
                 rhs = sum(
-                    scalar_value(gam[m][a][i]) * scalar_value(g[m][j])
-                    + scalar_value(gam[m][a][j]) * scalar_value(g[i][m])
+                    gam[m, a, i] * scalar_value(g[m][j]) + gam[m, a, j] * scalar_value(g[i][m])
                     for m in range(n)
                 )
                 assert dg == pytest.approx(rhs, abs=1e-10)
@@ -102,11 +99,14 @@ def test_flat_chart_values_are_numbers():
     # down, even at jet order 2
     G = builtin("euclidean(3)").geometry
     ctx = G.context((0.2, -0.4, 0.7), 2)
-    values = _entries([ctx.g(), ctx.g_inv(), ctx.gamma(), ctx.curvature()])
+    values = _entries(ctx.g())
     for descending in (False, True):
         values += [c for X in ctx.frame(descending) for c in X.as_vector()]
-    assert len(values) == 9 + 9 + 27 + 81 + 18
+    assert len(values) == 9 + 18
     assert all(isinstance(v, float) for v in values)
+    # and the dense ones are constants: space None, one Taylor column
+    for rank, (space, a) in enumerate((ctx.g_inv(), ctx.gamma(), ctx.curvature()), 2):
+        assert space is None and a.shape == (3,) * rank + (1,)
 
 
 def test_metric_entry_is_a_jet_where_it_depends_on_the_point():
@@ -119,9 +119,9 @@ def test_metric_entry_is_a_jet_where_it_depends_on_the_point():
 def test_sphere_sectional_curvature_is_one():
     G = builtin("sphere2").geometry
     for p in sample_points(G, 3, 5):
-        R = _values(G.context(p, 2).curvature())
+        R = G.context(p, 2).curvature()[1][..., 0]
         g = G.context(p, 2).g_value()
-        num = sum(R[0][1][1][l] * g[l][0] for l in range(2))
+        num = sum(R[0, 1, 1, l] * g[l][0] for l in range(2))
         den = g[0][0] * g[1][1] - g[0][1] ** 2
         assert num / den == pytest.approx(1.0, abs=1e-10)
 
@@ -129,22 +129,21 @@ def test_sphere_sectional_curvature_is_one():
 def test_flat_curvature_vanishes():
     G = builtin("flat_kahler(2)").geometry
     p = sample_points(G, 1, 3)[0]
-    R = _values(G.context(p, 2).curvature())
-    flat = np.array(R)
-    assert np.abs(flat).max() < 1e-13
+    space, R = G.context(p, 2).curvature()
+    assert space is None and np.abs(R).max() < 1e-13
 
 
 def test_hopf_metric_values():
     G = builtin("hopf_lck").geometry
     p = (0.5, 0.5, 0.5, 0.5)
     ctx = G.context(p, 0)
-    g, g_inv = ctx.g(), ctx.g_inv()
+    g, g_inv = ctx.g(), ctx.g_inv()[1][..., 0]
     r2 = sum(x * x for x in p)
     for i in range(4):
         for j in range(4):
             want = (1.0 / r2 if i == j else 0.0)
             assert scalar_value(g[i][j]) == pytest.approx(want)
-            assert scalar_value(g_inv[i][j]) == pytest.approx(r2 if i == j else 0.0)
+            assert g_inv[i, j] == pytest.approx(r2 if i == j else 0.0)
 
 
 @pytest.mark.parametrize("name", ["sphere2", "sasakian_s3", "hopf_lck"])
@@ -160,6 +159,107 @@ def test_orthonormal_frame(name):
     frame_d = np.array([_values(v.as_vector()) for v in ctx.frame(descending=True)])
     gram_d = frame_d @ g @ frame_d.T
     np.testing.assert_allclose(gram_d, np.eye(G.n), atol=1e-12)
+
+
+def _jets(space, a):
+    """A dense (space, array) pair as a nested list of jets, or of numbers
+    for a constant."""
+    if a.ndim > 1:
+        return [_jets(space, row) for row in a]
+    return float(a[0]) if space is None else Jet(space, a)
+
+
+def _coeffs(c, size):
+    """The Taylor coefficients of a jet or a number, at a given size."""
+    if isinstance(c, Jet):
+        return c.c[:size]
+    return np.eye(1, size)[0] * c
+
+
+def _assert_identity(ctx, scale=1e-12):
+    """g g^{-1} = I in every Taylor coefficient, to scale relative to
+    |g| |g^{-1}|."""
+    g, (space, inv) = ctx.g(), ctx.g_inv()
+    size = 1 if space is None else space.size
+    gi = _jets(space, inv)
+    n = len(g)
+    tol = scale * max(1.0, np.abs(ctx._g_array()[1]).max() * np.abs(inv).max())
+    for i in range(n):
+        for j in range(n):
+            got = _coeffs(sum(g[i][m] * gi[m][j] for m in range(n)), size)
+            want = np.eye(1, size)[0] * (i == j)
+            np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+CATALOG_CHARTS = (
+    [f"euclidean({n})" for n in range(1, 7)] + [f"flat_torus({n})" for n in range(1, 7)]
+    + ["sphere2", "hopf_lck", "sasakian_s3"]
+    + [f"flat_kahler({m})" for m in (1, 2, 3)] + [f"flat_cokahler({m})" for m in (1, 2)]
+)
+
+
+@pytest.mark.parametrize("name", CATALOG_CHARTS)
+def test_inverse_metric_on_every_catalog_chart(name):
+    G = builtin(name).geometry
+    for p in sample_points(G, 3, 23):
+        _assert_identity(G.context(p, 4))
+
+
+@pytest.mark.parametrize("name", ["sphere2", "sasakian_s3", "hopf_lck"])
+def test_gram_schmidt_frame_squares_to_the_inverse_metric(name):
+    # sum_X X (x) X over an orthonormal frame is g^{-1}, whichever order
+    # Gram-Schmidt runs in, Taylor coefficient by Taylor coefficient
+    G = builtin(name).geometry
+    for p in sample_points(G, 3, 29):
+        ctx = G.context(p, 3)
+        space, inv = ctx.g_inv()
+        for descending in (False, True):
+            frame = [X.as_vector() for X in ctx.frame(descending)]
+            for a in range(G.n):
+                for b in range(G.n):
+                    got = _coeffs(sum(X[a] * X[b] for X in frame), space.size)
+                    np.testing.assert_allclose(got, inv[a, b], rtol=0, atol=1e-12 * max(1.0, np.abs(inv).max()))
+
+
+# -- a dense pulled-back flat chart ------------------------------------------
+
+# phi(x) = (x1 + x2^2/2, x2 + x1 x3/3, x3 + x1^2/4 - x2/5); row k of J is the
+# gradient of phi_k
+PULLBACK_J = [
+    ["1", "x2", "0"],
+    ["x3/3", "1", "x1/3"],
+    ["x1/2", "-1/5", "1"],
+]
+
+
+def _pullback_flat3():
+    """The flat metric pulled back through phi, g = J^T J, with the pulled
+    back dx_i ^ dx_j as forms "w12", "w13" and "w23"."""
+    J = PULLBACK_J
+    g = [[" + ".join(f"({J[k][i]})*({J[k][j]})" for k in range(3)) for j in range(3)]
+         for i in range(3)]
+    forms = {}
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        coeffs = {f"{a + 1},{b + 1}": f"({J[i][a]})*({J[j][b]}) - ({J[i][b]})*({J[j][a]})"
+                  for a, b in ((0, 1), (0, 2), (1, 2))}
+        forms[f"w{i + 1}{j + 1}"] = {"degree": 2, "coeffs": coeffs}
+    return load_config({"name": "pullback_flat3", "dim": 3, "coords": ["x1", "x2", "x3"],
+                        "metric": g, "domain": [[-0.5, 0.5]] * 3, "forms": forms})
+
+
+def test_pulled_back_flat_chart_is_flat_and_keeps_its_parallel_forms():
+    # a dense metric with every entry point-dependent; the known answers are
+    # exact, so index placement errors in g^{-1}, Gamma or R show
+    G = _pullback_flat3()
+    for p in sample_points(G, 3, 31):
+        ctx = G.context(p, 4)
+        assert all(isinstance(e, Jet) for row in ctx.g() for e in row)
+        _assert_identity(ctx)
+        space, R = ctx.curvature()
+        assert space.order == 2 and np.abs(R).max() < 1e-12
+        for w in G.forms.values():
+            space, N = nabla_coord(ctx, w.at(ctx))
+            assert space.order == 3 and np.abs(N).max() < 1e-12
 
 
 def test_sample_points_deterministic_and_in_domain():

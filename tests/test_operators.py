@@ -2,10 +2,11 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from excal import sexpr
-from excal.alt import AltValue, VecAltValue, interior, trace, wedge
+from excal import jets, sexpr
+from excal.alt import AltValue, VecAltValue, _partials, interior, trace, wedge
 from excal.catalog import builtin
 from excal.compare import alt_errors, within, zero_like
 from excal.errors import JetBudgetExhausted, NonFiniteValue, NotADerivation
@@ -23,6 +24,7 @@ from excal.operators import (
     graded_comm,
     lie_metric,
     lie_vec,
+    nabla_coord,
     nabla_vec,
     nijenhuis,
     op_d,
@@ -31,7 +33,7 @@ from excal.operators import (
     sharp_field,
     value_of,
 )
-from excal.verifier import random_form, random_vec_form
+from excal.verifier import _frame_codiff, random_form, random_vec_form
 
 E3 = builtin("euclidean(3)").geometry
 
@@ -145,12 +147,32 @@ def test_codiff_euclidean_divergence():
 
 
 def test_codiff_frame_independent():
+    # the g^{-1} contraction against the frame formula -sum_X i_X nabla_X w
+    # over either Gram-Schmidt frame
     S = builtin("sasakian_s3").geometry
     ctx = ctx_at(S, order=2)
     w = random_form(S, 2, 13).at(ctx)
     a = value_of(codiff(ctx, w))
-    b = value_of(codiff(ctx, w, descending=True))
-    assert within(a, b, atol=1e-10)
+    for descending in (False, True):
+        b = value_of(_frame_codiff(ctx, w, ctx.frame(descending)))
+        assert within(a, b, atol=1e-10)
+
+
+def test_nabla_on_a_flat_chart_is_the_partials_alone(monkeypatch):
+    # euclidean(3) has the zero constant as its Christoffel symbols, so nabla
+    # multiplies nothing: no kernel call, and the partials bit for bit
+    ctx = ctx_at(E3, order=2)
+    w = random_form(E3, 1, 5).at(ctx)
+    phi = random_vec_form(E3, 1, 6).at(ctx)
+    ctx.gamma()  # built once per context
+    calls = []
+    kernel = jets.mul_coeffs
+    monkeypatch.setattr(jets, "mul_coeffs", lambda *args: calls.append(args) or kernel(*args))
+    for v in (w, phi):
+        sp, N = nabla_coord(ctx, v)
+        sd, D = _partials(3, v.space, v.c)
+        assert sp is sd and np.array_equal(N, D)
+    assert not calls
 
 
 def test_sharp_field_euclidean():
