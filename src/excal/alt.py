@@ -2,7 +2,9 @@
 
 Values of scalar k-forms (AltValue) and tangent-valued k-forms
 (VecAltValue) at a point, with wedge, interior products via shuffle sums,
-contraction (trace), and the musical sharp.
+contraction (trace), and the musical sharp and flat, which raise and
+lower an index with the (space, array) pairs ChartContext.g_inv and
+ChartContext.g give.
 
 Layout: an AltValue of degree k on n coordinates is one float array ``c``
 of shape (C(n, k), S).  Row r is the basis key ``_basis(n, k)[r]``, in
@@ -26,7 +28,7 @@ The rules of jets, at the form level:
   past its value are all zero as a float, any other row (so every row of an
   order-0 jet value) as a Jet over a view of the row.
 
-Tables: every bilinear operation (wedge, interior, sharp, scaling by a
+Tables: every bilinear operation (wedge, interior, sharp, flat, scaling by a
 jet, and the operators' contractions) is one jets.mul_coeffs call over a
 _Product table.  Its key-level terms (sign, a row, b row, out row) are
 made once per (operation, n, degrees) from _sort_sign and _shuffles, and
@@ -132,24 +134,6 @@ def _join(parts):
         else:
             o[...] = c[..., :S]
     return space, out
-
-
-def _dense(entries):
-    """(space, array) of a nested list of jets and numbers: the array has the
-    nesting's shape plus a Taylor axis, at the lowest order among the jets."""
-    shape, items = [], []
-
-    def walk(x, at):
-        if isinstance(x, (list, tuple)):
-            if len(shape) == len(at):
-                shape.append(len(x))
-            for i, y in enumerate(x):
-                walk(y, at + (i,))
-        else:
-            items.append((at, x))
-
-    walk(entries, ())
-    return _fill(tuple(shape), items)
 
 
 def _sum(sa, a, sb, b, sign):
@@ -614,6 +598,14 @@ def sharp(omega, g_inv):
     n, k = omega.n, omega.k
     sp, c = _sharp_table(n, k)(*g_inv, omega.space, omega.c)
     return _vec(n, k - 1, sp, _split(c, n))
+
+
+def flat(X, g):
+    """Musical flat: the 1-form sum_{a,b} g_{ab} X^a dx^b of a tangent
+    vector X, for g the (space, array) pair ChartContext.g gives."""
+    if X.k != 0:
+        raise DegreeError("flat needs a tangent vector")
+    return _alt(X.n, 1, *_raise_first(X.n, 1)(*g, X.space, X.c))
 
 
 # -- full alternating evaluation (independent brute-force oracle) ---------

@@ -8,11 +8,10 @@ points before the entry is served.
 
 import re
 
-from .alt import AltValue, VecAltValue, interior, sharp, wedge, wedge_sv
+from .alt import AltValue, VecAltValue, _raise_first, _vec, interior, sharp, wedge, wedge_sv
 from .compare import alt_errors, exceeds, zero_like
 from .errors import NonFiniteValue, UnknownEntry, ValidationFailed
-from .geometry import CONFIG_VERSION, MAX_DIM, load_config, metric_inner, sample_points
-from .jets import scalar_value
+from .geometry import CONFIG_VERSION, MAX_DIM, load_config, sample_points
 from .operators import d_nabla, endo_compose, ext_d, lie_metric, nabla_vec_coord, nijenhuis
 
 VALIDATION_SEED = 0x5EED_CA7A
@@ -56,10 +55,10 @@ def _v_flat_christoffel(entry, ctx):
 
 def _v_killing(entry, ctx):
     xi = ctx.structure("xi")
-    lg = lie_metric(ctx, xi)
+    _, lg = lie_metric(ctx, xi)
     n = entry.geometry.n
-    flat = AltValue(n, 0, {(): max(abs(scalar_value(e)) for row in lg for e in row)})
-    return [(flat, AltValue(n, 0, {(): 0.0}))]
+    peak = AltValue(n, 0, {(): float(abs(lg[..., 0]).max())})
+    return [(peak, AltValue(n, 0, {(): 0.0}))]
 
 
 def _v_closed(form_name):
@@ -126,13 +125,14 @@ def _v_contact_algebra(entry, ctx):
     phi2 = endo_compose(phi, phi)
     target = wedge_sv(eta, xi) - VecAltValue.identity(n)
     out.append((phi2, target))
-    # g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y), on coordinate vectors
-    g = ctx.g()
-    for i in range(n):
-        for j in range(n):
-            lhs = metric_inner(g, phi.column(i), phi.column(j))
-            rhs = g[i][j] - eta.coeffs.get((i,), 0.0) * eta.coeffs.get((j,), 0.0)
-            out.append(tuple(AltValue(n, 0, {(): scalar_value(v)}) for v in (lhs, rhs)))
+    # g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y), on coordinate vectors: the
+    # matrices phi^T g phi and g - eta eta^T, compared at the point
+    sg, g = ctx.g()
+    gphi = _raise_first(n, n)(sg, g, phi.space, phi.c)
+    _, lhs = _raise_first(n, n)(phi.space, phi.c, *gphi)
+    e = eta.c[:, 0]
+    rhs = g[..., 0] - e[:, None] * e
+    out.append((_vec(n, 1, None, lhs[:, :1].reshape(n, n, 1)), _vec(n, 1, None, rhs[..., None])))
     return out
 
 

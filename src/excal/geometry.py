@@ -9,13 +9,13 @@ point becomes jets: it builds its coordinate jets once, as ``coords``, and
 every jet at the point is evaluated from them, so the orders of everything
 derived follow from the jets rule.
 
-A context evaluates the metric entries once, as jets, and builds what
-depends on them as dense (space, array) pairs with the Taylor axis last,
-each memoized: g^{-1} by a truncated Neumann series about the value's
+A context evaluates the metric entries once, as jets, into a (space,
+array) pair with the Taylor axis last, and builds from it pairs of the same
+form, each memoized: g^{-1} by a truncated Neumann series about the value's
 inverse, the Christoffel symbols from the metric's partials and one
-product with g^{-1}, and the curvature from theirs and one product.  The
-orthonormal frame is built by Gram-Schmidt on demand and not kept; no
-operator reads it.
+product with g^{-1}, and the curvature from theirs and one product; alt.flat
+and alt.sharp lower and raise an index with g and g^{-1}.  The orthonormal
+frame is built by Gram-Schmidt on demand and not kept; no operator reads it.
 """
 
 import functools
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import sexpr
-from .alt import (AltValue, VecAltValue, _alt, _dense, _matmul, _partials, _Product,
+from .alt import (AltValue, VecAltValue, _alt, _entry, _fill, _matmul, _partials, _Product,
                   _raise_first, _rows, _sum, _width)
 from .errors import ConfigError, PointExcluded, SingularMetric
 from .jets import jet_apply, jet_var, poly_block, scalar_value
@@ -210,27 +210,21 @@ class ChartContext:
             self._cache[key] = fn()
         return self._cache[key]
 
-    # -- metric ----------------------------------------------------------
+    # -- the metric and what it gives, as (space, array) pairs with a Taylor
+    # axis last, as alt's tables read them
 
     def g(self):
-        """The metric as an n x n nested list of jets and numbers."""
-        return self._memo("g", lambda: _metric_jets(self))
-
-    def _g_array(self):
-        return self._memo("g_array", lambda: _dense(self.g()))
-
-    def g_value(self):
-        return self._g_array()[1][..., 0].copy()
-
-    # -- (space, array) pairs with a Taylor axis last, as alt's tables read them
+        """g_{ab} at [a, b], of the context's order; a constant (space None)
+        where every entry is a number."""
+        return self._memo("g", lambda: _metric(self))
 
     def g_inv(self):
         """g^{ab} at [a, b], of the metric's order."""
-        return self._memo("g_inv", lambda: _inverse(*self._g_array()))
+        return self._memo("g_inv", lambda: _inverse(self.p, *self.g()))
 
     def gamma(self):
         """Gamma^k_{ij} at [k, i, j], one order below the metric."""
-        return self._memo("gamma", lambda: _christoffel(*self._g_array(), *self.g_inv()))
+        return self._memo("gamma", lambda: _christoffel(*self.g(), *self.g_inv()))
 
     def curvature(self):
         """R at [i, j, k, l], the coefficient of e_l in R(e_i, e_j) e_k, one
@@ -239,7 +233,7 @@ class ChartContext:
 
     def frame(self, descending=False):
         """The orthonormal frame as tangent vectors, in the order built."""
-        return [VecAltValue.from_vector(v) for v in _gram_schmidt(self.g(), descending)]
+        return [VecAltValue.from_vector(v) for v in _gram_schmidt(*self.g(), descending)]
 
     # -- fields ----------------------------------------------------------
 
@@ -261,27 +255,34 @@ class ChartContext:
 # -- metric machinery ------------------------------------------------------
 
 
-def _metric_jets(ctx):
-    g = [[sexpr.eval_jet(e, ctx.coords) for e in row] for row in ctx.geometry.metric]
-    vals = np.array([[scalar_value(e) for e in row] for row in g])
+def _metric(ctx):
+    """The metric entries' jets as a (space, array) pair, refused unless its
+    value is symmetric positive-definite."""
+    items = [((a, b), sexpr.eval_jet(e, ctx.coords))
+             for a, row in enumerate(ctx.geometry.metric) for b, e in enumerate(row)]
+    sg, g = _fill((ctx.geometry.n,) * 2, items)
+    vals = g[..., 0]
     if not np.allclose(vals, vals.T, atol=1e-12, rtol=0.0):
-        raise SingularMetric(f"metric not symmetric at {ctx.p}: {vals}")
+        raise SingularMetric(f"metric not symmetric at {ctx.p}: {vals.tolist()}")
     try:
         eig = np.linalg.eigvalsh(vals)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(str(exc))
     if eig.min() <= 0:
         raise SingularMetric(f"metric not positive-definite at {ctx.p} (eigmin={eig.min()})")
-    return g
+    return sg, g
 
 
-def _inverse(sg, g):
+def _inverse(p, sg, g):
     """g^{-1} of a metric (space, array) as A sum_m (-H A)^m, with A the
     inverse of g's value and H = g - g(p).  H A has no value, so the series
     ends at the jet order r; in Horner form, Y <- A - (A H) Y, it is r
-    jet-matrix products.  _metric_jets has found g symmetric positive-
-    definite, so nothing pivots."""
+    jet-matrix products.  _metric has found g symmetric positive-definite,
+    so nothing pivots; a value too small to invert in floating point, with
+    an infinite A, is refused naming the point p."""
     A = np.linalg.inv(g[..., 0])
+    if not np.isfinite(A).all():
+        raise SingularMetric(f"metric not invertible at {p}")
     if sg is None or sg.order == 0:
         return sg, A[..., None]
     n = len(g)
@@ -292,28 +293,6 @@ def _inverse(sg, g):
         sp, P = _matmul(n)(sg, AH, sy, Y)
         sy, Y = _sum(None, A[..., None], sp, P.reshape(n, n, -1), -1.0)
     return sy, Y
-
-
-def metric_inner(g, u, v):
-    """g(u, v) = sum_i sum_j g[i][j] u[i] v[j], summed with i outermost."""
-    n = len(g)
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            acc = acc + g[i][j] * u[i] * v[j]
-    return acc
-
-
-def metric_lower(g, v):
-    """The components sum_b g[c][b] v[b] of g(v, .), each summed over b in order."""
-    n = len(g)
-    out = []
-    for c in range(n):
-        acc = 0.0
-        for b in range(n):
-            acc = acc + g[c][b] * v[b]
-        out.append(acc)
-    return out
 
 
 def _christoffel(sg, g, si, g_inv):
@@ -327,21 +306,31 @@ def _christoffel(sg, g, si, g_inv):
     return sp, c.reshape(n, n, n, -1)
 
 
-def _gram_schmidt(g, descending=False):
-    """Orthonormal frame jets from the coordinate frame.
+def _gram_schmidt(sg, g, descending=False):
+    """Orthonormal frame jets from the coordinate frame, with g's entries
+    read as scalar jets: a reference independent of the table products.
 
     Returns n tangent vectors as lists of jet or number components, in the
     order they were orthonormalized.
     """
     n = len(g)
+    g = [[_entry(sg, row) for row in rows] for rows in g]
+
+    def inner(u, v):  # g(u, v), summed with u's index outermost
+        acc = 0.0
+        for i in range(n):
+            for j in range(n):
+                acc = acc + g[i][j] * u[i] * v[j]
+        return acc
+
     idx = list(range(n - 1, -1, -1)) if descending else list(range(n))
     frame = []
     for a in idx:
         v = [1.0 if i == a else 0.0 for i in range(n)]
         for u in frame:
-            c = metric_inner(g, v, u)
+            c = inner(v, u)
             v = [vi - c * ui for vi, ui in zip(v, u)]
-        nrm = metric_inner(g, v, v)
+        nrm = inner(v, v)
         if scalar_value(nrm) <= 0:
             raise SingularMetric("Gram-Schmidt hit a nonpositive norm")
         inv = 1.0 / jet_apply("sqrt", nrm)

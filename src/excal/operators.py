@@ -35,7 +35,6 @@ from .alt import (
     VecAltValue,
     _alt,
     _basis,
-    _dense,
     _Gather,
     _matmul,
     _partials,
@@ -53,7 +52,6 @@ from .alt import (
 )
 from .compare import alt_errors, exceeds
 from .errors import DegreeError, NotADerivation, ReconstructionMismatch
-from .geometry import metric_lower
 from .prng import SplitMix64, derive_seed
 
 
@@ -381,12 +379,6 @@ def fn_decompose(ctx, D):
 # -- auxiliary tensors --------------------------------------------------------
 
 
-def endo_apply(T, v_comps):
-    """Apply an endomorphism (VecAltValue deg 1) to vector components."""
-    cols = [T.column(c) for c in range(T.n)]
-    return [sum(cols[c][b] * v_comps[c] for c in range(T.n)) for b in range(T.n)]
-
-
 def endo_compose(T, S):
     """Composition T o S of endomorphisms given as degree-1 VecAltValues."""
     n = T.n
@@ -404,20 +396,22 @@ def nijenhuis(ctx, T):
 
 
 def lie_metric(ctx, xi):
-    """(L_xi g)_{ij} as a jet matrix, by the Killing identity
-    (L_xi g)(Y,Z) = g(nabla_Y xi, Z) + g(Y, nabla_Z xi).
+    """(L_xi g)_{ij} at [i, j] as a symmetric (space, array) pair, by the
+    Killing identity (L_xi g)(Y,Z) = g(nabla_Y xi, Z) + g(Y, nabla_Z xi).
     """
     n = ctx.geometry.n
-    g = ctx.g()
-    # low[a][b] = g(nabla_a xi, e_b)
-    low = [metric_lower(g, nx.as_vector()) for nx in nabla_vec_coord(ctx, xi)]
-    return [[low[a][b] + low[b][a] for b in range(n)] for a in range(n)]
+    sn, N = nabla_coord(ctx, xi)  # N[a, c, 0] = (nabla_a xi)^c
+    # low[b, a] = sum_c g_{cb} (nabla_a xi)^c = g(nabla_a xi, e_b)
+    sp, low = _raise_first(n, n)(*ctx.g(), sn, N[:, :, 0].swapaxes(0, 1))
+    low = low.reshape(n, n, -1)
+    return sp, low + low.swapaxes(0, 1)
 
 
 def two_tensor_sharp(ctx, t):
-    """Metric contraction of a symmetric (0,2)-tensor to an endomorphism."""
+    """Metric contraction of a symmetric (0,2)-tensor, a (space, array)
+    pair with t_{ij} at [i, j], to an endomorphism."""
     n = ctx.geometry.n
-    sp, c = _raise_first(n, n)(*ctx.g_inv(), *_dense(t))
+    sp, c = _raise_first(n, n)(*ctx.g_inv(), *t)
     return _vec(n, 1, sp, _split(c, n))
 
 

@@ -18,11 +18,11 @@ from itertools import combinations, combinations_with_replacement
 import numpy as np
 
 from . import catalog, opexpr
-from .alt import AltValue, VecAltValue, _alt, interior, trace, wedge, wedge_sv
+from .alt import (AltValue, VecAltValue, _alt, _raise_first, _vec, flat, interior, trace,
+                  wedge, wedge_sv)
 from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, exceeds
 from .errors import ConfigError, DegreeError, UnknownSuite
-from .geometry import FormField, Geometry, VecFormField, metric_lower, sample_points
-from .jets import scalar_value
+from .geometry import FormField, Geometry, VecFormField, sample_points
 from .operators import (
     Operator,
     codiff,
@@ -187,12 +187,6 @@ def run_check(check):
 # -- identity helpers --------------------------------------------------------
 
 
-def _xi_flat(ctx, xi):
-    """The 1-form g(xi, .) with jet coefficients."""
-    low = metric_lower(ctx.g(), xi.as_vector())
-    return AltValue(ctx.geometry.n, 1, {(c,): v for c, v in enumerate(low)})
-
-
 def _amatrix(ctx):
     """A = -phi o (nabla xi) from the chart's almost-contact structure."""
     phi = ctx.structure("phi")
@@ -241,7 +235,7 @@ def _flat_pair(xi_field):
 
     def pair(ctx):
         xi = xi_field.at(ctx)
-        return _xi_flat(ctx, xi), xi
+        return flat(xi, ctx.g()), xi
 
     return pair
 
@@ -576,7 +570,7 @@ def _main_suite(covariant):
 def _goldberg_rhs(xi_field, betas):
     def rhs(ctx):
         xi = xi_field.at(ctx)
-        eta = _xi_flat(ctx, xi)
+        eta = flat(xi, ctx.g())
         deta = codiff(ctx, eta)
         lg_sharp = two_tensor_sharp(ctx, lie_metric(ctx, xi))
         return [wedge(deta, b) + interior(lg_sharp, b) for b in _beta_values(betas, ctx)]
@@ -607,7 +601,7 @@ def _s_goldberg(mk, seed):
             def lhs_k(ctx, xi_field=xi_field):
                 xi = xi_field.at(ctx)
                 return [
-                    codiff(ctx, _xi_flat(ctx, xi)),
+                    codiff(ctx, flat(xi, ctx.g())),
                     two_tensor_sharp(ctx, lie_metric(ctx, xi)),
                 ]
 
@@ -843,10 +837,9 @@ def _s_kanemaki(check, seed, G, gname):
         out = nabla_vec_coord(ctx, phi)
         # symmetry of A: g(A e_i, e_j) as a matrix, compared both ways
         A = _amatrix(ctx)
-        g = ctx.g()
-        sym = [metric_lower(g, A.column(i)) for i in range(3)]
-        asym = max(abs(scalar_value(sym[i][j] - sym[j][i])) for i in range(3) for j in range(3))
-        out.append(AltValue(3, 0, {(): asym}))
+        _, gA = _raise_first(3, 3)(*ctx.g(), A.space, A.c)
+        sym = gA[:, 0].reshape(3, 3)
+        out.append(AltValue(3, 0, {(): float(abs(sym - sym.T).max())}))
         return out
 
     def rhs(ctx):
@@ -854,17 +847,11 @@ def _s_kanemaki(check, seed, G, gname):
         xi = ctx.structure("xi")
         A = _amatrix(ctx)
         g = ctx.g()
-        xic = xi.as_vector()
         out = []
         for a in range(3):
             # (nabla_a phi)(Y) = eta(Y) A e_a - g(A e_a, Y) xi
-            Aa = A.column(a)
-            gA = metric_lower(g, Aa)
-            comps = []
-            for b in range(3):
-                row = {(c,): eta.get((c,)) * Aa[b] - gA[c] * xic[b] for c in range(3)}
-                comps.append(AltValue(3, 1, row))
-            out.append(VecAltValue(3, 1, comps))
+            Aa = _vec(3, 0, A.space, A.c[:, a:a + 1])
+            out.append(wedge_sv(eta, Aa) - wedge_sv(flat(Aa, g), xi))
         out.append(AltValue(3, 0, {(): 0.0}))
         return out
 

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from excal.alt import (
     AltValue,
     VecAltValue,
-    _dense,
+    _fill,
     _shuffles,
     _sort_sign,
     apply,
     apply_vec,
+    flat,
     i_dir,
     interior,
     sharp,
@@ -33,6 +34,12 @@ from excal.jets import is_zero, jet_const, jet_var
 from excal.prng import SplitMix64, derive_seed
 
 ORACLE_TOL = 1e-12
+
+
+def _pair(m):
+    """An n x n nested list of jets and numbers as a (space, array) pair."""
+    n = len(m)
+    return _fill((n, n), [((a, b), m[a][b]) for a in range(n) for b in range(n)])
 
 
 def rand_alt(n, k, rng):
@@ -176,11 +183,11 @@ def test_sharp_lowers_degree_with_metric():
     n = 3
     g_inv = [[2.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
     om = AltValue(n, 1, {(0,): 1.0, (2,): -3.0})
-    v = sharp(om, _dense(g_inv))
+    v = sharp(om, _pair(g_inv))
     assert v.k == 0
     assert v.as_vector() == [2.0, 0.0, -6.0]
     with pytest.raises(DegreeError):
-        sharp(AltValue(n, 0, {(): 1.0}), _dense(g_inv))
+        sharp(AltValue(n, 0, {(): 1.0}), _pair(g_inv))
     # a non-diagonal, symmetric, jet-valued g_inv against the defining sum
     # sharp(om)^b = sum_a g^{ab} i_{e_a} om, Taylor coefficient by coefficient
     x = [jet_var((0.3, -0.2, 0.5), i, 2) for i in range(n)]
@@ -192,7 +199,7 @@ def test_sharp_lowers_degree_with_metric():
         AltValue(n, 1, {(0,): x[1], (2,): -3.0}),
         AltValue(n, 2, {(0, 1): x[2], (1, 2): 0.5 * x[0], (0, 2): 1.5}),
     ):
-        v = sharp(om, _dense(g_inv))
+        v = sharp(om, _pair(g_inv))
         assert v.k == om.k - 1
         for b in range(n):
             want = AltValue.zero(n, om.k - 1)
@@ -202,6 +209,22 @@ def test_sharp_lowers_degree_with_metric():
             assert set(got.coeffs) == set(want.coeffs)
             for key, c in want.coeffs.items():
                 assert got.coeffs[key].c == pytest.approx(c.c, rel=1e-14, abs=1e-15)
+
+
+def test_flat_lowers_a_vector_with_the_metric():
+    # flat(X)_b = sum_a g_{ab} X^a against the defining sum, Taylor
+    # coefficient by coefficient, for a non-diagonal jet-valued g
+    n = 3
+    x = [jet_var((0.3, -0.2, 0.5), i, 2) for i in range(n)]
+    g = [[x[a] * x[b] + (2.0 if a == b else 0.1 * (a + b)) for b in range(n)] for a in range(n)]
+    comps = [x[1], -3.0, 0.5 * x[0]]
+    low = flat(VecAltValue.from_vector(comps), _pair(g))
+    assert low.k == 1
+    for b in range(n):
+        want = sum(g[a][b] * comps[a] for a in range(n))
+        assert low.get((b,)).c == pytest.approx(want.c, rel=1e-14, abs=1e-15)
+    with pytest.raises(DegreeError):
+        flat(VecAltValue.identity(n), _pair(g))
 
 
 def test_degree_guards():
@@ -244,7 +267,7 @@ def test_sharp_above_dimension_is_empty(n):
     top = AltValue(n, n, {tuple(range(n)): 1.0})
     w = wedge(AltValue(n, 1, {(0,): 1.0}), top)
     assert w.k == n + 1
-    s = sharp(w, _dense(g_inv))
+    s = sharp(w, _pair(g_inv))
     assert isinstance(s, VecAltValue) and s.k == n and len(s.comps) == n
     assert all(c.k == n and not c.coeffs for c in s.comps)
 

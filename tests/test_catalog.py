@@ -104,10 +104,8 @@ def test_sasakian_structure_algebra():
     eta = ctx.structure("eta")
     # eta(xi) = 1
     assert value_of(interior(xi, eta)).get(()) == pytest.approx(1.0)
-    # phi(xi) = 0
-    from excal.operators import endo_apply
-
-    img = endo_apply(phi, xi.as_vector())
+    # phi(xi) = 0: component b of phi(xi) is i_xi of phi's component b
+    img = [interior(xi, c).get(()) for c in phi.comps]
     assert all(abs(getattr(c, "value", c)) < 1e-12 for c in img)
     # phi^2 = -Id + eta (x) xi
     phi2 = value_of(endo_compose(phi, phi))

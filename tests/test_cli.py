@@ -303,6 +303,27 @@ def test_eval_overflow_is_a_domain_error(capsys, tmp_path, src, expr, at, error)
 
 
 @pytest.mark.parametrize(
+    "metric, message",
+    [
+        # the value passes eigvalsh, but its inverse is infinite: this was a
+        # NonFiniteValue naming no metric
+        ([["1e-320", "0"], ["0", "1"]], "metric not invertible at (0.5, 0.5)"),
+        # this printed a numpy array over two lines
+        ([["1", "0.5"], ["0", "1"]],
+         "metric not symmetric at (0.5, 0.5): [[1.0, 0.5], [0.0, 1.0]]"),
+    ],
+    ids=["underflow", "asymmetric"],
+)
+def test_degenerate_metric_is_one_line_naming_it(capsys, tmp_path, metric, message):
+    w = {"degree": 1, "coeffs": {"1": "x*y", "2": "x"}}
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(dict(EVAL_CONFIG, metric=metric, forms={"w": w})))
+    code, out, err = run(capsys, "eval", str(path), "--expr", "delta(w)", "--at", "0.5,0.5")
+    assert code == 2 and out == ""
+    assert err == f"error: SingularMetric: {message}\n"
+
+
+@pytest.mark.parametrize(
     "entry",
     ["(" * 400 + "1" + ")" * 400, "-" * 3000 + "1", "1" + "+x" * 5000],
     ids=["parens", "minus", "sum"],

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from excal.alt import (
     AltValue,
     VecAltValue,
-    _dense,
+    _fill,
     _partials,
     apply,
     apply_vec,
@@ -36,6 +36,12 @@ from excal.jets import Jet, jet_diff, jet_space, jet_var
 from excal.operators import codiff, d_nabla, ext_d, nabla_coord
 
 # -- an independent truncated Taylor product --------------------------------
+
+
+def _pair(m):
+    """An n x n nested list of jets and numbers as a (space, array) pair."""
+    n = len(m)
+    return _fill((n, n), [((a, b), m[a][b]) for a in range(n) for b in range(n)])
 
 
 def _midx(n, order):
@@ -228,7 +234,7 @@ def test_i_dir_trace_and_sharp_against_their_definitions(n, order, constant, see
         for b in range(a, n):
             g[a][b] = g[b][a] = _scalar(rng, n, order)
     size = len(_midx(n, order))
-    got = sharp(w, _dense(g))
+    got = sharp(w, _pair(g))
     for b in range(n):
         want = sum(
             _taylor_mul(_coeffs(g[a][b], size), _coeffs(apply(w, [e[a]] + vs), size), n, order)

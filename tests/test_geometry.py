@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from excal.alt import VecAltValue, _vec, flat, interior, sharp
 from excal.catalog import builtin
 from excal.errors import ConfigError, JetBudgetExhausted, PointExcluded, SingularMetric
 from excal.geometry import (
@@ -15,12 +16,11 @@ from excal.geometry import (
     dumps_config,
     emit_config,
     load_config,
-    metric_inner,
-    metric_lower,
     sample_points,
 )
 from excal.jets import MAX_ORDER, Jet, jet_partial, scalar_value
 from excal.operators import nabla_coord
+from excal.verifier import GEOMS_ALL, MAIN_GEOMS
 
 
 def conformal_2d():
@@ -70,7 +70,7 @@ def test_metric_compatibility(name):
     G = builtin(name).geometry
     p = sample_points(G, 1, 77)[0]
     ctx = G.context(p, 2)
-    g, gam = ctx.g(), ctx.gamma()[1][..., 0]
+    g, gam = _jets(*ctx.g()), ctx.gamma()[1][..., 0]
     n = G.n
     for a in range(n):
         e_a = tuple(1 if t == a else 0 for t in range(n))
@@ -84,11 +84,6 @@ def test_metric_compatibility(name):
                 assert dg == pytest.approx(rhs, abs=1e-10)
 
 
-def _entries(x):
-    """The scalars of a nested list."""
-    return [e for item in x for e in _entries(item)] if isinstance(x, list) else [x]
-
-
 def _values(x):
     """A nested list of jets and numbers with each entry's value as a float."""
     return [_values(e) for e in x] if isinstance(x, list) else scalar_value(x)
@@ -99,28 +94,31 @@ def test_flat_chart_values_are_numbers():
     # down, even at jet order 2
     G = builtin("euclidean(3)").geometry
     ctx = G.context((0.2, -0.4, 0.7), 2)
-    values = _entries(ctx.g())
+    values = []
     for descending in (False, True):
         values += [c for X in ctx.frame(descending) for c in X.as_vector()]
-    assert len(values) == 9 + 18
+    assert len(values) == 18
     assert all(isinstance(v, float) for v in values)
     # and the dense ones are constants: space None, one Taylor column
-    for rank, (space, a) in enumerate((ctx.g_inv(), ctx.gamma(), ctx.curvature()), 2):
+    pairs = (ctx.g(), ctx.g_inv(), ctx.gamma(), ctx.curvature())
+    for rank, (space, a) in zip((2, 2, 3, 4), pairs):
         assert space is None and a.shape == (3,) * rank + (1,)
 
 
 def test_metric_entry_is_a_jet_where_it_depends_on_the_point():
-    # sphere2 has g = diag(1, sin(theta)^2)
-    g = builtin("sphere2").geometry.context((1.0, 2.0), 2).g()
-    assert isinstance(g[0][0], float) and g[0][0] == 1.0
-    assert isinstance(g[1][1], Jet) and g[1][1].order == 2
+    # sphere2 has g = diag(1, sin(theta)^2): g_11 is a row zero past its
+    # value, g_22 one with derivatives
+    space, g = builtin("sphere2").geometry.context((1.0, 2.0), 2).g()
+    assert space.order == 2
+    assert g[0, 0, 0] == 1.0 and not g[0, 0, 1:].any()
+    assert g[1, 1, 1:].any()
 
 
 def test_sphere_sectional_curvature_is_one():
     G = builtin("sphere2").geometry
     for p in sample_points(G, 3, 5):
         R = G.context(p, 2).curvature()[1][..., 0]
-        g = G.context(p, 2).g_value()
+        g = G.context(p, 2).g()[1][..., 0]
         num = sum(R[0, 1, 1, l] * g[l][0] for l in range(2))
         den = g[0][0] * g[1][1] - g[0][1] ** 2
         assert num / den == pytest.approx(1.0, abs=1e-10)
@@ -137,12 +135,12 @@ def test_hopf_metric_values():
     G = builtin("hopf_lck").geometry
     p = (0.5, 0.5, 0.5, 0.5)
     ctx = G.context(p, 0)
-    g, g_inv = ctx.g(), ctx.g_inv()[1][..., 0]
+    g, g_inv = ctx.g()[1][..., 0], ctx.g_inv()[1][..., 0]
     r2 = sum(x * x for x in p)
     for i in range(4):
         for j in range(4):
             want = (1.0 / r2 if i == j else 0.0)
-            assert scalar_value(g[i][j]) == pytest.approx(want)
+            assert g[i, j] == pytest.approx(want)
             assert g_inv[i, j] == pytest.approx(r2 if i == j else 0.0)
 
 
@@ -151,7 +149,7 @@ def test_orthonormal_frame(name):
     G = builtin(name).geometry
     p = sample_points(G, 1, 11)[0]
     ctx = G.context(p, 0)
-    g = ctx.g_value()
+    g = ctx.g()[1][..., 0]
     frame = np.array([_values(v.as_vector()) for v in ctx.frame()])
     gram = frame @ g @ frame.T
     np.testing.assert_allclose(gram, np.eye(G.n), atol=1e-12)
@@ -179,11 +177,11 @@ def _coeffs(c, size):
 def _assert_identity(ctx, scale=1e-12):
     """g g^{-1} = I in every Taylor coefficient, to scale relative to
     |g| |g^{-1}|."""
-    g, (space, inv) = ctx.g(), ctx.g_inv()
+    (sg, ga), (space, inv) = ctx.g(), ctx.g_inv()
     size = 1 if space is None else space.size
-    gi = _jets(space, inv)
+    g, gi = _jets(sg, ga), _jets(space, inv)
     n = len(g)
-    tol = scale * max(1.0, np.abs(ctx._g_array()[1]).max() * np.abs(inv).max())
+    tol = scale * max(1.0, np.abs(ga).max() * np.abs(inv).max())
     for i in range(n):
         for j in range(n):
             got = _coeffs(sum(g[i][m] * gi[m][j] for m in range(n)), size)
@@ -253,7 +251,8 @@ def test_pulled_back_flat_chart_is_flat_and_keeps_its_parallel_forms():
     G = _pullback_flat3()
     for p in sample_points(G, 3, 31):
         ctx = G.context(p, 4)
-        assert all(isinstance(e, Jet) for row in ctx.g() for e in row)
+        space, g = ctx.g()
+        assert space.order == 4 and g[..., 1:].any(axis=-1).all()
         _assert_identity(ctx)
         space, R = ctx.curvature()
         assert space.order == 2 and np.abs(R).max() < 1e-12
@@ -322,16 +321,36 @@ def test_context_cache_is_bounded_lru():
     assert len(G._ctx_cache) == CONTEXT_CACHE_SIZE
 
 
-def test_metric_helpers_match_numpy():
+def test_flat_matches_numpy():
     G = builtin("sasakian_s3").geometry
     p = sample_points(G, 1, 19)[0]
-    g = G.context(p, 1).g()
-    gv = G.context(p, 1).g_value()
+    ctx = G.context(p, 1)
+    gv = ctx.g()[1][..., 0]
     assert gv[1][2] != 0.0  # a non-diagonal metric
     u, v = [0.3, -1.2, 0.7], [1.1, 0.4, -0.9]
-    assert scalar_value(metric_inner(g, u, v)) == pytest.approx(np.array(u) @ gv @ np.array(v), abs=1e-14)
-    low = [scalar_value(c) for c in metric_lower(g, v)]
-    np.testing.assert_allclose(low, gv @ np.array(v), rtol=0, atol=1e-14)
+    low = flat(VecAltValue.from_vector(v), ctx.g())
+    np.testing.assert_allclose(low.c[:, 0], gv @ np.array(v), rtol=0, atol=1e-14)
+    # g(u, v) is the flat of v applied to u
+    g_uv = interior(VecAltValue.from_vector(u), low).c[0, 0]
+    assert g_uv == pytest.approx(np.array(u) @ gv @ np.array(v), abs=1e-14)
+
+
+SUITE_CHARTS = sorted(set(GEOMS_ALL) | set(MAIN_GEOMS))
+
+
+@pytest.mark.parametrize("name", SUITE_CHARTS + ["pullback_flat3"])
+def test_sharp_undoes_flat(name):
+    # sharp(flat(X)) = X in every Taylor coefficient, for X with random
+    # Taylor coefficients at order 3
+    G = _pullback_flat3() if name == "pullback_flat3" else builtin(name).geometry
+    rng = np.random.default_rng(37)
+    for p in sample_points(G, 3, 41):
+        ctx = G.context(p, 3)
+        space = ctx.coords[0].space
+        X = _vec(G.n, 0, space, rng.uniform(-1.0, 1.0, (G.n, 1, space.size)))
+        back = sharp(flat(X, ctx.g()), ctx.g_inv())
+        assert back.space is space
+        np.testing.assert_allclose(back.c, X.c, rtol=0, atol=1e-12)
 
 
 def test_config_round_trip():

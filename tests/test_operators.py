@@ -17,7 +17,6 @@ from excal.operators import (
     codiff,
     curvature_shuffle,
     d_nabla,
-    endo_apply,
     endo_compose,
     ext_d,
     fn_decompose,
@@ -240,12 +239,12 @@ def test_endomorphism_algebra():
     A = VecAltValue.from_endomorphism([[0.0, 1.0], [-1.0, 0.0]])
     B = VecAltValue.from_endomorphism([[2.0, 0.0], [0.0, 3.0]])
     AB = endo_compose(A, B)
-    # (A o B) e_1 = A (2 e_1) = -2 e_2
-    assert endo_apply(AB, [1.0, 0.0]) == [0.0, -2.0]
-    assert endo_apply(AB, [0.0, 1.0]) == [3.0, 0.0]
+    # (A o B) e_1 = A (2 e_1) = -2 e_2: the image of e_c is column c
+    assert AB.column(0) == [0.0, -2.0]
+    assert AB.column(1) == [3.0, 0.0]
     # A^2 = -Id for the standard complex structure
     A2 = endo_compose(A, A)
-    assert endo_apply(A2, [1.0, 0.0]) == [-1.0, 0.0]
+    assert A2.column(0) == [-1.0, 0.0]
 
 
 def test_nijenhuis_vanishes_for_constant_structure():
@@ -262,23 +261,43 @@ def test_lie_metric_killing_and_not():
     killing = VecAltValue.from_vector(
         [sexpr.eval_jet(S.parse_expr(s), ctx.coords) for s in ("0", "1")]
     )
-    L = lie_metric(ctx, killing)
-    assert max(abs(e.value) for row in L for e in row) < 1e-12
+    _, L = lie_metric(ctx, killing)
+    assert np.abs(L[..., 0]).max() < 1e-12
     # d/dtheta is not Killing: L_xi g = 2 sin cos dphi^2
     not_killing = VecAltValue.from_vector(
         [sexpr.eval_jet(S.parse_expr(s), ctx.coords) for s in ("1", "0")]
     )
     import math
 
-    L = lie_metric(ctx, not_killing)
+    _, L = lie_metric(ctx, not_killing)
     th = ctx.p[0]
-    assert L[1][1].value == pytest.approx(2 * math.sin(th) * math.cos(th), abs=1e-12)
+    assert L[1, 1, 0] == pytest.approx(2 * math.sin(th) * math.cos(th), abs=1e-12)
     # the Reeb field 2 d/dpsi of sasakian_s3 is Killing for a non-diagonal
     # metric that does not depend on psi
     S3 = builtin("sasakian_s3").geometry
     ctx = ctx_at(S3, order=2)
-    L = lie_metric(ctx, jet_field(ctx, ["0", "0", "2"]))
-    assert max(abs(e.value) for row in L for e in row) < 1e-12
+    _, L = lie_metric(ctx, jet_field(ctx, ["0", "0", "2"]))
+    assert np.abs(L[..., 0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("name", ["sasakian_s3", "hopf_lck", "sphere2"])
+def test_lie_metric_matches_the_coordinate_formula(name):
+    # (L_xi g)_ab = xi^c d_c g_ab + g_cb d_a xi^c + g_ac d_b xi^c, from the
+    # partials of g and xi alone, with no Christoffel symbols; the pair is
+    # symmetric in every Taylor coefficient
+    G = builtin(name).geometry
+    for p in sample_points(G, 3, 43):
+        ctx = G.context(p, 2)
+        xi = random_vec_form(G, 0, 47).at(ctx)
+        sg, g = ctx.g()
+        dg = _partials(G.n, sg, g)[1][..., 0]  # dg[c, a, b] = d_c g_ab
+        dxi = _partials(G.n, xi.space, xi.c[:, 0])[1][..., 0]  # dxi[a, c] = d_a xi^c
+        gv = g[..., 0]
+        want = (np.einsum("c,cab->ab", xi.c[:, 0, 0], dg)
+                + np.einsum("cb,ac->ab", gv, dxi) + np.einsum("ac,bc->ab", gv, dxi))
+        _, L = lie_metric(ctx, xi)
+        np.testing.assert_allclose(L[..., 0], want, rtol=0, atol=1e-12)
+        assert np.array_equal(L, L.swapaxes(0, 1))
 
 
 def test_curvature_shuffle_matches_dnabla_squared():
