@@ -32,7 +32,7 @@ from . import sexpr
 from .alt import (AltValue, VecAltValue, _alt, _entry, _fill, _matmul, _partials, _Product,
                   _raise_first, _rows, _sum, _width)
 from .errors import ConfigError, PointExcluded, SingularMetric
-from .jets import jet_apply, jet_var, poly_block, scalar_value
+from .jets import jet_apply, jet_var, monomial_jets, scalar_value
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
@@ -76,9 +76,11 @@ class FormField:
     When every coefficient is a sum of c, c*x_a and (c*x_a)*x_b terms over
     one shared monomial list (sexpr.quadratic_terms), as random_form's are,
     the field is evaluated from a monomial table, built from the trees on
-    first use: all its coefficient jets come from one jets.poly_block call.
-    Any other field, or a table the point cannot take, evaluates each
-    coefficient with sexpr.eval_jet.  Both give the same bits.
+    first use: its coefficient jets at a context are one product of the
+    table with the context's monomial jets (ChartContext.monomial_jets),
+    which agrees with the walker to rounding.  Any other field, a variable
+    the chart lacks, or a product that overflows evaluates each coefficient
+    with sexpr.eval_jet, so an overflow keeps the walker's NaN and inf bits.
     """
 
     degree: int
@@ -87,50 +89,50 @@ class FormField:
     def __post_init__(self):
         # unique id for per-context value caching (object ids can be reused)
         self._serial = next(_field_serial)
-        self._table = None
+        self._tables = {}
 
     def at(self, ctx):
         """Evaluate to an AltValue with jet coefficients (cached per context)."""
         return ctx._memo(("field", self._serial), lambda: self._eval(ctx))
 
-    def _poly_table(self):
-        """The field's monomial table, (keys, C, monomials, highest variable
-        index) with C[i, t] the coefficient of monomials[t] in keys[i]; or ()
-        when it has none."""
-        if self._table is None:
-            self._table = _monomial_table(self.coeffs)
-        return self._table
+    def _poly_table(self, n):
+        """The field's monomial table on n coordinates, (C, monomials) with
+        C[r, t] the coefficient of monomials[t] in the key of basis row r;
+        or () when it has none."""
+        if n not in self._tables:
+            self._tables[n] = _monomial_table(self.coeffs, self.degree, n)
+        return self._tables[n]
 
     def _eval(self, ctx):
         n = ctx.geometry.n
-        table = self._poly_table()
-        # a variable the chart lacks walks, to the walker's ArityError
-        if table and table[3] < len(ctx.coords):
-            keys, C, monomials, _ = table
-            block = poly_block(C, monomials, ctx.coords)
-            if block is not None:
-                where = _rows(n, self.degree)
-                c = np.zeros((len(where), block.shape[1]))
-                c[[where[key] for key in keys]] = block
+        table = self._poly_table(n)
+        if table:
+            C, monomials = table
+            # an overflowing product walks, to the walker's bits
+            with np.errstate(over="ignore", invalid="ignore"):
+                c = C @ ctx.monomial_jets(monomials)
+            if np.isfinite(c).all():
                 return _alt(n, self.degree, ctx.coords[0].space, c)
         out = {key: sexpr.eval_jet(e, ctx.coords) for key, e in self.coeffs.items()}
         return AltValue(n, self.degree, out)
 
 
-def _monomial_table(coeffs):
-    """FormField._poly_table of the given coefficients: () when one is not a
-    quadratic, their monomial lists differ, or a variable index is negative."""
+def _monomial_table(coeffs, k, n):
+    """FormField._poly_table of the given degree-k coefficients on n
+    coordinates: () when one is not a quadratic, their monomial lists differ,
+    or a variable or a key is not one of the chart's."""
     terms = [sexpr.quadratic_terms(e) for e in coeffs.values()]
     if not terms or None in terms:
         return ()
     monomials = tuple(m for _, m in terms[0])
     if any(tuple(m for _, m in ts) != monomials for ts in terms):
         return ()
-    indices = [a for m in monomials for a in m]
-    if min(indices) < 0:
+    rows = _rows(n, k)
+    if any(not 0 <= a < n for m in monomials for a in m) or any(I not in rows for I in coeffs):
         return ()
-    C = np.array([[c for c, _ in ts] for ts in terms])
-    return tuple(coeffs), C, monomials, max(indices)
+    C = np.zeros((len(rows), len(monomials)))
+    C[[rows[I] for I in coeffs]] = [[c for c, _ in ts] for ts in terms]
+    return C, monomials
 
 
 @dataclass
@@ -159,6 +161,14 @@ class Geometry:
 
     def __post_init__(self):
         self._ctx_cache = OrderedDict()  # (p, order) -> ChartContext, LRU
+        # each distinct metric entry tree with the entries it fills, so a
+        # context walks it once; its repr keeps -0.0 apart from 0.0 and an
+        # int literal apart from a float, which the walker treats apart
+        groups = {}
+        for a, row in enumerate(self.metric):
+            for b, e in enumerate(row):
+                groups.setdefault(repr(e), (e, []))[1].append((a, b))
+        self._metric_trees = list(groups.values())
 
     def parse_expr(self, src):
         return sexpr.parse(src, self.coord_names)
@@ -231,6 +241,11 @@ class ChartContext:
         order below Gamma."""
         return self._memo("curv", lambda: _curvature(*self.gamma()))
 
+    def monomial_jets(self, monomials):
+        """Row t the jet of prod(x_a for a in monomials[t]), of the context's
+        order, for monomials of degree at most 2 (jets.monomial_jets)."""
+        return self._memo(("monomials", monomials), lambda: monomial_jets(self.coords, monomials))
+
     def frame(self, descending=False):
         """The orthonormal frame as tangent vectors, in the order built."""
         return [VecAltValue.from_vector(v) for v in _gram_schmidt(*self.g(), descending)]
@@ -258,8 +273,10 @@ class ChartContext:
 def _metric(ctx):
     """The metric entries' jets as a (space, array) pair, refused unless its
     value is symmetric positive-definite."""
-    items = [((a, b), sexpr.eval_jet(e, ctx.coords))
-             for a, row in enumerate(ctx.geometry.metric) for b, e in enumerate(row)]
+    items = []
+    for e, entries in ctx.geometry._metric_trees:
+        c = sexpr.eval_jet(e, ctx.coords)
+        items += [(ab, c) for ab in entries]
     sg, g = _fill((ctx.geometry.n,) * 2, items)
     vals = g[..., 0]
     if not np.allclose(vals, vals.T, atol=1e-12, rtol=0.0):

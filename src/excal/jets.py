@@ -308,83 +308,41 @@ def jet_var(p, i, order):
 
 
 @functools.lru_cache(maxsize=64)
-def _poly_plan(monomials, n, order, keys):
-    """What poly_block needs for one monomial list, jet space and key count:
-    the term positions of numbers, linear terms and their variables, and
-    quadratics and their two variables; and the flat positions in the
-    (terms, keys, size) rows of the single entries it writes, in the order it
-    lists their values."""
-    sp = jet_space(n, order)
-    kinds = ([], [], [])
+def _monomial_plan(monomials, space):
+    """What monomial_jets needs for one monomial list and jet space: the rows
+    of the numbers, of the linear monomials and their variables, and of the
+    quadratics and their two variables; and each quadratic's Taylor position
+    of e_a + e_b, none below order 2."""
+    by_degree = ([], [], [])
     for t, m in enumerate(monomials):
-        kinds[len(m)].append((t,) + m)
-    const, lin, quad = kinds
-
-    def entry(t, *vs):
-        """Key by key, the flat position of entry x_vs of row t; none when
-        its degree is past the order."""
-        alpha = tuple(vs.count(i) for i in range(n))
-        if sum(alpha) > order:
-            return []
-        return [(t * keys + k) * sp.size + sp.index[alpha] for k in range(keys)]
-
-    scatter = [e for t in const for e in entry(*t)]
-    scatter += [e for t, _, _ in quad for e in entry(t)]
-    scatter += [e for t, a, b in quad if a != b for e in entry(t, b)]
-    scatter += [e for t, a, _ in quad for e in entry(t, a)]
-    scatter += [e for t, a, b in quad for e in entry(t, a, b)]
-    const, lin, quad = (np.array(g, dtype=np.int64).reshape(len(g), j + 1)
-                        for j, g in enumerate(kinds))
-    return (const[:, 0], lin[:, 0], lin[:, 1], quad[:, 0], quad[:, 1], quad[:, 2],
-            np.array(scatter, dtype=np.int64))
+        by_degree[len(m)].append((t,) + m)
+    top = [space.index[tuple((a == i) + (b == i) for i in range(space.n))]
+           for _, a, b in by_degree[2]] if space.order >= 2 else []
+    one, lin, quad = (np.array(g, dtype=np.int64).reshape(len(g), j + 1)
+                      for j, g in enumerate(by_degree))
+    return (one[:, 0], lin[:, 0], lin[:, 1], quad[:, 0], quad[:, 1], quad[:, 2],
+            np.array(top, dtype=np.int64))
 
 
-def poly_block(C, monomials, coords):
-    """The coefficient arrays, one row per key, of the quadratics
-    sum_t C[key, t] * prod(x_a for a in monomials[t]) at the coordinate jets
-    coords, with the bits sexpr.eval_jet gives the tree c + c*x_a + ... +
-    (c*x_a)*x_b summed left to right; None when that cannot be promised.
-
-    Each term's row is built in closed form and the rows are summed one at a
-    time, in term order, as the walker sums its terms:
-    - a number adds to the value entry only; its row holds -0.0 elsewhere,
-      which leaves every entry it is added to unchanged, a signed zero too;
-    - c*x_a is the coordinate jet's array times c, signed zeros included;
-    - (c*x_a)*x_b is the jet product, whose mul_coeffs bincount starts at
-      +0.0 and adds, in table order, (c*p_a)*p_b to the value, (c*p_a)*1.0 to
-      e_b, then (c*1.0)*p_b to e_a (both to e_a when a = b), and c*1.0 to
-      e_a+e_b; every other product it adds is c*0.0 or a number times 0.0, a
-      signed zero, which leaves an entry started at +0.0 unchanged.
-    The last step holds while c, c*p_a and p_b are finite; otherwise the full
-    product spreads NaNs that the closed form misses, and the result is None.
-    """
+def monomial_jets(coords, monomials):
+    """The (T, S) array whose row t is the jet of prod(x_a for a in
+    monomials[t]) at the coordinate jets coords, for monomials of degree at
+    most 2, in closed form: 1; x_a; and for x_a*x_b the value p_a*p_b, p_b on
+    e_a and p_a on e_b (2*p_a on e_a when a = b), and 1 on e_a + e_b."""
     sp = coords[0].space
-    const, lin, lin_a, quad, qa, qb, scatter = _poly_plan(
-        monomials, sp.n, sp.order, C.shape[0])
-    same = qa == qb
+    one, lin, la, quad, qa, qb, top = _monomial_plan(monomials, sp)
     X = np.array([x.c for x in coords])
     p = X[:, 0]
-    Ct = C.T
-    # an overflowing product is refused as a typed error where it is used
-    with np.errstate(over="ignore", invalid="ignore"):
-        cq = Ct[quad]
-        cpa = cq * p[qa][:, None]
-        cpb = cq * p[qb][:, None]
-        if not (np.isfinite(cpa).all() and np.isfinite(cpb).all()):
-            return None
-        rows = np.zeros((len(monomials), C.shape[0], sp.size))
-        rows[const] = -0.0
-        rows[lin] = Ct[lin][:, :, None] * X[lin_a][:, None, :]
-        # each entry a quadratic's row writes is +0.0 plus what lands on it
-        values = [Ct[const], cpa * p[qb][:, None] + 0.0]
-        if sp.order >= 1:
-            values += [cpa[~same] + 0.0, np.where(same[:, None], cpa + 0.0, 0.0) + cpb]
-        if sp.order >= 2:
-            values.append(cq + 0.0)
-        rows.ravel()[scatter] = np.concatenate([v.ravel() for v in values])
-        # accumulate adds row t to the sum of rows < t, strictly in order
-        np.add.accumulate(rows, axis=0, out=rows)
-    return rows[-1].copy()
+    M = np.zeros((len(monomials), sp.size))
+    M[one, 0] = 1.0
+    M[lin] = X[la]
+    # p_b*x_a + p_a*x_b holds the first-order entries; its value, twice
+    # p_a*p_b, is then replaced
+    M[quad] = p[qb, None] * X[qa] + p[qa, None] * X[qb]
+    M[quad, 0] = p[qa] * p[qb]
+    if sp.order >= 2:
+        M[quad, top] = 1.0
+    return M
 
 
 # -- named operation surface --------------------------------------------

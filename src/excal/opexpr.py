@@ -14,6 +14,7 @@ argument (e.g. comm(delta, eps(Omega), beta)).  Leaf names resolve to
 bound inputs, then config forms, then structure tensors.
 """
 
+import functools
 import re
 
 from .alt import AltValue, VecAltValue, interior, wedge
@@ -43,11 +44,14 @@ class Node:
 
     def __init__(self, name, args, offset):
         self.name = name
-        self.args = args  # None for a bare name
+        self.args = args  # a tuple, or None for a bare name
         self.offset = offset
 
 
+@functools.lru_cache(maxsize=256)
 def parse(src):
+    """The Node tree of src, shared between calls with the same string, so
+    no caller may change it; a syntax error is raised on every call."""
     tokens = []
     pos = 0
     while pos < len(src):
@@ -90,7 +94,7 @@ def parse(src):
             take(",")
             args.append(expr(depth + 1))
         take(")")
-        return Node(tok, args, off)
+        return Node(tok, tuple(args), off)
 
     root = expr(1)
     if idx < len(tokens):

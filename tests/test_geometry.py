@@ -7,11 +7,13 @@ import re
 import numpy as np
 import pytest
 
+from excal import sexpr
 from excal.alt import VecAltValue, _vec, flat, interior, sharp
 from excal.catalog import builtin
 from excal.errors import ConfigError, JetBudgetExhausted, PointExcluded, SingularMetric
 from excal.geometry import (
     CONTEXT_CACHE_SIZE,
+    ChartContext,
     FormField,
     dumps_config,
     emit_config,
@@ -142,6 +144,20 @@ def test_hopf_metric_values():
             want = (1.0 / r2 if i == j else 0.0)
             assert g[i, j] == pytest.approx(want)
             assert g_inv[i, j] == pytest.approx(r2 if i == j else 0.0)
+
+
+def test_metric_walks_each_distinct_entry_once(monkeypatch):
+    # hopf_lck: four equal diagonal entries and twelve "0" entries, two trees
+    G = builtin("hopf_lck").geometry
+    walked = []
+    eval_jet = sexpr.eval_jet
+    monkeypatch.setattr(sexpr, "eval_jet", lambda e, xs: walked.append(e) or eval_jet(e, xs))
+    sg, g = ChartContext(G, (0.5, 0.25, 0.75, 0.375), 2).g()
+    assert sorted(map(repr, walked)) == sorted({repr(e) for row in G.metric for e in row})
+    assert len(walked) == 2
+    diagonal = eval_jet(G.metric[0][0], G.context((0.5, 0.25, 0.75, 0.375), 2).coords)
+    assert all(np.array_equal(g[a, a], diagonal.c) for a in range(4))
+    assert not (g * (1 - np.eye(4))[..., None]).any()
 
 
 @pytest.mark.parametrize("name", ["sphere2", "sasakian_s3", "hopf_lck"])

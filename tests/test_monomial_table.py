@@ -1,4 +1,4 @@
-"""Form fields evaluated from a monomial table: the same bits as the walker."""
+"""Form fields evaluated from a monomial table: the walker's values to rounding."""
 
 import functools
 import warnings
@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from excal import jets, sexpr
+from excal import geometry, jets, sexpr
+from excal.alt import AltValue
 from excal.catalog import builtin
-from excal.errors import ArityError
-from excal.geometry import FormField, load_config, sample_points
-from excal.jets import Jet, jet_var, poly_block
+from excal.errors import ArityError, DegreeError
+from excal.geometry import ChartContext, FormField, load_config, sample_points
+from excal.jets import Jet, jet_const
 from excal.sexpr import Bin, Num, Var
 from excal.verifier import IdentityCheck, random_form, run_check
 
@@ -42,12 +43,11 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def assert_walker_bits(field, coords, block):
-    keys, _, _, _ = field._poly_table()
-    assert block is not None and len(block) == len(keys)
-    for key, row in zip(keys, block):
-        walked = sexpr.eval_jet(field.coeffs[key], coords)
-        assert isinstance(walked, Jet) and same_bits(row, walked.c), key
+def assert_walker_bits(field, ctx, value):
+    """Each coefficient of value is the walker's jet of it at ctx, bit for bit."""
+    for key, e in field.coeffs.items():
+        walked = sexpr.eval_jet(e, ctx.coords)
+        assert isinstance(walked, Jet) and same_bits(value.coeffs[key].c, walked.c), key
 
 
 # -- which trees are quadratics ----------------------------------------------
@@ -102,7 +102,7 @@ def test_only_float_literals_are_numbers():
     assert sexpr.quadratic_terms(Bin("*", Num(2.0), x)) == [(2.0, (0,))]
 
 
-# -- the table reproduces the walker ----------------------------------------
+# -- the table gives the walker's values -------------------------------------
 
 COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e3, 1e3))
 COORD = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
@@ -120,7 +120,7 @@ def quadratic_fields(draw):
     if draw(st.booleans()):
         return random_form(G, draw(st.integers(0, n)), draw(st.integers(0, 2**32))), p
     names = G.coord_names
-    # linear-only sums keep the -0.0 entries that a quadratic's +0.0 would clear
+    # linear-only sums: fields with no entry above first order
     degree = draw(st.integers(1, 2))
     pool = [()] + [(a,) for a in range(n)]
     pool += [(a, b) for a in range(n) for b in range(n)] if degree == 2 else []
@@ -128,7 +128,7 @@ def quadratic_fields(draw):
     if not any(monos):
         monos.append((draw(st.integers(0, n - 1)),))
     coeffs = {}
-    for key in range(draw(st.integers(1, 3))):
+    for key in range(draw(st.integers(1, min(3, n)))):  # keys of the chart
         terms = ["*".join([repr(draw(COEFF))] + [names[a] for a in m]) for m in monos]
         coeffs[(key,)] = G.parse_expr(" + ".join(terms))
     return FormField(1, coeffs), p
@@ -136,20 +136,46 @@ def quadratic_fields(draw):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(quadratic_fields(), st.integers(0, jets.MAX_ORDER))
-# one key at order 0: every term lands on one entry, where a pairwise sum
-# would regroup the additions
+# one key at order 0: all 28 terms land on the value entry
 @example((random_form(flat(6), 0, 1), (0.5, -1.5, 2.25, 0.0, 3.5, -7.75)), 0)
-# a trailing number must leave the -0.0 entries of -1.0*x1 as they are
+# a trailing number after a linear term, at a coordinate 0.0
 @example((FormField(0, {(): flat(3).parse_expr("-1.0*x1 + 2.0")}), (0.5, 0.0, 1.5)), 2)
-# a quadratic's entries start at +0.0, so a lone -0.0 product lands as +0.0
+# -0.0 quadratic coefficients, at a coordinate 0.0
 @example((FormField(1, {(0,): flat(2).parse_expr("-0.0*x1*x2"),
                         (1,): flat(2).parse_expr("-1.0*x1*x2")}), (0.5, 0.0)), 2)
 @example((FormField(0, {(): flat(2).parse_expr("-0.0*x2*x2")}), (0.5, 0.0)), 2)
-def test_table_matches_the_walker_bit_for_bit(case, order):
+def test_table_matches_the_walker_to_rounding(case, order):
+    # per Taylor coefficient, |table - walker| <= T * 2^-52 * sum_t |c_t * m_t(p)|
+    # over the T terms of a key, with each monomial's jet m_t made by jet products
     field, p = case
-    coords = tuple(jet_var(p, i, order) for i in range(len(p)))
-    _, C, monomials, _ = field._poly_table()
-    assert_walker_bits(field, coords, poly_block(C, monomials, coords))
+    G = flat(len(p))
+    ctx = G.context(p, order)
+    assert field._poly_table(G.n)
+    one = jet_const(1.0, G.n, order)
+
+    def bound(e):
+        terms = sexpr.quadratic_terms(e)
+        scale = sum(abs(c) * np.abs(functools.reduce(lambda j, a: j * ctx.coords[a], m, one).c)
+                    for c, m in terms)
+        return Jet(one.space, len(terms) * 2.0**-52 * scale)
+
+    def walk(fn):
+        return AltValue(G.n, field.degree, {key: fn(e) for key, e in field.coeffs.items()})
+
+    got, walked, tol = field.at(ctx), walk(lambda e: sexpr.eval_jet(e, ctx.coords)), walk(bound)
+    assert got.space is walked.space is one.space
+    assert (np.abs(got.c - walked.c) <= tol.c).all()
+
+
+def test_fields_at_one_context_share_one_monomial_table(monkeypatch):
+    G = builtin("hopf_lck").geometry
+    ctx = ChartContext(G, (0.5, 0.25, 0.75, 0.375), 2)
+    built = []
+    monkeypatch.setattr(geometry, "monomial_jets",
+                        lambda xs, ms: built.append(ms) or jets.monomial_jets(xs, ms))
+    random_form(G, 1, 7).at(ctx)
+    random_form(G, 2, 8).at(ctx)
+    assert len(built) == 1
 
 
 def test_a_seeded_random_form_makes_no_walk_and_no_jet_product(monkeypatch):
@@ -199,7 +225,7 @@ def test_fields_without_a_table_walk(coeffs, monkeypatch):
     G = flat(2)
     field = FormField(1, {k: G.parse_expr(s) for k, s in coeffs.items()})
     ctx = G.context((0.5, -1.25), 2)
-    assert field._poly_table() == ()
+    assert field._poly_table(G.n) == ()
     value = _walks(field, ctx, monkeypatch)
     for key, e in field.coeffs.items():
         walked = sexpr.eval_jet(e, ctx.coords)
@@ -214,12 +240,20 @@ def test_fields_without_a_table_walk(coeffs, monkeypatch):
 def test_variable_beyond_the_chart_walks_to_the_same_error():
     G, G3 = flat(2), flat(3)
     field = FormField(0, {(): G3.parse_expr("1.0 + 2.0*x1*x3")})
-    assert field._poly_table()
+    assert field._poly_table(G3.n) and field._poly_table(G.n) == ()
     with pytest.raises(ArityError) as walked:
         sexpr.eval_jet(field.coeffs[()], G.context((0.5, 0.5), 1).coords)
     with pytest.raises(ArityError) as got:
         field.at(G.context((0.5, 0.5), 1))
     assert str(got.value) == str(walked.value)
+
+
+def test_key_beyond_the_chart_is_refused_as_the_walker_refuses_it():
+    G = flat(1)
+    field = FormField(1, {(0,): G.parse_expr("1.0*x1"), (1,): G.parse_expr("2.0*x1")})
+    assert field._poly_table(G.n) == ()
+    with pytest.raises(DegreeError, match=r"\(1,\) is not a basis key"):
+        field.at(G.context((0.5,), 1))
 
 
 # -- overflow ----------------------------------------------------------------
@@ -233,22 +267,20 @@ def test_overflow_is_silent_typed_and_never_passes():
         warnings.simplefilter("error")
         for k in range(3):
             field = random_form(G, k, 42)
-            _, C, monomials, _ = field._poly_table()
-            block = poly_block(C, monomials, ctx.coords)
-            assert not np.isfinite(block).all()
-            assert_walker_bits(field, ctx.coords, block)
+            value = field.at(ctx)
+            assert not np.isfinite(value.c).all()
+            assert_walker_bits(field, ctx, value)
             report = run_check(IdentityCheck(f"wide/{k}", G, field.at, field.at, points=[p]))
             assert not report["pass"]
             assert all(r["error"].startswith("NonFiniteValue") for r in report["points"])
 
 
 def test_overflowing_operand_walks(monkeypatch):
-    # c*p_a overflows, so the full jet product spreads NaNs: the walker decides
+    # c*p_a*p_b overflows, so the product is not finite: the walker decides
     G = load_config(WIDE)
     ctx = G.context(sample_points(G, 1, 7)[0], 2)
     field = FormField(0, {(): G.parse_expr("1.0*x + 1e300*x*y")})
-    _, C, monomials, _ = field._poly_table()
-    assert poly_block(C, monomials, ctx.coords) is None
+    assert field._poly_table(G.n)
     got = _walks(field, ctx, monkeypatch).coeffs[()]
     assert np.isnan(got.c).any()
     assert same_bits(got.c, sexpr.eval_jet(field.coeffs[()], ctx.coords).c)

@@ -72,6 +72,35 @@ def test_parse_error_offset():
     assert ei.value.offset == 6
 
 
+def test_parse_errors_are_raised_on_every_call():
+    for src in ["d(om) x", "d(om", "3om"]:
+        errors = []
+        for _ in range(3):
+            with pytest.raises(ExprSyntaxError) as ei:
+                opexpr.parse(src)
+            errors.append((str(ei.value), ei.value.offset))
+        assert errors == errors[:1] * 3, src
+
+
+def snapshot(node):
+    """A node's tree as nested tuples, its argument sequence types included."""
+    if node.args is None:
+        return node.name, None, node.offset
+    return node.name, type(node.args), tuple(map(snapshot, node.args)), node.offset
+
+
+def test_parsed_trees_are_shared_and_never_mutated(ctx, env):
+    src = "comm(delta, eps(om), beta)"
+    tree = opexpr.parse(src)
+    before = snapshot(tree)
+    assert type(tree.args) is tuple
+    for _ in range(2):
+        opexpr.evaluate_str(src, ctx, env)
+        opexpr.evaluate(tree, ctx, env)
+    assert opexpr.parse(src) is tree
+    assert snapshot(tree) == before
+
+
 def test_heads_match_direct_operators(ctx, env):
     om = env["om"].at(ctx)
     beta = env["beta"].at(ctx)
