@@ -28,17 +28,19 @@ The rules of jets, at the form level:
   past its value are all zero as a float, any other row (so every row of an
   order-0 jet value) as a Jet over a view of the row.
 
-Tables: every bilinear operation (wedge, interior, sharp, flat, scaling by a
-jet, and the operators' contractions) is one jets.mul_coeffs call over a
-_Product table.  Its key-level terms (sign, a row, b row, out row) are
-made once per (operation, n, degrees) from _sort_sign and _shuffles, and
-expanded once per pair of operand spaces over the Taylor pairs:
-JetSpace.mul_table of the lower order for two jets, (0, t, t) when one
-side is a constant.  The expansion reads each operand with the stride of
-its own array, so a longer operand's prefix is read in place.  Signs are
-folded into the gather: a is read from concat((a, -a)), and a negative
-term reads the second half.  A linear map (i_dir, trace, the operators'
-d) is one signed gather of the same kind, a _Gather, summed by bincount.
+Tables: every operation, linear or bilinear (wedge, interior, i_dir,
+trace, sharp, flat, scaling by a jet, and the operators' d and
+contractions), is one jets.mul_coeffs call over a _Product table.  Its
+key-level terms (sign, a row, b row, out row) are made once per
+(operation, n, degrees) from _sort_sign and _shuffles, and expanded once
+per pair of operand spaces over the Taylor pairs: JetSpace.mul_table of
+the lower order for two jets, (0, t, t) when one side is a constant.  The
+expansion reads each operand with the stride of its own array, so a longer
+operand's prefix is read in place.  Signs are folded into the gather: a is
+read from concat((a, -a)), and a negative term reads the second half.  A
+linear map out[ro] += sign * x[rx] is the product of the constant one,
+_ONE, with x, by the terms (sign, 0, rx, ro).  Each table owns its output
+layout: it returns its result in the leading shape its builder states.
 """
 
 import math
@@ -159,9 +161,7 @@ def _scale(s, space, c):
         return None, np.zeros(c.shape[:-1] + (1,))
     if not isinstance(s, Jet):
         return space, c * float(s)
-    lead = c.shape[:-1]
-    sp, out = _scaling(math.prod(lead))(s.space, s.c, space, c)
-    return sp, out.reshape(lead + (out.shape[-1],))
+    return _scaling(c.shape[:-1])(s.space, s.c, space, c)
 
 
 @cache
@@ -183,11 +183,6 @@ def _partials(n, space, c):
     return sp, np.ascontiguousarray(d.transpose((d.ndim - 2,) + tuple(range(d.ndim - 2)) + (d.ndim - 1,)))
 
 
-def _split(c, n):
-    """A (n * rows, S) product or gather result as (n, rows, S)."""
-    return c.reshape(n, c.shape[0] // n, c.shape[-1])
-
-
 # -- tables ------------------------------------------------------------------
 
 
@@ -204,21 +199,24 @@ def _taylor(sa, sb):
     return (sp,) + sp.mul_table
 
 
-def _columns(terms, width):
-    return np.array(terms, dtype=np.int64).reshape(-1, width).T
+def _columns(terms):
+    return np.array(terms, dtype=np.int64).reshape(-1, 4).T
 
 
 class _Product:
     """A bilinear map out[ro] += sign * a[ra] * b[rb] between the rows of
-    row-major coefficient arrays, a having rows_a rows: one mul_coeffs call
-    per application, over the terms expanded for the operands' spaces."""
+    row-major coefficient arrays, a having rows_a rows and out returned
+    with the leading shape given: one mul_coeffs call per application, over
+    the terms expanded for the operands' spaces.  With a = _ONE and rows_a
+    1 it is the linear map out[ro] += sign * b[rb]."""
 
-    __slots__ = ("sign", "ra", "rb", "ro", "rows_a", "rows_out", "_tables")
+    __slots__ = ("sign", "ra", "rb", "ro", "rows_a", "shape", "rows_out", "_tables")
 
-    def __init__(self, terms, rows_a, rows_out):
-        self.sign, self.ra, self.rb, self.ro = _columns(terms, 4)
+    def __init__(self, terms, rows_a, shape):
+        self.sign, self.ra, self.rb, self.ro = _columns(terms)
         self.rows_a = rows_a
-        self.rows_out = rows_out
+        self.shape = shape
+        self.rows_out = math.prod(shape)
         self._tables = {}
 
     def _expand(self, sa, sb):
@@ -231,7 +229,7 @@ class _Product:
         return sp, ia, ib, io, S
 
     def __call__(self, sa, a, sb, b):
-        """(space, out array of shape (rows_out, S))."""
+        """(space, out array of shape shape + (S,))."""
         table = self._tables.get((sa, sb))
         if table is None:
             table = self._tables[sa, sb] = self._expand(sa, sb)
@@ -240,45 +238,16 @@ class _Product:
         out = jets.mul_coeffs(
             np.concatenate((a, -a)), b.reshape(-1), ia, ib, io, self.rows_out * S
         )
-        return sp, out.reshape(self.rows_out, S)
+        return sp, out.reshape(self.shape + (S,))
 
 
-class _Gather:
-    """A linear map out[ro] += sign * x[rx] between the rows of row-major
-    coefficient arrays, x having rows_in rows: one signed gather, summed by
-    bincount, per application."""
-
-    __slots__ = ("sign", "rx", "ro", "rows_in", "rows_out", "_tables")
-
-    def __init__(self, terms, rows_in, rows_out):
-        self.sign, self.rx, self.ro = _columns(terms, 3)
-        self.rows_in = rows_in
-        self.rows_out = rows_out
-        self._tables = {}
-
-    def _expand(self, S):
-        t = np.arange(S)
-        rx = (self.rx + np.where(self.sign < 0, self.rows_in, 0)) * S
-        return (rx[:, None] + t).ravel(), (self.ro[:, None] * S + t).ravel()
-
-    def __call__(self, x):
-        """The out array of shape (rows_out, S) for x of Taylor width S."""
-        S = x.shape[-1]
-        table = self._tables.get(S)
-        if table is None:
-            table = self._tables[S] = self._expand(S)
-        ix, io = table
-        x = x.reshape(-1)
-        out = np.bincount(
-            io, weights=np.concatenate((x, -x))[ix], minlength=self.rows_out * S
-        )
-        return out.reshape(self.rows_out, S)
+_ONE = np.ones((1, 1))  # the constant one, the first operand of a linear map
 
 
 @cache
-def _scaling(count):
-    """s * c for a one-row s and a c of count rows."""
-    return _Product([(1, 0, r, r) for r in range(count)], 1, count)
+def _scaling(shape):
+    """s * c for a one-row s and a c of leading shape shape."""
+    return _Product([(1, 0, r, r) for r in range(math.prod(shape))], 1, shape)
 
 
 @cache
@@ -286,20 +255,24 @@ def _matmul(n):
     """(T S)^b_c = sum_m T^b_m S^m_c for n x n matrices at rows b*n + m."""
     terms = [(1, b * n + m, m * n + c, b * n + c)
              for b in range(n) for c in range(n) for m in range(n)]
-    return _Product(terms, n * n, n * n)
+    return _Product(terms, n * n, (n, n))
 
 
 @cache
-def _raise_first(n, rows):
-    """out^b_r = sum_a g^{ab} t_{a r}, g^{ab} at row a*n + b."""
+def _raise_first(n, trailing):
+    """out^b_r = sum_a g^{ab} t_{a r}, g^{ab} at row a*n + b, for t of
+    leading shape (n,) + trailing."""
+    rows = math.prod(trailing)
     terms = [(1, a * n + b, a * rows + r, b * rows + r)
              for b in range(n) for r in range(rows) for a in range(n)]
-    return _Product(terms, n * n, n * rows)
+    return _Product(terms, n * n, (n,) + trailing)
 
 
 @cache
-def _wedge(n, ka, kb, comps):
-    """a ^ b for a of degree ka and each of comps components of b."""
+def _wedge(n, ka, kb, vec):
+    """a ^ b for a of degree ka and b of degree kb, or each of the n
+    components of a tangent-valued b with vec."""
+    comps = n if vec else 1
     out, rb, rm = _rows(n, ka + kb), len(_basis(n, kb)), len(_basis(n, ka + kb))
     terms = []
     for b in range(comps):
@@ -308,7 +281,7 @@ def _wedge(n, ka, kb, comps):
                 sign, key = _sort_sign(I + J)
                 if sign:
                     terms.append((sign, i, b * rb + j, b * rm + out[key]))
-    return _Product(terms, len(_basis(n, ka)), comps * rm)
+    return _Product(terms, len(_basis(n, ka)), ((n,) if vec else ()) + (rm,))
 
 
 @cache
@@ -325,7 +298,7 @@ def _interior(n, p, k):
                 s2, key = _sort_sign((b,) + R)
                 if s2:
                     terms.append((sign * s2, b * len(rp) + rp[A], rk[key], j))
-    return _Product(terms, n * len(rp), len(_basis(n, m)))
+    return _Product(terms, n * len(rp), (len(_basis(n, m)),))
 
 
 @cache
@@ -339,31 +312,33 @@ def _sharp_table(n, k):
                 s, key = _sort_sign((a,) + J)
                 if s:
                     terms.append((s, a * n + b, rk[key], b * rm + j))
-    return _Product(terms, n * n, n * rm)
+    return _Product(terms, n * n, (n, rm))
 
 
 @cache
 def _i_dir(n, a, k):
+    """i_{e_a} omega, a linear map: _ONE times omega."""
     rk = _rows(n, k)
     terms = []
     for j, J in enumerate(_basis(n, k - 1)):
         s, key = _sort_sign((a,) + J)
         if s:
-            terms.append((s, rk[key], j))
-    return _Gather(terms, len(rk), len(_basis(n, k - 1)))
+            terms.append((s, 0, rk[key], j))
+    return _Product(terms, 1, (len(_basis(n, k - 1)),))
 
 
 @cache
 def _trace(n, k):
-    """tr phi = sum_b i_{e_b} phi^b, phi^b at rows b*C(n,k) + r."""
+    """tr phi = sum_b i_{e_b} phi^b, phi^b at rows b*C(n,k) + r, a linear
+    map: _ONE times phi."""
     rk = _rows(n, k)
     terms = []
     for j, J in enumerate(_basis(n, k - 1)):
         for b in range(n):
             s, key = _sort_sign((b,) + J)
             if s:
-                terms.append((s, b * len(rk) + rk[key], j))
-    return _Gather(terms, n * len(rk), len(_basis(n, k - 1)))
+                terms.append((s, 0, b * len(rk) + rk[key], j))
+    return _Product(terms, 1, (len(_basis(n, k - 1)),))
 
 
 # -- values ----------------------------------------------------------------
@@ -548,7 +523,7 @@ def wedge(a, b):
     n, k = a.n, a.k + b.k
     if k > n:
         return AltValue.zero(n, k)
-    return _alt(n, k, *_wedge(n, a.k, b.k, 1)(a.space, a.c, b.space, b.c))
+    return _alt(n, k, *_wedge(n, a.k, b.k, False)(a.space, a.c, b.space, b.c))
 
 
 def wedge_sv(omega, phi):
@@ -556,14 +531,13 @@ def wedge_sv(omega, phi):
     n, k = phi.n, omega.k + phi.k
     if k > n:
         return VecAltValue.zero(n, k)
-    sp, c = _wedge(n, omega.k, phi.k, n)(omega.space, omega.c, phi.space, phi.c)
-    return _vec(n, k, sp, _split(c, n))
+    return _vec(n, k, *_wedge(n, omega.k, phi.k, True)(omega.space, omega.c, phi.space, phi.c))
 
 
 def i_dir(a, omega):
     """Classical interior product with the coordinate vector e_a."""
     n, k = omega.n, omega.k
-    return _alt(n, k - 1, omega.space, _i_dir(n, a, k)(omega.c))
+    return _alt(n, k - 1, *_i_dir(n, a, k)(None, _ONE, omega.space, omega.c))
 
 
 def interior(phi, omega):
@@ -587,7 +561,7 @@ def trace(phi):
     if phi.k == 0:
         raise DegreeError("trace of a tangent vector is undefined")
     n, k = phi.n, phi.k
-    return _alt(n, k - 1, phi.space, _trace(n, k)(phi.c))
+    return _alt(n, k - 1, *_trace(n, k)(None, _ONE, phi.space, phi.c))
 
 
 def sharp(omega, g_inv):
@@ -596,8 +570,7 @@ def sharp(omega, g_inv):
     if omega.k == 0:
         raise DegreeError("sharp needs a form of degree >= 1")
     n, k = omega.n, omega.k
-    sp, c = _sharp_table(n, k)(*g_inv, omega.space, omega.c)
-    return _vec(n, k - 1, sp, _split(c, n))
+    return _vec(n, k - 1, *_sharp_table(n, k)(*g_inv, omega.space, omega.c))
 
 
 def flat(X, g):
@@ -605,7 +578,7 @@ def flat(X, g):
     vector X, for g the (space, array) pair ChartContext.g gives."""
     if X.k != 0:
         raise DegreeError("flat needs a tangent vector")
-    return _alt(X.n, 1, *_raise_first(X.n, 1)(*g, X.space, X.c))
+    return _alt(X.n, 1, *_raise_first(X.n, ())(*g, X.space, X.c))
 
 
 # -- full alternating evaluation (independent brute-force oracle) ---------

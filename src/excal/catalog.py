@@ -128,11 +128,11 @@ def _v_contact_algebra(entry, ctx):
     # g(phi X, phi Y) = g(X, Y) - eta(X) eta(Y), on coordinate vectors: the
     # matrices phi^T g phi and g - eta eta^T, compared at the point
     sg, g = ctx.g()
-    gphi = _raise_first(n, n)(sg, g, phi.space, phi.c)
-    _, lhs = _raise_first(n, n)(phi.space, phi.c, *gphi)
+    gphi = _raise_first(n, (n,))(sg, g, phi.space, phi.c)
+    _, lhs = _raise_first(n, (n,))(phi.space, phi.c, *gphi)
     e = eta.c[:, 0]
     rhs = g[..., 0] - e[:, None] * e
-    out.append((_vec(n, 1, None, lhs[:, :1].reshape(n, n, 1)), _vec(n, 1, None, rhs[..., None])))
+    out.append((_vec(n, 1, None, lhs[..., :1]), _vec(n, 1, None, rhs[..., None])))
     return out
 
 

@@ -197,7 +197,10 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="evaluate an operator expression at a point")
     p_eval.add_argument("config", help="config path, '-' or catalog entry name")
     p_eval.add_argument("--expr", required=True)
-    p_eval.add_argument("--at", required=True, metavar="C1,C2,...")
+    p_eval.add_argument(
+        "--at", required=True, metavar="C1,C2,...",
+        help="the point; write --at=-0.5,0.2 when the first coordinate is negative",
+    )
     p_eval.add_argument("--order", type=int, default=None)
     p_eval.set_defaults(fn=cmd_eval)
 

@@ -272,20 +272,22 @@ class ChartContext:
 
 def _metric(ctx):
     """The metric entries' jets as a (space, array) pair, refused unless its
-    value is symmetric positive-definite."""
+    value is finite, symmetric and positive-definite."""
     items = []
     for e, entries in ctx.geometry._metric_trees:
         c = sexpr.eval_jet(e, ctx.coords)
         items += [(ab, c) for ab in entries]
     sg, g = _fill((ctx.geometry.n,) * 2, items)
     vals = g[..., 0]
+    if not np.isfinite(vals).all():
+        raise SingularMetric(f"metric not finite at {ctx.p}: {vals.tolist()}")
     if not np.allclose(vals, vals.T, atol=1e-12, rtol=0.0):
         raise SingularMetric(f"metric not symmetric at {ctx.p}: {vals.tolist()}")
     try:
         eig = np.linalg.eigvalsh(vals)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(str(exc))
-    if eig.min() <= 0:
+    if not eig.min() > 0:  # fails on NaN too
         raise SingularMetric(f"metric not positive-definite at {ctx.p} (eigmin={eig.min()})")
     return sg, g
 
@@ -307,8 +309,7 @@ def _inverse(p, sg, g):
     AH[..., 0] = 0.0
     sy, Y = None, A[..., None]
     for _ in range(sg.order):
-        sp, P = _matmul(n)(sg, AH, sy, Y)
-        sy, Y = _sum(None, A[..., None], sp, P.reshape(n, n, -1), -1.0)
+        sy, Y = _sum(None, A[..., None], *_matmul(n)(sg, AH, sy, Y), -1.0)
     return sy, Y
 
 
@@ -319,8 +320,7 @@ def _christoffel(sg, g, si, g_inv):
     sd, D = _partials(n, sg, g)
     E = np.moveaxis(D, 2, 0)  # E[l, i, j] = d_i g_jl
     first = (E + E.swapaxes(1, 2) - D) * 0.5
-    sp, c = _raise_first(n, n * n)(si, g_inv, sd, first)
-    return sp, c.reshape(n, n, n, -1)
+    return _raise_first(n, (n, n))(si, g_inv, sd, first)
 
 
 def _gram_schmidt(sg, g, descending=False):
@@ -361,7 +361,7 @@ def _christoffel_square(n):
     out row ((i*n + j)*n + k)*n + l."""
     terms = [(1, (m * n + j) * n + k, (l * n + i) * n + m, ((i * n + j) * n + k) * n + l)
              for i, j, k, l in itertools.product(range(n), repeat=4) for m in range(n)]
-    return _Product(terms, n ** 3, n ** 4)
+    return _Product(terms, n ** 3, (n,) * 4)
 
 
 def _curvature(sg, gam):
@@ -380,7 +380,7 @@ def _riemann(sd, D, sq, Q):
     Gamma^m_{jk} Gamma^l_{im}, from the partials D[m, l, i, j] =
     d_m Gamma^l_{ij} and the _christoffel_square product Q."""
     E = D.transpose(0, 2, 3, 1, 4)  # E[i, j, k, l] = d_i Gamma^l_{jk}
-    sp, T = _sum(sd, E, sq, Q.reshape(E.shape[:-1] + Q.shape[-1:]), 1.0)
+    sp, T = _sum(sd, E, sq, Q, 1.0)
     return sp, T - T.swapaxes(0, 1)
 
 

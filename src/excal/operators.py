@@ -7,17 +7,18 @@ Differentiation consumes one jet order per application; differentiating
 a point-dependent value past its order fails loudly (JetBudgetExhausted),
 while a constant one differentiates to zero at any order.
 
-Each operator is a few whole-array steps built on the tables of alt: d is
-the partials of every coefficient (alt._partials) and one signed gather,
-a _Gather whose terms (sign, (a, I) row, out row) come from _sort_sign of
-(a,) + I; nabla adds to the partials one product of the Christoffel array
-with the form, a _Product whose terms pair Gamma^m_{a I_s} with the
-coefficient at I with I_s replaced by m, the sort sign folded into the
-gather, and skips it on a chart whose Christoffel symbols are the zero
-constant; delta (contracted with g^{-1}, no frame), omega-nabla, the
-curvature shuffle sum, endomorphism composition and the Nijenhuis tensor
-are each one _Product over the context's dense arrays (ChartContext.g_inv,
-gamma, curvature).
+Each operator is a few whole-array steps over the one kind of table alt
+has, a _Product, which returns its result in the layout its builder
+states: d is the partials of every coefficient (alt._partials) and one
+linear product, _ONE times the partials, whose terms (sign, 0, (a, I)
+row, out row) come from _sort_sign of (a,) + I; nabla adds to the
+partials one product of the Christoffel array with the form, whose terms
+pair Gamma^m_{a I_s} with the coefficient at I with I_s replaced by m,
+the sort sign folded into the gather, and skips it on a chart whose
+Christoffel symbols are the zero constant; delta (contracted with g^{-1},
+no frame), omega-nabla, the curvature shuffle sum, endomorphism
+composition and the Nijenhuis tensor are each one product over the
+context's dense arrays (ChartContext.g_inv, gamma, curvature).
 
 Sign conventions, fixed globally:
   [A, B]  = A o B - (-1)^{|A||B|} B o A
@@ -35,15 +36,14 @@ from .alt import (
     VecAltValue,
     _alt,
     _basis,
-    _Gather,
     _matmul,
+    _ONE,
     _partials,
     _Product,
     _raise_first,
     _rows,
     _shuffles,
     _sort_sign,
-    _split,
     _sum,
     _vec,
     interior,
@@ -59,8 +59,10 @@ from .prng import SplitMix64, derive_seed
 
 
 @cache
-def _ext_d(n, k, comps):
-    """d from the partials (a, component, I) of comps components of degree k."""
+def _ext_d(n, k, vec):
+    """d from the partials (a, I) of a form of degree k, or (a, component, I)
+    of the n components of a tangent-valued one with vec: _ONE times them."""
+    comps = n if vec else 1
     rk, out = len(_basis(n, k)), _rows(n, k + 1)
     terms = []
     for a in range(n):
@@ -68,8 +70,8 @@ def _ext_d(n, k, comps):
             for i, I in enumerate(_basis(n, k)):
                 s, key = _sort_sign((a,) + I)
                 if s:
-                    terms.append((s, (a * comps + b) * rk + i, b * len(out) + out[key]))
-    return _Gather(terms, n * comps * rk, comps * len(out))
+                    terms.append((s, 0, (a * comps + b) * rk + i, b * len(out) + out[key]))
+    return _Product(terms, 1, ((n,) if vec else ()) + (len(out),))
 
 
 @cache
@@ -92,7 +94,7 @@ def _connection(n, k, vec):
                 if vec:
                     for m in range(n):
                         terms.append((1, (b * n + a) * n + m, m * rk + r, o))
-    return _Product(terms, n * n * n, n * comps * rk)
+    return _Product(terms, n * n * n, (n,) + ((n,) if vec else ()) + (rk,))
 
 
 @cache
@@ -106,7 +108,7 @@ def _codiff(n, k):
             if s:
                 for a in range(n):
                     terms.append((-s, a * n + b, a * rk + where[key], j))
-    return _Product(terms, n * n, len(_basis(n, k - 1)))
+    return _Product(terms, n * n, (len(_basis(n, k - 1)),))
 
 
 @cache
@@ -125,7 +127,7 @@ def _nijenhuis(n):
             for c in range(n):
                 terms.append((1, b * n + c, (j * n + c) * n + i, o))
                 terms.append((-1, b * n + c, (i * n + c) * n + j, o))
-    return _Product(terms, n * n, n * len(out))
+    return _Product(terms, n * n, (n, len(out)))
 
 
 @cache
@@ -142,7 +144,7 @@ def _curvature(n, p):
             for b in range(n):
                 for l in range(n):
                     terms.append((sign, ((i * n + j) * n + b) * n + l, b * len(rp) + rest, l * rm + o))
-    return _Product(terms, n ** 4, n * rm)
+    return _Product(terms, n ** 4, (n, rm))
 
 
 # -- first-order operators -------------------------------------------------
@@ -154,7 +156,7 @@ def ext_d(ctx, w):
     if k + 1 > n:
         return AltValue.zero(n, k + 1)
     sp, D = _partials(n, w.space, w.c)
-    return _alt(n, k + 1, sp, _ext_d(n, k, 1)(D))
+    return _alt(n, k + 1, *_ext_d(n, k, False)(None, _ONE, sp, D))
 
 
 def nabla_coord(ctx, w):
@@ -169,8 +171,7 @@ def nabla_coord(ctx, w):
     sg, G = ctx.gamma()
     if sg is None and not G.any():  # a chart whose Christoffel symbols are zero
         return sd, D
-    sp, P = _connection(n, k, vec)(sg, G, w.space, w.c)
-    return _sum(sd, D, sp, P.reshape(D.shape[:-1] + P.shape[-1:]), 1.0)
+    return _sum(sd, D, *_connection(n, k, vec)(sg, G, w.space, w.c), 1.0)
 
 
 def codiff(ctx, w):
@@ -196,7 +197,7 @@ def d_nabla(ctx, phi):
     """Covariant exterior derivative of a tangent-valued form."""
     n, k = phi.n, phi.k
     sp, N = nabla_coord(ctx, phi)
-    return _vec(n, k + 1, sp, _split(_ext_d(n, k, n)(N), n))
+    return _vec(n, k + 1, *_ext_d(n, k, True)(None, _ONE, sp, N))
 
 
 def lie_vec(ctx, phi, w):
@@ -233,8 +234,7 @@ def omega_nabla(ctx, w):
         raise DegreeError("omega_nabla needs a form of degree >= 1")
     n = w.n
     sn, N = nabla_coord(ctx, w)
-    sp, c = _raise_first(n, len(_basis(n, w.k)))(*ctx.g_inv(), sn, N)
-    return _vec(n, w.k, sp, _split(c, n))
+    return _vec(n, w.k, *_raise_first(n, (len(_basis(n, w.k)),))(*ctx.g_inv(), sn, N))
 
 
 def omega_diamond(ctx, w, variant=0):
@@ -382,8 +382,7 @@ def fn_decompose(ctx, D):
 def endo_compose(T, S):
     """Composition T o S of endomorphisms given as degree-1 VecAltValues."""
     n = T.n
-    sp, c = _matmul(n)(T.space, T.c, S.space, S.c)
-    return _vec(n, 1, sp, _split(c, n))
+    return _vec(n, 1, *_matmul(n)(T.space, T.c, S.space, S.c))
 
 
 def nijenhuis(ctx, T):
@@ -391,8 +390,7 @@ def nijenhuis(ctx, T):
     N(e_i, e_j) = [T e_i, T e_j] - T[T e_i, e_j] - T[e_i, T e_j]."""
     n = T.n
     sd, D = _partials(n, T.space, T.c)
-    sp, c = _nijenhuis(n)(T.space, T.c, sd, D)
-    return _vec(n, 2, sp, _split(c, n))
+    return _vec(n, 2, *_nijenhuis(n)(T.space, T.c, sd, D))
 
 
 def lie_metric(ctx, xi):
@@ -402,8 +400,7 @@ def lie_metric(ctx, xi):
     n = ctx.geometry.n
     sn, N = nabla_coord(ctx, xi)  # N[a, c, 0] = (nabla_a xi)^c
     # low[b, a] = sum_c g_{cb} (nabla_a xi)^c = g(nabla_a xi, e_b)
-    sp, low = _raise_first(n, n)(*ctx.g(), sn, N[:, :, 0].swapaxes(0, 1))
-    low = low.reshape(n, n, -1)
+    sp, low = _raise_first(n, (n,))(*ctx.g(), sn, N[:, :, 0].swapaxes(0, 1))
     return sp, low + low.swapaxes(0, 1)
 
 
@@ -411,15 +408,13 @@ def two_tensor_sharp(ctx, t):
     """Metric contraction of a symmetric (0,2)-tensor, a (space, array)
     pair with t_{ij} at [i, j], to an endomorphism."""
     n = ctx.geometry.n
-    sp, c = _raise_first(n, n)(*ctx.g_inv(), *t)
-    return _vec(n, 1, sp, _split(c, n))
+    return _vec(n, 1, *_raise_first(n, (n,))(*ctx.g_inv(), *t))
 
 
 def curvature_shuffle(ctx, phi):
     """(d^nabla)^2 phi via the Riemann curvature shuffle sum."""
     n, p = phi.n, phi.k
-    sp, c = _curvature(n, p)(*ctx.curvature(), phi.space, phi.c)
-    return _vec(n, p + 2, sp, _split(c, n))
+    return _vec(n, p + 2, *_curvature(n, p)(*ctx.curvature(), phi.space, phi.c))
 
 
 # -- pointwise extraction -----------------------------------------------------

@@ -200,7 +200,10 @@ class _Parser:
     def atom(self, depth):
         kind, text, off = self.toks.next()
         if kind == "num":
-            return Num(float(text), off), 1
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"literal {text} is not a finite number", off)
+            return Num(value, off), 1
         if kind == "(":
             # a parenthesised group counts as a level: it costs recursion
             e, h = self.expr(depth + 1)

@@ -837,8 +837,8 @@ def _s_kanemaki(check, seed, G, gname):
         out = nabla_vec_coord(ctx, phi)
         # symmetry of A: g(A e_i, e_j) as a matrix, compared both ways
         A = _amatrix(ctx)
-        _, gA = _raise_first(3, 3)(*ctx.g(), A.space, A.c)
-        sym = gA[:, 0].reshape(3, 3)
+        _, gA = _raise_first(3, (3,))(*ctx.g(), A.space, A.c)
+        sym = gA[..., 0]
         out.append(AltValue(3, 0, {(): float(abs(sym - sym.T).max())}))
         return out
 

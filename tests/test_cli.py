@@ -303,6 +303,34 @@ def test_eval_overflow_is_a_domain_error(capsys, tmp_path, src, expr, at, error)
 
 
 @pytest.mark.parametrize(
+    "metric, coeff, offset",
+    [([["1e400", "0"], ["0", "1"]], "x*y", 0), ([["1", "0"], ["0", "1"]], "x + 2*1e400", 6)],
+    ids=["metric", "form"],
+)
+def test_non_finite_literal_is_a_syntax_error(capsys, tmp_path, metric, coeff, offset):
+    # an overflowing literal read as inf: a metric entry let delta print a
+    # value and check pass 18 of 19 checks, a coefficient made d(w) lose it
+    w = {"degree": 1, "coeffs": {"1": coeff, "2": "x"}}
+    path = tmp_path / "literal.json"
+    path.write_text(json.dumps(dict(EVAL_CONFIG, metric=metric, forms={"w": w})))
+    for argv in (("eval", str(path), "--expr", "delta(w)", "--at", "0.3,0.2"),
+                 ("eval", str(path), "--expr", "d(w)", "--at", "0.3,0.2"),
+                 ("check", str(path), "--points", "2")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert [l for l in err.splitlines() if l.startswith("error:")] == [
+            f"error: ExprSyntaxError: literal 1e400 is not a finite number at offset {offset}"
+        ]
+
+
+def test_eval_at_a_negative_first_coordinate(capsys):
+    # with a space argparse reads "-0.5,0.2" as an option; the = form works
+    code, out, err = run(capsys, "eval", "flat_kahler(1)", "--expr", "sharp(Omega)", "--at=-0.5,0.2")
+    assert code == 0 and err == ""
+    assert out == "e1 | 2: -1\ne2 | 1: 1\n"
+
+
+@pytest.mark.parametrize(
     "metric, message",
     [
         # the value passes eigvalsh, but its inverse is infinite: this was a
@@ -311,8 +339,11 @@ def test_eval_overflow_is_a_domain_error(capsys, tmp_path, src, expr, at, error)
         # this printed a numpy array over two lines
         ([["1", "0.5"], ["0", "1"]],
          "metric not symmetric at (0.5, 0.5): [[1.0, 0.5], [0.0, 1.0]]"),
+        # an overflowing product of finite literals: this printed a value
+        ([["1e300*1e300", "0"], ["0", "1"]],
+         "metric not finite at (0.5, 0.5): [[inf, 0.0], [0.0, 1.0]]"),
     ],
-    ids=["underflow", "asymmetric"],
+    ids=["underflow", "asymmetric", "overflow"],
 )
 def test_degenerate_metric_is_one_line_naming_it(capsys, tmp_path, metric, message):
     w = {"degree": 1, "coeffs": {"1": "x*y", "2": "x"}}

@@ -28,7 +28,9 @@ from excal.alt import (
     sharp,
     trace,
     wedge,
+    wedge_sv,
 )
+from excal import jets
 from excal.catalog import builtin
 from excal.errors import JetBudgetExhausted
 from excal.geometry import _christoffel_square, _riemann, sample_points
@@ -319,6 +321,47 @@ def test_degrees_above_the_dimension_stay_canonical_zero_values():
         assert w.k > 2 and w.c.shape == (0, 1) and not w.coeffs
     assert (wedge(top, top) + wedge(top, top)).k == 4
     assert interior(VecAltValue.identity(2), wedge(one, top)).c.shape == (0, 1)
+
+
+# -- one kind of table ---------------------------------------------------------
+
+
+def test_linear_maps_are_one_kernel_call_each(monkeypatch):
+    # d, i_dir and trace are products of the constant one with their operand
+    rng = np.random.default_rng(3)
+    w = _form(rng, 3, 2, 2)
+    phi = _vec_form(rng, 3, 2, 2)
+    calls = []
+    kernel = jets.mul_coeffs
+    monkeypatch.setattr(jets, "mul_coeffs", lambda *args: calls.append(args) or kernel(*args))
+    for op in (lambda: ext_d(None, w), lambda: i_dir(1, w), lambda: trace(phi)):
+        calls.clear()
+        op()
+        assert len(calls) == 1
+
+
+def test_one_dimensional_values_keep_their_component_axis():
+    # on a 1-D chart a tangent-valued value has one component and a form of
+    # degree 0 or 1 one row, so the layout is the table's, not the sizes'
+    G = builtin("euclidean(1)").geometry
+    ctx = G.context(sample_points(G, 1, 3)[0], 2)
+    rng = np.random.default_rng(7)
+    s, g = _scalar(rng, 1, 2), _scalar(rng, 1, 2)
+    for k in (0, 1):
+        phi = _vec_form(rng, 1, k, 2)
+        cases = [(phi.scale(s), phi.comps[0].scale(s))]
+        for l in range(2 - k):
+            omega = _form(rng, 1, l, 2)
+            cases.append((wedge_sv(omega, phi), wedge(omega, phi.comps[0])))
+        if k == 0:  # the flat chart's d_nabla is d of each component
+            cases.append((d_nabla(ctx, phi), ext_d(ctx, phi.comps[0])))
+        else:
+            w = _form(rng, 1, k, 2)
+            cases.append((sharp(w, _pair([[g]])), i_dir(0, w).scale(g)))
+        for got, want in cases:
+            assert got.c.ndim == 3 and got.c.shape[:2] == (1, math.comb(1, got.k))
+            assert got.k == want.k and got.space is want.space
+            assert np.array_equal(got.comps[0].c, want.c)
 
 
 # -- the curvature's Christoffel products ------------------------------------

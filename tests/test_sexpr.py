@@ -154,6 +154,14 @@ def test_syntax_error_offset():
     assert ei.value.offset == 4
 
 
+@pytest.mark.parametrize("literal", ["1e400", "1" * 400])
+def test_a_literal_past_the_float_range_is_refused_at_its_offset(literal):
+    # float() reads both as inf
+    with pytest.raises(ExprSyntaxError) as ei:
+        sexpr.parse("x + " + literal, XY)
+    assert ei.value.offset == 4
+
+
 @pytest.mark.parametrize(
     "src,exc",
     [
