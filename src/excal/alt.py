@@ -7,10 +7,15 @@ lower an index with the (space, array) pairs ChartContext.g_inv and
 ChartContext.g give.
 
 Layout: an AltValue of degree k on n coordinates is one float array ``c``
-of shape (C(n, k), S).  Row r is the basis key ``_basis(n, k)[r]``, in
-``combinations(range(n), k)`` order, and column t is Taylor coefficient t
-of the value's jet space ``space``, so S = space.size.  A VecAltValue is
-one array of shape (n, C(n, k), S), tangent component b first.  Degrees
+of shape (C(n, k), S, P).  Row r is the basis key ``_basis(n, k)[r]``, in
+``combinations(range(n), k)`` order, column t is Taylor coefficient t of
+the value's jet space ``space``, so S = space.size, and the last axis holds
+the value at each of the P points of the context it was evaluated at
+(geometry.BatchContext), in point order.  A value that is the same at every
+point, such as one built from numbers, has P = 1 and joins a value of any
+P as if repeated.  A VecAltValue is one array of shape (n, C(n, k), S, P),
+tangent component b first.  ``point(i)`` is the one-point value at point i,
+a view; the read-only views below read one-point values only.  Degrees
 above the dimension (or below zero) have no rows: they are canonical zero
 values, never errors, since operator compositions reach them routinely.
 
@@ -19,7 +24,7 @@ The rules of jets, at the form level:
   longer value's prefix in place; arrays are never written after the
   value holding them is built;
 - constant: a value built only from numbers has space None and S = 1.  It
-  joins a jet value through its value column only, and it, like the zero
+  joins a jet value through its value row only, and it, like the zero
   value, differentiates to zero at any order, while a point-dependent
   value at order 0 raises JetBudgetExhausted;
 - zero: zero is an all-zero array, and nothing is dropped when a value is
@@ -36,11 +41,14 @@ key-level terms (sign, a row, b row, out row) are made once per
 per pair of operand spaces over the Taylor pairs: JetSpace.mul_table of
 the lower order for two jets, (0, t, t) when one side is a constant.  The
 expansion reads each operand with the stride of its own array, so a longer
-operand's prefix is read in place.  Signs are folded into the gather: a is
-read from concat((a, -a)), and a negative term reads the second half.  A
-linear map out[ro] += sign * x[rx] is the product of the constant one,
-_ONE, with x, by the terms (sign, 0, rx, ro).  Each table owns its output
-layout: it returns its result in the leading shape its builder states.
+operand's prefix is read in place.  The points are not in the table: the
+kernel applies it to every point at once, each point summed as it would
+be alone, so a table is the same for any number of points.  Signs are
+folded into the gather: a is read from concat((a, -a)), and a negative
+term reads the second half.  A linear map out[ro] += sign * x[rx] is the
+product of the constant one, _ONE, with x, by the terms (sign, 0, rx,
+ro).  Each table owns its output layout: it returns its result in the
+leading shape its builder states.
 """
 
 import math
@@ -111,31 +119,55 @@ def _lowest(spaces):
 
 
 def _fill(shape, items):
-    """(space, array) of the given leading shape holding each (index, jet or
-    number) item, at the lowest order among the jets; the rest is zero."""
+    """(space, array) of one point and the given leading shape holding each
+    (index, jet or number) item, at the lowest order among the jets; the
+    rest is zero."""
     space = _lowest(c.space for _, c in items if isinstance(c, Jet))
     S = _width(space)
-    out = np.zeros(shape + (S,))
+    out = np.zeros(shape + (S, 1))
     for i, c in items:
         if isinstance(c, Jet):
-            out[i] = c.c[:S]
+            out[i][:, 0] = c.c[:S]
         else:
             out[i][0] = c
     return space, out
 
 
 def _join(parts):
-    """(space, array) stacking (space, array) parts of one shape along a new
-    first axis, by the order and constant rules."""
+    """(space, array) stacking (space, array) parts of one leading shape
+    along a new first axis, by the order and constant rules; a one-point
+    part joins parts of P points as if repeated."""
     space = _lowest(sp for sp, _ in parts if sp is not None)
     S = _width(space)
-    out = np.zeros((len(parts),) + parts[0][1].shape[:-1] + (S,))
+    P = max(c.shape[-1] for _, c in parts)
+    out = np.zeros((len(parts),) + parts[0][1].shape[:-2] + (S, P))
     for o, (sp, c) in zip(out, parts):
         if sp is None:
-            o[..., 0] = c[..., 0]
+            o[..., 0, :] = c[..., 0, :]
         else:
-            o[...] = c[..., :S]
+            o[...] = c[..., :S, :]
     return space, out
+
+
+def _stack(parts):
+    """(space, array) of one-point (space, array) parts of one leading shape,
+    each at its own point of the last axis, by the order and constant rules."""
+    spaces = {sp for sp, _ in parts}
+    if len(spaces) == 1:
+        return spaces.pop(), np.concatenate([c for _, c in parts], axis=-1)
+    space = _lowest(sp for sp in spaces if sp is not None)
+    out = np.zeros(parts[0][1].shape[:-2] + (space.size, len(parts)))
+    for i, (sp, c) in enumerate(parts):
+        if sp is None:
+            out[..., 0, i] = c[..., 0, 0]
+        else:
+            out[..., i] = c[..., : space.size, 0]
+    return space, out
+
+
+def _repeat(c, P):
+    """A new array of c at P points; a one-point c repeated."""
+    return c.copy() if c.shape[-1] == P else np.repeat(c, P, axis=-1)
 
 
 def _sum(sa, a, sb, b, sign):
@@ -144,24 +176,39 @@ def _sum(sa, a, sb, b, sign):
         return sa, (a + b if sign > 0 else a - b)
     if sa is None:
         out = b * sign
-        out[..., 0] += a[..., 0]
+        if out.shape[-1] < a.shape[-1]:
+            out = _repeat(out, a.shape[-1])
+        out[..., 0, :] += a[..., 0, :]
         return sb, out
     if sb is None:
-        out = a.copy()
-        out[..., 0] += sign * b[..., 0]
+        out = _repeat(a, max(a.shape[-1], b.shape[-1]))
+        out[..., 0, :] += sign * b[..., 0, :]
         return sa, out
     sp = _lowest((sa, sb))
     S = sp.size
-    return sp, (a[..., :S] + b[..., :S] if sign > 0 else a[..., :S] - b[..., :S])
+    a, b = a[..., :S, :], b[..., :S, :]
+    return sp, (a + b if sign > 0 else a - b)
 
 
 def _scale(s, space, c):
-    """(space, s * c) for a jet or number s; a zero s gives the zero value."""
+    """(space, s * c) for a number, a jet or a degree-0 AltValue s.  A zero s
+    gives the zero value.  A degree-0 AltValue is read as get reads one
+    point: the zero value where it is zero at every point, its value row
+    times c where it is constant past its value at every point, else the
+    jet product."""
+    lead = c.shape[:-2]
+    if isinstance(s, AltValue):
+        sc = s.c[0]
+        if not sc.any():
+            return None, np.zeros(lead + (1, 1))
+        if s.space is None or s.space.order and not sc[1:].any():
+            return space, c * sc[0]
+        return _scaling(lead)(s.space, sc, space, c)
     if is_zero(s):
-        return None, np.zeros(c.shape[:-1] + (1,))
+        return None, np.zeros(lead + (1, 1))
     if not isinstance(s, Jet):
         return space, c * float(s)
-    return _scaling(c.shape[:-1])(s.space, s.c, space, c)
+    return _scaling(lead)(s.space, s.c[:, None], space, c)
 
 
 @cache
@@ -174,13 +221,14 @@ def _diff_tables(space):
 
 def _partials(n, space, c):
     """(space, array) of the partials of every coefficient along each of the
-    n coordinates, coordinate first: shape (n,) + c.shape[:-1] + (S',).  A
+    n coordinates, coordinate first: shape (n,) + c.shape[:-2] + (S', P).  A
     constant differentiates to the zero constant."""
     if space is None:
-        return None, np.zeros((n,) + c.shape[:-1] + (1,))
+        return None, np.zeros((n,) + c.shape[:-2] + (1, c.shape[-1]))
     sp, src, fac = _diff_tables(space)
-    d = c[..., src] * fac
-    return sp, np.ascontiguousarray(d.transpose((d.ndim - 2,) + tuple(range(d.ndim - 2)) + (d.ndim - 1,)))
+    d = c[..., src, :] * fac[..., None]
+    lead = d.ndim - 3  # the axis of the n coordinates
+    return sp, np.ascontiguousarray(d.transpose((lead,) + tuple(range(lead)) + (lead + 1, lead + 2)))
 
 
 # -- tables ------------------------------------------------------------------
@@ -229,19 +277,23 @@ class _Product:
         return sp, ia, ib, io, S
 
     def __call__(self, sa, a, sb, b):
-        """(space, out array of shape shape + (S,))."""
+        """(space, out array of shape shape + (S, P)), for operands of P
+        points or of one."""
         table = self._tables.get((sa, sb))
         if table is None:
             table = self._tables[sa, sb] = self._expand(sa, sb)
         sp, ia, ib, io, S = table
-        a = a.reshape(-1)
-        out = jets.mul_coeffs(
-            np.concatenate((a, -a)), b.reshape(-1), ia, ib, io, self.rows_out * S
-        )
-        return sp, out.reshape(self.shape + (S,))
+        P = max(a.shape[-1], b.shape[-1])
+        # one point runs the kernel on flat operands; several, on (rows, P)
+        if P == 1:
+            a, b = a.reshape(-1), b.reshape(-1)
+        else:
+            a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
+        out = jets.mul_coeffs(np.concatenate((a, -a)), b, ia, ib, io, self.rows_out * S)
+        return sp, out.reshape(self.shape + (S, P))
 
 
-_ONE = np.ones((1, 1))  # the constant one, the first operand of a linear map
+_ONE = np.ones((1, 1, 1))  # the constant one, the first operand of a linear map
 
 
 @cache
@@ -345,9 +397,9 @@ def _trace(n, k):
 
 
 def _entry(space, row):
-    """One coefficient: a float where the row is constant, with Taylor
-    coefficients past its value and all of them zero, and a jet row view
-    otherwise (so every row of an order-0 jet value)."""
+    """One coefficient from its Taylor row: a float where the row is
+    constant, with Taylor coefficients past its value and all of them zero,
+    and a jet row view otherwise (so every row of an order-0 jet value)."""
     if space is None or space.order and not row[1:].any():
         return float(row[0])
     return Jet(space, row)
@@ -357,6 +409,20 @@ def _read(space, row):
     """One coefficient as _entry gives it, or 0.0 where it is zero."""
     c = _entry(space, row)
     return 0.0 if is_zero(c) else c
+
+
+def _one(c):
+    """The Taylor rows of a one-point coefficient array, its point axis
+    dropped; the read-only views read one point, so P > 1 is refused."""
+    if c.shape[-1] != 1:
+        raise ShapeMismatch(f"a value of {c.shape[-1]} points is read one point at a time")
+    return c[..., 0]
+
+
+def _point(c, i):
+    """The one-point view of c at point i; a one-point c is every point."""
+    j = i if c.shape[-1] > 1 else 0
+    return c[..., j:j + 1]
 
 
 def _alt(n, k, space, c):
@@ -395,14 +461,19 @@ class AltValue:
 
     @classmethod
     def zero(cls, n, k):
-        return _alt(n, k, None, np.zeros((len(_basis(n, k)), 1)))
+        return _alt(n, k, None, np.zeros((len(_basis(n, k)), 1, 1)))
+
+    def point(self, i):
+        """The one-point value at point i, a view."""
+        return _alt(self.n, self.k, self.space, _point(self.c, i))
 
     @property
     def coeffs(self):
         """A read-only {key: jet row view or float} of the rows that are not
-        zero, in basis order; a constant row reads as a float."""
+        zero, in basis order, of a one-point value; a constant row reads as a
+        float."""
         out = {}
-        for key, row in zip(_basis(self.n, self.k), self.c):
+        for key, row in zip(_basis(self.n, self.k), _one(self.c)):
             c = _entry(self.space, row)
             if not is_zero(c):
                 out[key] = c
@@ -410,7 +481,7 @@ class AltValue:
 
     def get(self, key):
         r = _rows(self.n, self.k).get(tuple(key))
-        return 0.0 if r is None else _read(self.space, self.c[r])
+        return 0.0 if r is None else _read(self.space, _one(self.c)[r])
 
     # -- linear structure --
 
@@ -451,13 +522,17 @@ class VecAltValue:
     def __init__(self, n, k, comps=None):
         self.n, self.k = n, k
         if comps is None:
-            self.space, self.c = None, np.zeros((n, len(_basis(n, k)), 1))
+            self.space, self.c = None, np.zeros((n, len(_basis(n, k)), 1, 1))
         else:
             self.space, self.c = _join([(v.space, v.c) for v in comps])
 
     @classmethod
     def zero(cls, n, k):
         return cls(n, k)
+
+    def point(self, i):
+        """The one-point value at point i, a view."""
+        return _vec(self.n, self.k, self.space, _point(self.c, i))
 
     @property
     def comps(self):
@@ -480,16 +555,16 @@ class VecAltValue:
 
     @classmethod
     def identity(cls, n):
-        return _vec(n, 1, None, np.eye(n)[:, :, None])
+        return _vec(n, 1, None, np.eye(n)[:, :, None, None])
 
     def as_vector(self):
         if self.k != 0:
             raise DegreeError("not a tangent vector")
-        return [_read(self.space, row) for row in self.c[:, 0]]
+        return [_read(self.space, row) for row in _one(self.c)[:, 0]]
 
     def column(self, c):
         """The components of the image of e_c under a degree-1 value."""
-        return [_read(self.space, row) for row in self.c[:, c]]
+        return [_read(self.space, row) for row in _one(self.c)[:, c]]
 
     def __add__(self, other):
         self._check(other)

@@ -49,7 +49,7 @@ class CatalogEntry:
 
 def _v_flat_christoffel(entry, ctx):
     n = entry.geometry.n
-    vals = AltValue(n, 0, {(): float(abs(ctx.gamma()[1][..., 0]).max())})
+    vals = AltValue(n, 0, {(): float(abs(ctx.gamma()[1][..., 0, :]).max())})
     return [(vals, AltValue(n, 0, {(): 0.0}))]
 
 
@@ -57,7 +57,7 @@ def _v_killing(entry, ctx):
     xi = ctx.structure("xi")
     _, lg = lie_metric(ctx, xi)
     n = entry.geometry.n
-    peak = AltValue(n, 0, {(): float(abs(lg[..., 0]).max())})
+    peak = AltValue(n, 0, {(): float(abs(lg[..., 0, :]).max())})
     return [(peak, AltValue(n, 0, {(): 0.0}))]
 
 
@@ -130,9 +130,9 @@ def _v_contact_algebra(entry, ctx):
     sg, g = ctx.g()
     gphi = _raise_first(n, (n,))(sg, g, phi.space, phi.c)
     _, lhs = _raise_first(n, (n,))(phi.space, phi.c, *gphi)
-    e = eta.c[:, 0]
-    rhs = g[..., 0] - e[:, None] * e
-    out.append((_vec(n, 1, None, lhs[..., :1]), _vec(n, 1, None, rhs[..., None])))
+    e = eta.c[:, 0, 0]
+    rhs = g[..., 0, 0] - e[:, None] * e
+    out.append((_vec(n, 1, None, lhs[..., :1, :]), _vec(n, 1, None, rhs[..., None, None])))
     return out
 
 

@@ -18,7 +18,8 @@ DEFAULT_RTOL = 1e-8
 
 def alt_errors(lhs, rhs):
     """(max_abs_err, scale) between two AltValue/VecAltValue operands or
-    parallel lists of them; raises NonFiniteValue on a NaN or infinity."""
+    parallel lists of them, over every point they hold; raises
+    NonFiniteValue on a NaN or infinity."""
     return _errors(lhs, rhs, ())
 
 
@@ -27,18 +28,20 @@ def _errors(lhs, rhs, where):
         return _fold(zip(lhs, rhs), "slot", where)
     if lhs.n != rhs.n or lhs.k != rhs.k or type(lhs) is not type(rhs):
         raise DegreeError(f"compared values differ in kind or degree: {lhs!r} vs {rhs!r}")
-    a, b = lhs.c[..., 0], rhs.c[..., 0]
+    a, b = lhs.c[..., 0, :], rhs.c[..., 0, :]
+    if a.shape != b.shape:  # a value of one point against one of several
+        a, b = np.broadcast_arrays(a, b)
     finite = np.isfinite(a) & np.isfinite(b)
     if not finite.all():
         at = tuple(int(i) for i in np.argwhere(~finite)[0])
-        names = (f"basis key {_basis(lhs.n, lhs.k)[at[-1]]}",)
-        if len(at) == 2:
+        names = (f"basis key {_basis(lhs.n, lhs.k)[at[-2]]}",)
+        if len(at) == 3:
             names = (f"component {at[0]}",) + names
         raise NonFiniteValue(
             f"non-finite value at {', '.join(where + names)}: lhs {float(a[at])!r}, rhs {float(b[at])!r}"
         )
-    err = float(np.max(np.abs(a - b), initial=0.0))
-    scale = float(max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0)))
+    err = float(np.abs(a - b).max(initial=0.0))
+    scale = float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
     return err, scale
 
 

@@ -79,6 +79,10 @@ class ReconstructionMismatch(ExcalError):
     """fn_decompose output fails to reproduce the input operator."""
 
 
+class BatchRefused(ExcalError):
+    """An evaluation that reads one point at a time got a context of several."""
+
+
 class NonFiniteValue(ExcalError):
     """A compared value holds a NaN or an infinity."""
 

@@ -9,13 +9,21 @@ point becomes jets: it builds its coordinate jets once, as ``coords``, and
 every jet at the point is evaluated from them, so the orders of everything
 derived follow from the jets rule.
 
+Every (space, array) pair and form value a context gives ends in a point
+axis (the monomial jets alone put it first).  A ChartContext has one
+point; Geometry.batch puts the ChartContexts of several points side by
+side as a BatchContext, which stacks what each of them builds and keeps
+along that axis, so that one operator call evaluates every point and each
+point's value is the bits it has alone.
+
 A context evaluates the metric entries once, as jets, into a (space,
-array) pair with the Taylor axis last, and builds from it pairs of the same
-form, each memoized: g^{-1} by a truncated Neumann series about the value's
-inverse, the Christoffel symbols from the metric's partials and one
-product with g^{-1}, and the curvature from theirs and one product; alt.flat
-and alt.sharp lower and raise an index with g and g^{-1}.  The orthonormal
-frame is built by Gram-Schmidt on demand and not kept; no operator reads it.
+array) pair with the Taylor axis before the point axis, and builds from it
+pairs of the same form, each memoized: g^{-1} by a truncated Neumann
+series about the value's inverse, the Christoffel symbols from the
+metric's partials and one product with g^{-1}, and the curvature from
+theirs and one product; alt.flat and alt.sharp lower and raise an index
+with g and g^{-1}.  The orthonormal frame is built by Gram-Schmidt on
+demand and not kept; no operator reads it.
 """
 
 import functools
@@ -30,9 +38,9 @@ import numpy as np
 
 from . import sexpr
 from .alt import (AltValue, VecAltValue, _alt, _entry, _fill, _matmul, _partials, _Product,
-                  _raise_first, _rows, _sum, _width)
+                  _raise_first, _rows, _stack, _sum, _vec, _width)
 from .errors import ConfigError, PointExcluded, SingularMetric
-from .jets import jet_apply, jet_var, monomial_jets, scalar_value
+from .jets import jet_apply, jet_space, jet_var, monomial_jets, scalar_value
 from .prng import SplitMix64
 
 CONFIG_VERSION = "excal-config v1"
@@ -69,27 +77,45 @@ def _map_structure(name, spec, fn):
 _field_serial = itertools.count()
 
 
-@dataclass
 class FormField:
     """A degree-k differential form with expression coefficients.
 
     When every coefficient is a sum of c, c*x_a and (c*x_a)*x_b terms over
     one shared monomial list (sexpr.quadratic_terms), as random_form's are,
     the field is evaluated from a monomial table, built from the trees on
-    first use: its coefficient jets at a context are one product of the
-    table with the context's monomial jets (ChartContext.monomial_jets),
-    which agrees with the walker to rounding.  Any other field, a variable
-    the chart lacks, or a product that overflows evaluates each coefficient
-    with sexpr.eval_jet, so an overflow keeps the walker's NaN and inf bits.
+    first use or given by from_table: its coefficient jets at a context are
+    one product of the table with the context's monomial jets
+    (ChartContext.monomial_jets), a stack of per-point matrix products, which
+    agrees with the walker to rounding.  Any other field, a variable the
+    chart lacks, or a point where the product overflows evaluates each
+    coefficient with sexpr.eval_jet at each point, so an overflow keeps the
+    walker's NaN and inf bits.
     """
 
-    degree: int
-    coeffs: dict  # increasing 0-based multi-index tuple -> Expr
-
-    def __post_init__(self):
+    def __init__(self, degree, coeffs):
+        self.degree = degree
+        self._coeffs = coeffs  # increasing 0-based multi-index tuple -> Expr
         # unique id for per-context value caching (object ids can be reused)
         self._serial = next(_field_serial)
         self._tables = {}
+
+    @classmethod
+    def from_table(cls, degree, coord_names, C, monomials):
+        """The field of the monomial table (C, monomials) on the chart with
+        these coordinates, C[r, t] the coefficient of monomials[t] in basis
+        row r.  Its coeffs are built when read: each key's left-to-right sum
+        of (c*x_a)*x_b terms in monomial order, the shape quadratic_terms
+        reads back as this table."""
+        n = len(coord_names)
+        field = cls(degree, lambda: _polynomials(degree, coord_names, C, monomials))
+        field._tables[n] = (C, monomials)
+        return field
+
+    @property
+    def coeffs(self):
+        if callable(self._coeffs):
+            self._coeffs = self._coeffs()
+        return self._coeffs
 
     def at(self, ctx):
         """Evaluate to an AltValue with jet coefficients (cached per context)."""
@@ -108,13 +134,31 @@ class FormField:
         table = self._poly_table(n)
         if table:
             C, monomials = table
-            # an overflowing product walks, to the walker's bits
+            # a point whose product overflows walks, to the walker's bits
             with np.errstate(over="ignore", invalid="ignore"):
                 c = C @ ctx.monomial_jets(monomials)
             if np.isfinite(c).all():
-                return _alt(n, self.degree, ctx.coords[0].space, c)
+                # a copy, not a view, so the value keeps no second array object
+                return _alt(n, self.degree, jet_space(n, ctx.order), c.transpose(1, 2, 0).copy())
+        if isinstance(ctx, BatchContext):
+            return ctx.each(self.at)
         out = {key: sexpr.eval_jet(e, ctx.coords) for key, e in self.coeffs.items()}
         return AltValue(n, self.degree, out)
+
+
+def _polynomials(k, coord_names, C, monomials):
+    """The coefficient trees of the degree-k monomial table (C, monomials)."""
+    xs = [sexpr.Var(name, i) for i, name in enumerate(coord_names)]
+    coeffs = {}
+    for I, row in zip(itertools.combinations(range(len(xs)), k), C.tolist()):
+        poly = None
+        for c, mono in zip(row, monomials):
+            term = sexpr.Num(c)
+            for a in mono:
+                term = sexpr.Bin("*", term, xs[a])
+            poly = term if poly is None else sexpr.Bin("+", poly, term)
+        coeffs[I] = poly
+    return coeffs
 
 
 def _monomial_table(coeffs, k, n):
@@ -198,9 +242,16 @@ class Geometry:
             self._ctx_cache.move_to_end(key)
         return ctx
 
+    def batch(self, points, order):
+        """The context of the points in order: the ChartContext of a single
+        point, else a BatchContext of their ChartContexts."""
+        contexts = [self.context(p, order) for p in points]
+        return contexts[0] if len(contexts) == 1 else BatchContext(self, contexts)
+
 
 class ChartContext:
-    """Cached jet data for one (geometry, point, order) triple.
+    """Cached jet data for one (geometry, point, order) triple, the context
+    of one point: every array it gives has a point axis of length 1.
 
     ``coords[i]`` is the jet of coordinate i at the point, of the context's
     order; every jet at the point is built from these.
@@ -214,6 +265,10 @@ class ChartContext:
         # refuses an order outside 0..MAX_ORDER
         self.coords = tuple(jet_var(p, i, order) for i in range(geometry.n))
         self._cache = {}
+
+    @property
+    def points(self):
+        return (self.p,)
 
     def _memo(self, key, fn):
         if key not in self._cache:
@@ -242,8 +297,11 @@ class ChartContext:
         return self._memo("curv", lambda: _curvature(*self.gamma()))
 
     def monomial_jets(self, monomials):
-        """Row t the jet of prod(x_a for a in monomials[t]), of the context's
-        order, for monomials of degree at most 2 (jets.monomial_jets)."""
+        """A (1, T, S) array, [0, t] the jet of prod(x_a for a in
+        monomials[t]), of the context's order, for monomials of degree at most
+        2 (jets.monomial_jets).  Its point axis is first, so that a table
+        product with it is one matrix product per point: the same BLAS call,
+        and so the same bits, at any number of points."""
         return self._memo(("monomials", monomials), lambda: monomial_jets(self.coords, monomials))
 
     def frame(self, descending=False):
@@ -267,6 +325,61 @@ class ChartContext:
         return AltValue(self.geometry.n, 1, {(i,): v for i, v in enumerate(vals)})
 
 
+class BatchContext:
+    """The context of several points of one chart at one jet order: the
+    arrays of their ChartContexts side by side on the point axis, so that an
+    operator applied to it evaluates every point at once.
+
+    It gives what a ChartContext gives (g, g_inv, gamma, curvature,
+    monomial_jets, frame and structure) by stacking each point's, which its
+    ChartContext builds and keeps, so every point's value is bit for bit
+    the one it has alone.  It has no coordinate jets: what is read from the
+    expression trees at each point is evaluated by each ChartContext (each).
+    """
+
+    def __init__(self, geometry, contexts):
+        self.geometry = geometry
+        self.contexts = contexts
+        self.points = tuple(c.p for c in contexts)
+        self.order = contexts[0].order
+        self._cache = {}
+
+    _memo = ChartContext._memo
+
+    def _stacked(self, name):
+        return self._memo(name, lambda: _stack([getattr(c, name)() for c in self.contexts]))
+
+    def g(self):
+        return self._stacked("g")
+
+    def g_inv(self):
+        return self._stacked("g_inv")
+
+    def gamma(self):
+        return self._stacked("gamma")
+
+    def curvature(self):
+        return self._stacked("curvature")
+
+    def monomial_jets(self, monomials):
+        """A (P, T, S) array, ChartContext.monomial_jets of each point."""
+        return self._memo(("monomials", monomials), lambda: np.concatenate(
+            [c.monomial_jets(monomials) for c in self.contexts]))
+
+    def frame(self, descending=False):
+        frames = zip(*(c.frame(descending) for c in self.contexts))
+        return [_vec(self.geometry.n, 0, *_stack([(v.space, v.c) for v in vs])) for vs in frames]
+
+    def structure(self, name):
+        return self._memo(("struct", name), lambda: self.each(lambda c: c.structure(name)))
+
+    def each(self, fn):
+        """The value fn(ctx) of each point's ChartContext, stacked."""
+        values = [fn(c) for c in self.contexts]
+        make = _vec if isinstance(values[0], VecAltValue) else _alt
+        return make(values[0].n, values[0].k, *_stack([(v.space, v.c) for v in values]))
+
+
 # -- metric machinery ------------------------------------------------------
 
 
@@ -278,10 +391,10 @@ def _metric(ctx):
         c = sexpr.eval_jet(e, ctx.coords)
         items += [(ab, c) for ab in entries]
     sg, g = _fill((ctx.geometry.n,) * 2, items)
-    vals = g[..., 0]
+    vals = g[..., 0, 0]
     if not np.isfinite(vals).all():
         raise SingularMetric(f"metric not finite at {ctx.p}: {vals.tolist()}")
-    if not np.allclose(vals, vals.T, atol=1e-12, rtol=0.0):
+    if np.abs(vals - vals.T).max() > 1e-12:
         raise SingularMetric(f"metric not symmetric at {ctx.p}: {vals.tolist()}")
     try:
         eig = np.linalg.eigvalsh(vals)
@@ -299,17 +412,18 @@ def _inverse(p, sg, g):
     jet-matrix products.  _metric has found g symmetric positive-definite,
     so nothing pivots; a value too small to invert in floating point, with
     an infinite A, is refused naming the point p."""
-    A = np.linalg.inv(g[..., 0])
-    if not np.isfinite(A).all():
+    inv = np.linalg.inv(g[..., 0, 0])
+    if not np.isfinite(inv).all():
         raise SingularMetric(f"metric not invertible at {p}")
+    A = inv[..., None, None]
     if sg is None or sg.order == 0:
-        return sg, A[..., None]
+        return sg, A
     n = len(g)
-    AH = np.tensordot(A, g, 1)
-    AH[..., 0] = 0.0
-    sy, Y = None, A[..., None]
+    AH = np.tensordot(inv, g, 1)
+    AH[..., 0, :] = 0.0
+    sy, Y = None, A
     for _ in range(sg.order):
-        sy, Y = _sum(None, A[..., None], *_matmul(n)(sg, AH, sy, Y), -1.0)
+        sy, Y = _sum(None, A, *_matmul(n)(sg, AH, sy, Y), -1.0)
     return sy, Y
 
 
@@ -331,7 +445,7 @@ def _gram_schmidt(sg, g, descending=False):
     order they were orthonormalized.
     """
     n = len(g)
-    g = [[_entry(sg, row) for row in rows] for rows in g]
+    g = [[_entry(sg, row) for row in rows] for rows in g[..., 0]]
 
     def inner(u, v):  # g(u, v), summed with u's index outermost
         acc = 0.0
@@ -370,7 +484,7 @@ def _curvature(sg, gam):
     derivative terms have it anyway."""
     n = len(gam)
     sd, D = _partials(n, sg, gam)
-    low = gam[..., : _width(sd)]
+    low = gam[..., : _width(sd), :]
     return _riemann(sd, D, *_christoffel_square(n)(sd, low, sd, low))
 
 
@@ -379,7 +493,7 @@ def _riemann(sd, D, sq, Q):
     T[i, j, k, l] - T[j, i, k, l] with T = d_i Gamma^l_{jk} + sum_m
     Gamma^m_{jk} Gamma^l_{im}, from the partials D[m, l, i, j] =
     d_m Gamma^l_{ij} and the _christoffel_square product Q."""
-    E = D.transpose(0, 2, 3, 1, 4)  # E[i, j, k, l] = d_i Gamma^l_{jk}
+    E = D.transpose(0, 2, 3, 1, 4, 5)  # E[i, j, k, l] = d_i Gamma^l_{jk}
     sp, T = _sum(sd, E, sq, Q, 1.0)
     return sp, T - T.swapaxes(0, 1)
 

@@ -45,10 +45,38 @@ def backend_name():
     return "numpy"
 
 
+# The most terms x points one mul_coeffs pass multiplies: it splits the point
+# axis so that each of its temporaries (the two gathered operands, their
+# product and the bincount index) holds at most this many elements, 512 KiB.
+KERNEL_CHUNK = 1 << 16
+
+
 def mul_coeffs(a, b, idx_a, idx_b, idx_out, size):
     """The truncated Taylor-coefficient convolution behind jet multiplication:
-    out[idx_out] += a[idx_a] * b[idx_b]."""
-    return np.bincount(idx_out, weights=a[idx_a] * b[idx_b], minlength=size)
+    out[idx_out] += a[idx_a] * b[idx_b].
+
+    One-point operands are 1-D, and so is the result.  Operands of several
+    points are (rows, P) arrays, one of them (rows, 1) when it is the same at
+    every point, and the result is (size, P): each gather reads rows of P
+    contiguous values, and one bincount over the bin idx_out * P + p sums
+    every point.  A bin sums its terms in term order, as one point alone
+    does, so each point's result is bit for bit its one-point result."""
+    if a.ndim == 1:
+        return np.bincount(idx_out, weights=a[idx_a] * b[idx_b], minlength=size)
+    P = max(a.shape[1], b.shape[1])
+    out = np.empty((size, P))
+    step = max(1, KERNEL_CHUNK // max(len(idx_a), 1))
+    for lo in range(0, P, step):
+        w = _points(a, lo, step)[idx_a] * _points(b, lo, step)[idx_b]
+        m = w.shape[1]
+        idx = (idx_out[:, None] * m + np.arange(m)).ravel()
+        out[:, lo:lo + m] = np.bincount(idx, weights=w.ravel(), minlength=size * m).reshape(size, m)
+    return out
+
+
+def _points(x, lo, step):
+    """Columns lo..lo + step of a (rows, P) operand; all of a one-point one."""
+    return x if x.shape[1] == 1 else x[:, lo:lo + step]
 
 
 def _graded_multi_indices(n, order):
@@ -325,15 +353,17 @@ def _monomial_plan(monomials, space):
 
 
 def monomial_jets(coords, monomials):
-    """The (T, S) array whose row t is the jet of prod(x_a for a in
-    monomials[t]) at the coordinate jets coords, for monomials of degree at
-    most 2, in closed form: 1; x_a; and for x_a*x_b the value p_a*p_b, p_b on
-    e_a and p_a on e_b (2*p_a on e_a when a = b), and 1 on e_a + e_b."""
+    """The (1, T, S) array whose [0, t] is the jet of prod(x_a for a in
+    monomials[t]) at the coordinate jets coords, the one point's axis first,
+    for monomials of degree at most 2, in closed form: 1; x_a; and for
+    x_a*x_b the value p_a*p_b, p_b on e_a and p_a on e_b (2*p_a on e_a when
+    a = b), and 1 on e_a + e_b."""
     sp = coords[0].space
     one, lin, la, quad, qa, qb, top = _monomial_plan(monomials, sp)
     X = np.array([x.c for x in coords])
     p = X[:, 0]
-    M = np.zeros((len(monomials), sp.size))
+    out = np.zeros((1, len(monomials), sp.size))
+    M = out[0]
     M[one, 0] = 1.0
     M[lin] = X[la]
     # p_b*x_a + p_a*x_b holds the first-order entries; its value, twice
@@ -342,7 +372,7 @@ def monomial_jets(coords, monomials):
     M[quad, 0] = p[qa] * p[qb]
     if sp.order >= 2:
         M[quad, top] = 1.0
-    return M
+    return out
 
 
 # -- named operation surface --------------------------------------------

@@ -1,8 +1,10 @@
-"""Operator calculus on jet-valued forms at a chart point.
+"""Operator calculus on jet-valued forms at the points of a chart context.
 
 All operators act on AltValue / VecAltValue objects, dense coefficient
 arrays whose entries are Taylor coefficients of jets or, for a constant
-value, plain numbers, obtained from fields via FormField.at(ctx).
+value, plain numbers, at each point of the context, obtained from fields
+via FormField.at(ctx).  A context of one point (ChartContext) and one of
+several (BatchContext) take the same code.
 Differentiation consumes one jet order per application; differentiating
 a point-dependent value past its order fails loudly (JetBudgetExhausted),
 while a constant one differentiates to zero at any order.
@@ -51,7 +53,7 @@ from .alt import (
     wedge,
 )
 from .compare import alt_errors, exceeds
-from .errors import DegreeError, NotADerivation, ReconstructionMismatch
+from .errors import BatchRefused, DegreeError, NotADerivation, ReconstructionMismatch
 from .prng import SplitMix64, derive_seed
 
 
@@ -162,7 +164,7 @@ def ext_d(ctx, w):
 def nabla_coord(ctx, w):
     """Covariant derivatives along every coordinate vector e_a, of a form or
     a tangent-valued form w, as (space, array) with the direction first:
-    shape (n,) + w.c.shape[:-1] + (S,)."""
+    shape (n,) + w.c.shape[:-2] + (S, P)."""
     n, k = w.n, w.k
     vec = isinstance(w, VecAltValue)
     sd, D = _partials(n, w.space, w.c)
@@ -310,7 +312,7 @@ def graded_comm(ctx, A, B, w, anti=False):
 
 def _coord_fn(ctx, c):
     x = ctx.coords[c]
-    return _alt(ctx.geometry.n, 0, x.space, x.c[None])
+    return _alt(ctx.geometry.n, 0, x.space, x.c[None, :, None])
 
 
 def _coord_one_form(ctx, c):
@@ -328,7 +330,7 @@ def _test_form(ctx, degree, seed):
         row[0] = rng.uniform(-1.0, 1.0)
         for x in ctx.coords:
             row += rng.uniform(-1.0, 1.0) * x.c
-    return _alt(n, degree, sp, c)
+    return _alt(n, degree, sp, c[..., None])
 
 
 FN_REL_TOL = 1e-8  # relative tolerance of both validation passes
@@ -342,8 +344,13 @@ def fn_decompose(ctx, D):
     D on coordinate 1-forms.  Validates the Leibniz property on sampled
     products (NotADerivation) and the reconstruction on a randomized form
     (ReconstructionMismatch), both by value to relative tolerance
-    FN_REL_TOL; a non-finite value raises NonFiniteValue.
+    FN_REL_TOL; a non-finite value raises NonFiniteValue.  It reads one
+    point's coordinate jets and compares values itself, so a context of
+    several points is refused with BatchRefused: its caller evaluates each
+    point alone.
     """
+    if len(ctx.points) > 1:
+        raise BatchRefused("fn_decompose evaluates one point at a time")
     n = ctx.geometry.n
     p = D.degree
 
@@ -423,4 +430,4 @@ def curvature_shuffle(ctx, phi):
 def value_of(w):
     """Strip jets down to order-0 coefficient values: a constant value."""
     make = _vec if isinstance(w, VecAltValue) else _alt
-    return make(w.n, w.k, None, w.c[..., :1].copy())
+    return make(w.n, w.k, None, w.c[..., :1, :].copy())

@@ -1,5 +1,6 @@
 """Declarative identity checks: sample points and random forms, evaluate
-both sides of each identity, compare to mixed tolerance, and report.
+both sides of each identity once over all of its points, compare each
+point to mixed tolerance, and report.
 
 Every built-in check evaluates its left side by raw operator composition
 and its right side from closed-form ingredients.  The two paths are not
@@ -45,7 +46,6 @@ from .operators import (
     two_tensor_sharp,
 )
 from .prng import SplitMix64, derive_seed
-from .sexpr import Bin, Num, Var
 
 REPORT_VERSION = "excal-report v1"
 DEFAULT_SEED = 20240
@@ -63,24 +63,17 @@ def random_form(G, k, seed):
     c_ab x_a x_b, summed left to right in that order, with every c uniform
     in [-1, 1] from a splitmix64 stream derived from (seed, geometry name,
     k).  The salt keeps its "poly" tag, so the draws stay those of earlier
-    seeded reports.
+    seeded reports.  The draws fill the field's monomial table, key by key
+    in basis order; its expression trees are built only if read.
     """
     if not 0 <= k <= G.n:
         raise DegreeError(f"random form degree {k} out of range for n={G.n}")
     rng = SplitMix64(derive_seed(seed, "form", G.name, k, "poly"))
-    xs = [Var(name, i) for i, name in enumerate(G.coord_names)]
-    monomials = [()] + [(a,) for a in range(G.n)]
-    monomials += combinations_with_replacement(range(G.n), 2)
-    coeffs = {}
-    for I in combinations(range(G.n), k):
-        poly = None
-        for mono in monomials:
-            term = Num(rng.uniform(-1.0, 1.0))
-            for a in mono:
-                term = Bin("*", term, xs[a])
-            poly = term if poly is None else Bin("+", poly, term)
-        coeffs[I] = poly
-    return FormField(k, coeffs)
+    monomials = ((),) + tuple((a,) for a in range(G.n))
+    monomials += tuple(combinations_with_replacement(range(G.n), 2))
+    C = np.array([[rng.uniform(-1.0, 1.0) for _ in monomials]
+                  for _ in combinations(range(G.n), k)])
+    return FormField.from_table(k, G.coord_names, C, monomials)
 
 
 def random_vec_form(G, k, seed):
@@ -124,9 +117,30 @@ def _resolve_pair(spec):
     return catalog.builtin(spec).geometry, spec
 
 
+def _sides(check, G, points, env):
+    """Both sides of a check evaluated once over the points' context."""
+    # an overflow surfaces below as NonFiniteValue, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        ctx = G.batch([tuple(p) for p in points], check.jet_order)
+        return _side(check.lhs, ctx, env), _side(check.rhs, ctx, env)
+
+
+def _at_point(value, i):
+    """The one-point value, or list of them, of a side at point i."""
+    if isinstance(value, (list, tuple)):
+        return [_at_point(v, i) for v in value]
+    return value.point(i)
+
+
 def run_check(check):
-    """Evaluate one identity check at its sampled points; never aborts on a
-    single-point evaluation error (it is recorded as a failing point)."""
+    """Evaluate one identity check at its sampled points.
+
+    Both sides are evaluated once over all the points, on the chart's
+    context of them (Geometry.batch), and then compared point by point:
+    alt_errors sees each point's own value of each side, in point order.
+    When that evaluation raises, each point is evaluated alone, so an
+    error is recorded as a failing point, at the point where it happens,
+    and never aborts the check."""
     t0 = time.perf_counter()
     G, _ = _resolve_pair(check.geometry)
     point_seed = derive_seed(check.seed, "points", G.name)
@@ -137,18 +151,21 @@ def run_check(check):
         raise ConfigError(f"check {check.id!r} has an empty point list")
 
     env = dict(check.inputs)
+    try:
+        batch = _sides(check, G, points, env)
+    except Exception:  # each point alone below finds where
+        batch = None
     records = []
     max_abs_err = 0.0
     max_rel_err = 0.0
     ok = True
-    for p in points:
+    for i, p in enumerate(points):
         try:
-            # an overflow surfaces below as NonFiniteValue, not as a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                ctx = G.context(tuple(p), check.jet_order)
-                lhs = _side(check.lhs, ctx, env)
-                rhs = _side(check.rhs, ctx, env)
-            abs_err, scale = alt_errors(lhs, rhs)
+            if batch is None:
+                (lhs, rhs), j = _sides(check, G, [p], env), 0
+            else:
+                (lhs, rhs), j = batch, i
+            abs_err, scale = alt_errors(_at_point(lhs, j), _at_point(rhs, j))
             rel_err = abs_err / max(scale, 1.0)
             rec = {"p": list(p), "abs_err": abs_err, "rel_err": rel_err}
             if exceeds(abs_err, scale, check.atol, check.rtol):
@@ -411,7 +428,7 @@ def _frame_codiff(ctx, w, frame):
     sn, N = nabla_coord(ctx, w)
     for X in frame:
         nabla_x = AltValue.zero(n, k)
-        for Na, x in zip(N, X.as_vector()):
+        for Na, x in zip(N, X.comps):
             nabla_x = nabla_x + _alt(n, k, sn, Na).scale(x)
         out = out - interior(X, nabla_x)
     return out
@@ -752,7 +769,7 @@ def _s_quasi_sasakian(check, seed, G, gname):
         eta = ctx.structure("eta")
         phi = ctx.structure("phi")
         A = _amatrix(ctx)
-        trA = trace(A).get(())
+        trA = trace(A)
         out = []
         for b in _beta_values(betas, ctx):
             term = wedge(eta, b).scale(trA).scale(-1.0) - lie_vec(ctx, phi, b)
@@ -838,8 +855,9 @@ def _s_kanemaki(check, seed, G, gname):
         # symmetry of A: g(A e_i, e_j) as a matrix, compared both ways
         A = _amatrix(ctx)
         _, gA = _raise_first(3, (3,))(*ctx.g(), A.space, A.c)
-        sym = gA[..., 0]
-        out.append(AltValue(3, 0, {(): float(abs(sym - sym.T).max())}))
+        sym = gA[..., 0, :]
+        asym = abs(sym - sym.swapaxes(0, 1)).max(axis=(0, 1))  # per point
+        out.append(_alt(3, 0, None, asym[None, None]))
         return out
 
     def rhs(ctx):

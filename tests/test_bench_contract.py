@@ -5,19 +5,26 @@ when one it reads a metric from is gone. This checks the same names from
 the test suite, so a refactor that renames or deletes one fails here and
 not only in the benchmark's own tests. It only looks the names up; it
 wraps nothing. It also pins the jet-multiply kernel the benchmark counts:
-its arguments, and one call per wedge or interior product.
+its arguments, and one call per wedge or interior product; and the
+benchmark's judge's verdict on the value pairs a CLI check compares.
 """
 
+import contextlib
 import importlib
 import inspect
+import io
 import sys
 from itertools import combinations
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import judge  # noqa: E402
 import spans  # noqa: E402
 
-from excal import jets  # noqa: E402
+from excal import cli, compare, jets, verifier  # noqa: E402
 from excal.alt import AltValue, VecAltValue, interior, wedge  # noqa: E402
 
 
@@ -62,3 +69,46 @@ def test_one_kernel_call_per_product(monkeypatch):
         calls.clear()
         product()
         assert len(calls) == 1 and calls[0] > 0
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["check", str(ROOT / "perfbench/fixtures/hopf_lck.json"), "--points", "3"], 30),
+    (["check", "--builtin", "fn-decompose-roundtrip"], 10),
+])
+def test_the_judge_passes_the_pairs_a_check_compares(monkeypatch, argv, checks):
+    # as the benchmark does: wrap run_check and alt_errors wherever excal
+    # imported it, judge every outermost pair, then the report from them;
+    # fn_decompose compares values itself, so its points must stay grouped
+    log, current, depth = [], [None], [0]
+    inner_check, inner_errors = verifier.run_check, compare.alt_errors
+
+    def run_check(check):
+        log.append((check.id, []))
+        current[0] = (check, log[-1][1])
+        try:
+            return inner_check(check)
+        finally:
+            current[0] = None
+
+    def alt_errors(lhs, rhs):
+        if depth[0] == 0 and current[0] is not None:
+            check, pairs = current[0]
+            pairs.append(judge.judge_pair(lhs, rhs, check.atol, check.rtol))
+        depth[0] += 1
+        try:
+            return inner_errors(lhs, rhs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(verifier, "run_check", run_check)
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "excal":
+            for attr, value in list(vars(mod).items()):
+                if value is inner_errors:
+                    monkeypatch.setattr(mod, attr, alt_errors)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--seed", "42", "--report", "json"]) == 0
+    verdict = judge.judge_report(out.getvalue(), checks, log)
+    assert verdict.failed == 0 and verdict.problems == []
+    assert verdict.checks == checks

@@ -275,11 +275,11 @@ def test_a_point_dependent_value_at_order_zero_cannot_be_differentiated():
 def test_constant_and_zero_values_differentiate_to_zero(order):
     ctx = _flat_ctx(order)
     for w in (AltValue(3, 1, {(0,): 1.5, (2,): -2.0}), AltValue.zero(3, 1)):
-        assert w.space is None and w.c.shape == (3, 1)
+        assert w.space is None and w.c.shape == (3, 1, 1)
         for out in (ext_d(ctx, w), codiff(ctx, w)):
             assert out.space is None and not out.c.any()
         sp, N = nabla_coord(ctx, w)
-        assert sp is None and N.shape == (3, 3, 1) and not N.any()
+        assert sp is None and N.shape == (3, 3, 1, 1) and not N.any()
 
 
 def test_a_sum_works_at_the_lower_order_and_leaves_its_operands():
@@ -290,7 +290,7 @@ def test_a_sum_works_at_the_lower_order_and_leaves_its_operands():
     b = AltValue(3, 1, {(1,): x1[0], (2,): 4.0})
     before = a.c.copy(), b.c.copy()
     for got in (a + b, b + a):
-        assert got.space is jet_space(3, 1) and got.c.shape == (3, 4)
+        assert got.space is jet_space(3, 1) and got.c.shape == (3, 4, 1)
         want = a.c[:, :4] + b.c
         assert np.array_equal(got.c.view(np.int64), want.view(np.int64))
     assert np.array_equal(a.c, before[0]) and np.array_equal(b.c, before[1])
@@ -306,7 +306,7 @@ def test_coeffs_leaves_out_zero_rows_and_cannot_be_written():
     p = (0.3, -0.2, 0.5)
     x = [jet_var(p, i, 1) for i in range(3)]
     w = AltValue(3, 2, {(0, 1): x[0] - x[0], (0, 2): x[1], (1, 2): 0.0})
-    assert w.c.shape == (3, 4) and not w.c[0].any()
+    assert w.c.shape == (3, 4, 1) and not w.c[0].any()
     assert list(w.coeffs) == [(0, 2)]
     with pytest.raises(TypeError):
         w.coeffs[(0, 1)] = 1.0
@@ -318,9 +318,9 @@ def test_degrees_above_the_dimension_stay_canonical_zero_values():
     top = AltValue(2, 2, {(0, 1): jet_var(p, 0, 2)})
     one = AltValue(2, 1, {(1,): 1.0})
     for w in (wedge(one, top), wedge(top, top), ext_d(None, top)):
-        assert w.k > 2 and w.c.shape == (0, 1) and not w.coeffs
+        assert w.k > 2 and w.c.shape == (0, 1, 1) and not w.coeffs
     assert (wedge(top, top) + wedge(top, top)).k == 4
-    assert interior(VecAltValue.identity(2), wedge(one, top)).c.shape == (0, 1)
+    assert interior(VecAltValue.identity(2), wedge(one, top)).c.shape == (0, 1, 1)
 
 
 # -- one kind of table ---------------------------------------------------------
@@ -359,7 +359,7 @@ def test_one_dimensional_values_keep_their_component_axis():
             w = _form(rng, 1, k, 2)
             cases.append((sharp(w, _pair([[g]])), i_dir(0, w).scale(g)))
         for got, want in cases:
-            assert got.c.ndim == 3 and got.c.shape[:2] == (1, math.comb(1, got.k))
+            assert got.c.ndim == 4 and got.c.shape[:2] == (1, math.comb(1, got.k))
             assert got.k == want.k and got.space is want.space
             assert np.array_equal(got.comps[0].c, want.c)
 
@@ -394,7 +394,8 @@ def test_curvature_bits_do_not_depend_on_the_christoffel_product_order(name, ord
     assert space is want_space and space.order == order - 2
     assert np.array_equal(R.view(np.int64), want.view(np.int64))
     # and the dense R is the scalar formula's, Taylor coefficient by coefficient
-    nested = [[[Jet(sg, gam[l, i, j]) for j in range(G.n)] for i in range(G.n)] for l in range(G.n)]
+    nested = [[[Jet(sg, gam[l, i, j, :, 0]) for j in range(G.n)] for i in range(G.n)]
+              for l in range(G.n)]
     scalar = _curvature_at_christoffel_order(nested)
     for i, j, k, l in product(range(G.n), repeat=4):
-        _expect(scalar[i][j][k][l], R[i, j, k, l], space.size)
+        _expect(scalar[i][j][k][l], R[i, j, k, l, :, 0], space.size)

@@ -38,16 +38,24 @@ def conformal_2d():
     )
 
 
+def _one(pair):
+    """A one-point context's (space, array) pair with its point axis dropped:
+    Taylor coefficients last."""
+    space, a = pair
+    assert a.shape[-1] == 1
+    return space, a[..., 0]
+
+
 def test_euclidean_christoffels_vanish():
     G = builtin("euclidean(3)").geometry
-    space, gam = G.context((0.2, -0.4, 0.7), 2).gamma()
+    space, gam = _one(G.context((0.2, -0.4, 0.7), 2).gamma())
     assert space is None and gam.shape == (3, 3, 3, 1) and not gam.any()
 
 
 def test_sphere_christoffels():
     G = builtin("sphere2").geometry
     th = 1.0
-    gam = G.context((th, 2.0), 2).gamma()[1][..., 0]
+    gam = _one(G.context((th, 2.0), 2).gamma())[1][..., 0]
     assert gam[0, 1, 1] == pytest.approx(-math.sin(th) * math.cos(th))
     assert gam[1, 0, 1] == pytest.approx(math.cos(th) / math.sin(th))
     assert gam[1, 1, 0] == gam[1, 0, 1]  # torsion-free
@@ -57,7 +65,7 @@ def test_sphere_christoffels():
 def test_conformal_christoffels():
     # g = e^{2f} delta with f = x gives Gamma^k_ij = d_i f d_jk + d_j f d_ik - d_k f d_ij
     G = conformal_2d()
-    gam = G.context((0.3, -0.2), 2).gamma()[1][..., 0]
+    gam = _one(G.context((0.3, -0.2), 2).gamma())[1][..., 0]
     assert gam[0, 0, 0] == pytest.approx(1.0)
     assert gam[0, 1, 1] == pytest.approx(-1.0)
     assert gam[1, 0, 1] == pytest.approx(1.0)
@@ -72,7 +80,7 @@ def test_metric_compatibility(name):
     G = builtin(name).geometry
     p = sample_points(G, 1, 77)[0]
     ctx = G.context(p, 2)
-    g, gam = _jets(*ctx.g()), ctx.gamma()[1][..., 0]
+    g, gam = _jets(*_one(ctx.g())), _one(ctx.gamma())[1][..., 0]
     n = G.n
     for a in range(n):
         e_a = tuple(1 if t == a else 0 for t in range(n))
@@ -102,7 +110,7 @@ def test_flat_chart_values_are_numbers():
     assert len(values) == 18
     assert all(isinstance(v, float) for v in values)
     # and the dense ones are constants: space None, one Taylor column
-    pairs = (ctx.g(), ctx.g_inv(), ctx.gamma(), ctx.curvature())
+    pairs = map(_one, (ctx.g(), ctx.g_inv(), ctx.gamma(), ctx.curvature()))
     for rank, (space, a) in zip((2, 2, 3, 4), pairs):
         assert space is None and a.shape == (3,) * rank + (1,)
 
@@ -110,7 +118,7 @@ def test_flat_chart_values_are_numbers():
 def test_metric_entry_is_a_jet_where_it_depends_on_the_point():
     # sphere2 has g = diag(1, sin(theta)^2): g_11 is a row zero past its
     # value, g_22 one with derivatives
-    space, g = builtin("sphere2").geometry.context((1.0, 2.0), 2).g()
+    space, g = _one(builtin("sphere2").geometry.context((1.0, 2.0), 2).g())
     assert space.order == 2
     assert g[0, 0, 0] == 1.0 and not g[0, 0, 1:].any()
     assert g[1, 1, 1:].any()
@@ -119,8 +127,8 @@ def test_metric_entry_is_a_jet_where_it_depends_on_the_point():
 def test_sphere_sectional_curvature_is_one():
     G = builtin("sphere2").geometry
     for p in sample_points(G, 3, 5):
-        R = G.context(p, 2).curvature()[1][..., 0]
-        g = G.context(p, 2).g()[1][..., 0]
+        R = _one(G.context(p, 2).curvature())[1][..., 0]
+        g = _one(G.context(p, 2).g())[1][..., 0]
         num = sum(R[0, 1, 1, l] * g[l][0] for l in range(2))
         den = g[0][0] * g[1][1] - g[0][1] ** 2
         assert num / den == pytest.approx(1.0, abs=1e-10)
@@ -129,7 +137,7 @@ def test_sphere_sectional_curvature_is_one():
 def test_flat_curvature_vanishes():
     G = builtin("flat_kahler(2)").geometry
     p = sample_points(G, 1, 3)[0]
-    space, R = G.context(p, 2).curvature()
+    space, R = _one(G.context(p, 2).curvature())
     assert space is None and np.abs(R).max() < 1e-13
 
 
@@ -137,7 +145,7 @@ def test_hopf_metric_values():
     G = builtin("hopf_lck").geometry
     p = (0.5, 0.5, 0.5, 0.5)
     ctx = G.context(p, 0)
-    g, g_inv = ctx.g()[1][..., 0], ctx.g_inv()[1][..., 0]
+    g, g_inv = _one(ctx.g())[1][..., 0], _one(ctx.g_inv())[1][..., 0]
     r2 = sum(x * x for x in p)
     for i in range(4):
         for j in range(4):
@@ -152,7 +160,7 @@ def test_metric_walks_each_distinct_entry_once(monkeypatch):
     walked = []
     eval_jet = sexpr.eval_jet
     monkeypatch.setattr(sexpr, "eval_jet", lambda e, xs: walked.append(e) or eval_jet(e, xs))
-    sg, g = ChartContext(G, (0.5, 0.25, 0.75, 0.375), 2).g()
+    sg, g = _one(ChartContext(G, (0.5, 0.25, 0.75, 0.375), 2).g())
     assert sorted(map(repr, walked)) == sorted({repr(e) for row in G.metric for e in row})
     assert len(walked) == 2
     diagonal = eval_jet(G.metric[0][0], G.context((0.5, 0.25, 0.75, 0.375), 2).coords)
@@ -165,7 +173,7 @@ def test_orthonormal_frame(name):
     G = builtin(name).geometry
     p = sample_points(G, 1, 11)[0]
     ctx = G.context(p, 0)
-    g = ctx.g()[1][..., 0]
+    g = _one(ctx.g())[1][..., 0]
     frame = np.array([_values(v.as_vector()) for v in ctx.frame()])
     gram = frame @ g @ frame.T
     np.testing.assert_allclose(gram, np.eye(G.n), atol=1e-12)
@@ -193,7 +201,7 @@ def _coeffs(c, size):
 def _assert_identity(ctx, scale=1e-12):
     """g g^{-1} = I in every Taylor coefficient, to scale relative to
     |g| |g^{-1}|."""
-    (sg, ga), (space, inv) = ctx.g(), ctx.g_inv()
+    (sg, ga), (space, inv) = _one(ctx.g()), _one(ctx.g_inv())
     size = 1 if space is None else space.size
     g, gi = _jets(sg, ga), _jets(space, inv)
     n = len(g)
@@ -226,7 +234,7 @@ def test_gram_schmidt_frame_squares_to_the_inverse_metric(name):
     G = builtin(name).geometry
     for p in sample_points(G, 3, 29):
         ctx = G.context(p, 3)
-        space, inv = ctx.g_inv()
+        space, inv = _one(ctx.g_inv())
         for descending in (False, True):
             frame = [X.as_vector() for X in ctx.frame(descending)]
             for a in range(G.n):
@@ -267,10 +275,10 @@ def test_pulled_back_flat_chart_is_flat_and_keeps_its_parallel_forms():
     G = _pullback_flat3()
     for p in sample_points(G, 3, 31):
         ctx = G.context(p, 4)
-        space, g = ctx.g()
+        space, g = _one(ctx.g())
         assert space.order == 4 and g[..., 1:].any(axis=-1).all()
         _assert_identity(ctx)
-        space, R = ctx.curvature()
+        space, R = _one(ctx.curvature())
         assert space.order == 2 and np.abs(R).max() < 1e-12
         for w in G.forms.values():
             space, N = nabla_coord(ctx, w.at(ctx))
@@ -341,13 +349,13 @@ def test_flat_matches_numpy():
     G = builtin("sasakian_s3").geometry
     p = sample_points(G, 1, 19)[0]
     ctx = G.context(p, 1)
-    gv = ctx.g()[1][..., 0]
+    gv = _one(ctx.g())[1][..., 0]
     assert gv[1][2] != 0.0  # a non-diagonal metric
     u, v = [0.3, -1.2, 0.7], [1.1, 0.4, -0.9]
     low = flat(VecAltValue.from_vector(v), ctx.g())
-    np.testing.assert_allclose(low.c[:, 0], gv @ np.array(v), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(low.c[:, 0, 0], gv @ np.array(v), rtol=0, atol=1e-14)
     # g(u, v) is the flat of v applied to u
-    g_uv = interior(VecAltValue.from_vector(u), low).c[0, 0]
+    g_uv = interior(VecAltValue.from_vector(u), low).c[0, 0, 0]
     assert g_uv == pytest.approx(np.array(u) @ gv @ np.array(v), abs=1e-14)
 
 
@@ -363,7 +371,7 @@ def test_sharp_undoes_flat(name):
     for p in sample_points(G, 3, 41):
         ctx = G.context(p, 3)
         space = ctx.coords[0].space
-        X = _vec(G.n, 0, space, rng.uniform(-1.0, 1.0, (G.n, 1, space.size)))
+        X = _vec(G.n, 0, space, rng.uniform(-1.0, 1.0, (G.n, 1, space.size, 1)))
         back = sharp(flat(X, ctx.g()), ctx.g_inv())
         assert back.space is space
         np.testing.assert_allclose(back.c, X.c, rtol=0, atol=1e-12)

@@ -62,6 +62,18 @@ def test_random_form_terms_are_in_walker_order():
         assert all(type(c) is float and -1.0 <= c <= 1.0 for c, _ in terms)
 
 
+def test_random_form_draws_its_table_and_its_trees_read_back_as_it():
+    # the draws fill the table; the trees, built only when read, give the
+    # same table back, bit for bit
+    G = flat(3)
+    for k in range(4):
+        f = random_form(G, k, 9)
+        C, monomials = f._poly_table(3)
+        assert callable(f._coeffs)
+        walked = geometry._monomial_table(f.coeffs, k, 3)
+        assert walked[1] == monomials and same_bits(walked[0], C)
+
+
 def test_parsed_negative_literals_are_numbers():
     # the parser reads -0.5 as Neg(Num(0.5)); -0.0 keeps its sign
     e = sexpr.parse("-0.5 + -0.0*x + 2.0*y*x + 1.5 + -3.0*x*x", XY)

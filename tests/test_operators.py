@@ -290,13 +290,13 @@ def test_lie_metric_matches_the_coordinate_formula(name):
         ctx = G.context(p, 2)
         xi = random_vec_form(G, 0, 47).at(ctx)
         sg, g = ctx.g()
-        dg = _partials(G.n, sg, g)[1][..., 0]  # dg[c, a, b] = d_c g_ab
-        dxi = _partials(G.n, xi.space, xi.c[:, 0])[1][..., 0]  # dxi[a, c] = d_a xi^c
-        gv = g[..., 0]
-        want = (np.einsum("c,cab->ab", xi.c[:, 0, 0], dg)
+        dg = _partials(G.n, sg, g)[1][..., 0, 0]  # dg[c, a, b] = d_c g_ab
+        dxi = _partials(G.n, xi.space, xi.c[:, 0])[1][..., 0, 0]  # dxi[a, c] = d_a xi^c
+        gv = g[..., 0, 0]
+        want = (np.einsum("c,cab->ab", xi.c[:, 0, 0, 0], dg)
                 + np.einsum("cb,ac->ab", gv, dxi) + np.einsum("ac,bc->ab", gv, dxi))
         _, L = lie_metric(ctx, xi)
-        np.testing.assert_allclose(L[..., 0], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(L[..., 0, 0], want, rtol=0, atol=1e-12)
         assert np.array_equal(L, L.swapaxes(0, 1))
 
 

@@ -129,7 +129,7 @@ def _close(got, want):
 def _excal(G, p, fn):
     """Coefficient values of excal's fn(ctx) at a point, at jet order 1."""
     ctx = G.context(p, 1)
-    return value_of(fn(ctx)).c[:, 0]
+    return value_of(fn(ctx)).c[:, 0, 0]
 
 
 _charts = {}
