@@ -10,8 +10,8 @@ Layout: an AltValue of degree k on n coordinates is one float array ``c``
 of shape (C(n, k), S, P).  Row r is the basis key ``_basis(n, k)[r]``, in
 ``combinations(range(n), k)`` order, column t is Taylor coefficient t of
 the value's jet space ``space``, so S = space.size, and the last axis holds
-the value at each of the P points of the context it was evaluated at
-(geometry.BatchContext), in point order.  A value that is the same at every
+the value at each of the P points of the chart context it was evaluated
+at (geometry.ChartContext), in point order.  A value that is the same at every
 point, such as one built from numbers, has P = 1 and joins a value of any
 P as if repeated.  A VecAltValue is one array of shape (n, C(n, k), S, P),
 tangent component b first.  ``point(i)`` is the one-point value at point i,
@@ -119,15 +119,17 @@ def _lowest(spaces):
 
 
 def _fill(shape, items):
-    """(space, array) of one point and the given leading shape holding each
-    (index, jet or number) item, at the lowest order among the jets; the
-    rest is zero."""
-    space = _lowest(c.space for _, c in items if isinstance(c, Jet))
+    """(space, array) of the given leading shape holding each (index, jet or
+    number) item, at the lowest order among the jets and at their points
+    (one, if there is no jet); the rest is zero."""
+    jets = [c for _, c in items if isinstance(c, Jet)]
+    space = _lowest(c.space for c in jets)
     S = _width(space)
-    out = np.zeros(shape + (S, 1))
+    P = max((c.c.shape[1] for c in jets if c.c.ndim > 1), default=1)
+    out = np.zeros(shape + (S, P))
     for i, c in items:
         if isinstance(c, Jet):
-            out[i][:, 0] = c.c[:S]
+            out[i] = c.c[:S].reshape(S, -1)
         else:
             out[i][0] = c
     return space, out
@@ -146,22 +148,6 @@ def _join(parts):
             o[..., 0, :] = c[..., 0, :]
         else:
             o[...] = c[..., :S, :]
-    return space, out
-
-
-def _stack(parts):
-    """(space, array) of one-point (space, array) parts of one leading shape,
-    each at its own point of the last axis, by the order and constant rules."""
-    spaces = {sp for sp, _ in parts}
-    if len(spaces) == 1:
-        return spaces.pop(), np.concatenate([c for _, c in parts], axis=-1)
-    space = _lowest(sp for sp in spaces if sp is not None)
-    out = np.zeros(parts[0][1].shape[:-2] + (space.size, len(parts)))
-    for i, (sp, c) in enumerate(parts):
-        if sp is None:
-            out[..., 0, i] = c[..., 0, 0]
-        else:
-            out[..., i] = c[..., : space.size, 0]
     return space, out
 
 
@@ -397,11 +383,13 @@ def _trace(n, k):
 
 
 def _entry(space, row):
-    """One coefficient from its Taylor row: a float where the row is
-    constant, with Taylor coefficients past its value and all of them zero,
-    and a jet row view otherwise (so every row of an order-0 jet value)."""
+    """One coefficient from its Taylor row, (S,) at one point or (S, P) at
+    P: a float where the row is constant, with Taylor coefficients past its
+    value all zero and one value at every point, and a jet row view
+    otherwise (so every row of an order-0 jet value)."""
     if space is None or space.order and not row[1:].any():
-        return float(row[0])
+        if row.ndim == 1 or (row[0] == row[0, 0]).all():
+            return float(row[0].flat[0])
     return Jet(space, row)
 
 

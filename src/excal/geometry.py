@@ -3,18 +3,20 @@
 A Geometry is a single coordinate chart with expression-valued metric
 entries, a sampling box with optional exclusion predicate, and optional
 structure tensors (J, phi, xi, eta, theta).  All evaluation goes through
-per-point ChartContext objects, cached per chart, since identity checks
-revisit the same sampled points many times.  A context is the one place a
-point becomes jets: it builds its coordinate jets once, as ``coords``, and
-every jet at the point is evaluated from them, so the orders of everything
-derived follow from the jets rule.
+ChartContext objects, one per (points, jet order), cached per chart, since
+the checks on a chart share their sampled points.  A context is the one
+place points become jets: it builds its coordinate jets once, as
+``coords``, each holding the coordinate at every point of the context
+(jets' point rule), and every jet there is evaluated from them, so the
+orders of everything derived follow from the jets rule.
 
 Every (space, array) pair and form value a context gives ends in a point
-axis (the monomial jets alone put it first).  A ChartContext has one
-point; Geometry.batch puts the ChartContexts of several points side by
-side as a BatchContext, which stacks what each of them builds and keeps
-along that axis, so that one operator call evaluates every point and each
-point's value is the bits it has alone.
+axis (the monomial jets alone put it first), so one operator call
+evaluates every point, and each point's value is the bits it has in a
+context of that point alone.  The metric, the structure tensors and a
+walked FormField are one expression walk per context, whatever the number
+of points; only the metric's value tests run point by point, so that a
+refusal names the first point that fails.
 
 A context evaluates the metric entries once, as jets, into a (space,
 array) pair with the Taylor axis before the point axis, and builds from it
@@ -23,13 +25,15 @@ series about the value's inverse, the Christoffel symbols from the
 metric's partials and one product with g^{-1}, and the curvature from
 theirs and one product; alt.flat and alt.sharp lower and raise an index
 with g and g^{-1}.  The orthonormal frame is built by Gram-Schmidt on
-demand and not kept; no operator reads it.
+demand, with scalar jet arithmetic at every point at once, and not kept;
+no operator reads it.
 """
 
 import functools
 import itertools
 import json
 import math
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
@@ -38,7 +42,7 @@ import numpy as np
 
 from . import sexpr
 from .alt import (AltValue, VecAltValue, _alt, _entry, _fill, _matmul, _partials, _Product,
-                  _raise_first, _rows, _stack, _sum, _vec, _width)
+                  _raise_first, _rows, _sum, _width)
 from .errors import ConfigError, PointExcluded, SingularMetric
 from .jets import jet_apply, jet_space, jet_var, monomial_jets, scalar_value
 from .prng import SplitMix64
@@ -49,11 +53,15 @@ CONFIG_VERSION = "excal-config v1"
 MAX_DIM = 6
 
 # Chart contexts kept per chart, least recently used dropped first. A built-in
-# run reuses 40 per chart (20 points at jet orders 0 and 2) and a 50-point
-# config check 50, revisited in one order, so fewer slots miss every time; 128
-# covers both with room and bounds a stream of one-point requests.
+# run uses fewer than 30 per chart (its check points at jet orders 0 and 2,
+# and the one-point contexts of catalog validation and of the checks that run
+# point by point), and a stream of one-point requests makes one per request;
+# 128 covers the first with room and bounds the second.
 CONTEXT_CACHE_SIZE = 128
 SAMPLE_ATTEMPTS = 10000  # draws sample_points may make before giving up
+# Point lists sample_points keeps per chart, least recently used dropped
+# first; the checks on a chart share one list, and the catalog draws another.
+SAMPLE_CACHE_SIZE = 8
 
 # The structure tensors a chart may carry, in config order, with their
 # shapes: an endomorphism is an n x n matrix of expressions (row b, column
@@ -74,9 +82,6 @@ def _map_structure(name, spec, fn):
     return [fn(e) for e in spec]
 
 
-_field_serial = itertools.count()
-
-
 class FormField:
     """A degree-k differential form with expression coefficients.
 
@@ -86,18 +91,19 @@ class FormField:
     first use or given by from_table: its coefficient jets at a context are
     one product of the table with the context's monomial jets
     (ChartContext.monomial_jets), a stack of per-point matrix products, which
-    agrees with the walker to rounding.  Any other field, a variable the
-    chart lacks, or a point where the product overflows evaluates each
-    coefficient with sexpr.eval_jet at each point, so an overflow keeps the
-    walker's NaN and inf bits.
+    agrees with the walker to rounding.  Any other field, or a variable the
+    chart lacks, evaluates each coefficient with sexpr.eval_jet once over
+    the context's points; so does a point where the product overflows,
+    which keeps the walker's NaN and inf bits while the other points keep
+    the product's.
     """
 
     def __init__(self, degree, coeffs):
         self.degree = degree
         self._coeffs = coeffs  # increasing 0-based multi-index tuple -> Expr
-        # unique id for per-context value caching (object ids can be reused)
-        self._serial = next(_field_serial)
         self._tables = {}
+        # the field's value at each context, dropped when the context is
+        self._values = weakref.WeakKeyDictionary()
 
     @classmethod
     def from_table(cls, degree, coord_names, C, monomials):
@@ -118,8 +124,13 @@ class FormField:
         return self._coeffs
 
     def at(self, ctx):
-        """Evaluate to an AltValue with jet coefficients (cached per context)."""
-        return ctx._memo(("field", self._serial), lambda: self._eval(ctx))
+        """Evaluate to an AltValue with jet coefficients, kept by the field
+        for as long as the context lives, so that a cached context keeps no
+        field alive."""
+        value = self._values.get(ctx)
+        if value is None:
+            value = self._values[ctx] = self._eval(ctx)
+        return value
 
     def _poly_table(self, n):
         """The field's monomial table on n coordinates, (C, monomials) with
@@ -134,16 +145,18 @@ class FormField:
         table = self._poly_table(n)
         if table:
             C, monomials = table
-            # a point whose product overflows walks, to the walker's bits
             with np.errstate(over="ignore", invalid="ignore"):
-                c = C @ ctx.monomial_jets(monomials)
-            if np.isfinite(c).all():
+                c = (C @ ctx.monomial_jets(monomials)).transpose(1, 2, 0)
+            finite = np.isfinite(c)
+            if finite.all():
                 # a copy, not a view, so the value keeps no second array object
-                return _alt(n, self.degree, jet_space(n, ctx.order), c.transpose(1, 2, 0).copy())
-        if isinstance(ctx, BatchContext):
-            return ctx.each(self.at)
+                return _alt(n, self.degree, jet_space(n, ctx.order), c.copy())
         out = {key: sexpr.eval_jet(e, ctx.coords) for key, e in self.coeffs.items()}
-        return AltValue(n, self.degree, out)
+        value = AltValue(n, self.degree, out)
+        if table:  # the points whose product is finite keep it
+            finite = finite.all(axis=(0, 1))
+            value.c[..., finite] = c[..., finite]
+        return value
 
 
 def _polynomials(k, coord_names, C, monomials):
@@ -204,7 +217,8 @@ class Geometry:
     name: str = "chart"
 
     def __post_init__(self):
-        self._ctx_cache = OrderedDict()  # (p, order) -> ChartContext, LRU
+        self._ctx_cache = OrderedDict()  # (points, order) -> ChartContext, LRU
+        self._samples = OrderedDict()  # (count, seed) -> points, LRU
         # each distinct metric entry tree with the entries it fills, so a
         # context walks it once; its repr keeps -0.0 apart from 0.0 and an
         # int literal apart from a float, which the walker treats apart
@@ -232,43 +246,47 @@ class Geometry:
             raise PointExcluded(f"point {p} outside domain of chart {self.name!r}")
 
     def context(self, p, order):
-        key = (tuple(p), order)
-        ctx = self._ctx_cache.get(key)
-        if ctx is None:
-            ctx = self._ctx_cache[key] = ChartContext(self, tuple(p), order)
-            if len(self._ctx_cache) > CONTEXT_CACHE_SIZE:
-                self._ctx_cache.popitem(last=False)
-        else:
-            self._ctx_cache.move_to_end(key)
-        return ctx
+        """The context of the one point p."""
+        return self.batch([p], order)
 
     def batch(self, points, order):
-        """The context of the points in order: the ChartContext of a single
-        point, else a BatchContext of their ChartContexts."""
-        contexts = [self.context(p, order) for p in points]
-        return contexts[0] if len(contexts) == 1 else BatchContext(self, contexts)
+        """The context of the points, in order, at the jet order."""
+        key = (tuple(tuple(p) for p in points), order)
+        return _cached(self._ctx_cache, key, lambda: ChartContext(self, *key), CONTEXT_CACHE_SIZE)
+
+
+def _cached(cache, key, make, size):
+    """cache[key], made on a miss; past size entries, the least recently
+    used is dropped."""
+    if key not in cache:
+        cache[key] = make()
+        if len(cache) > size:
+            cache.popitem(last=False)
+    cache.move_to_end(key)
+    return cache[key]
 
 
 class ChartContext:
-    """Cached jet data for one (geometry, point, order) triple, the context
-    of one point: every array it gives has a point axis of length 1.
+    """Cached jet data for one (geometry, points, order) triple: every array
+    it gives has a point axis, of one entry per point, in order (of one
+    where a value is the same at every point).
 
-    ``coords[i]`` is the jet of coordinate i at the point, of the context's
-    order; every jet at the point is built from these.
+    ``coords[i]`` is the jet of coordinate i, of the context's order: a
+    one-point jet for one point, and for several an (S, P) jet holding it at
+    each; every jet at the points is built from these.
     """
 
-    def __init__(self, geometry, p, order):
-        geometry.check_point(p)
+    def __init__(self, geometry, points, order):
+        for p in points:
+            geometry.check_point(p)
         self.geometry = geometry
-        self.p = p
+        self.points = points
         self.order = order
+        # the coordinates of one point, or each coordinate's values at every point
+        at = points[0] if len(points) == 1 else [np.array(x) for x in zip(*points)]
         # refuses an order outside 0..MAX_ORDER
-        self.coords = tuple(jet_var(p, i, order) for i in range(geometry.n))
+        self.coords = tuple(jet_var(at, i, order) for i in range(geometry.n))
         self._cache = {}
-
-    @property
-    def points(self):
-        return (self.p,)
 
     def _memo(self, key, fn):
         if key not in self._cache:
@@ -276,7 +294,7 @@ class ChartContext:
         return self._cache[key]
 
     # -- the metric and what it gives, as (space, array) pairs with a Taylor
-    # axis last, as alt's tables read them
+    # axis and then the point axis last, as alt's tables read them
 
     def g(self):
         """g_{ab} at [a, b], of the context's order; a constant (space None)
@@ -285,7 +303,7 @@ class ChartContext:
 
     def g_inv(self):
         """g^{ab} at [a, b], of the metric's order."""
-        return self._memo("g_inv", lambda: _inverse(self.p, *self.g()))
+        return self._memo("g_inv", lambda: _inverse(self.points, *self.g()))
 
     def gamma(self):
         """Gamma^k_{ij} at [k, i, j], one order below the metric."""
@@ -297,7 +315,7 @@ class ChartContext:
         return self._memo("curv", lambda: _curvature(*self.gamma()))
 
     def monomial_jets(self, monomials):
-        """A (1, T, S) array, [0, t] the jet of prod(x_a for a in
+        """A (P, T, S) array, [p, t] the jet at point p of prod(x_a for a in
         monomials[t]), of the context's order, for monomials of degree at most
         2 (jets.monomial_jets).  Its point axis is first, so that a table
         product with it is one matrix product per point: the same BLAS call,
@@ -325,101 +343,50 @@ class ChartContext:
         return AltValue(self.geometry.n, 1, {(i,): v for i, v in enumerate(vals)})
 
 
-class BatchContext:
-    """The context of several points of one chart at one jet order: the
-    arrays of their ChartContexts side by side on the point axis, so that an
-    operator applied to it evaluates every point at once.
-
-    It gives what a ChartContext gives (g, g_inv, gamma, curvature,
-    monomial_jets, frame and structure) by stacking each point's, which its
-    ChartContext builds and keeps, so every point's value is bit for bit
-    the one it has alone.  It has no coordinate jets: what is read from the
-    expression trees at each point is evaluated by each ChartContext (each).
-    """
-
-    def __init__(self, geometry, contexts):
-        self.geometry = geometry
-        self.contexts = contexts
-        self.points = tuple(c.p for c in contexts)
-        self.order = contexts[0].order
-        self._cache = {}
-
-    _memo = ChartContext._memo
-
-    def _stacked(self, name):
-        return self._memo(name, lambda: _stack([getattr(c, name)() for c in self.contexts]))
-
-    def g(self):
-        return self._stacked("g")
-
-    def g_inv(self):
-        return self._stacked("g_inv")
-
-    def gamma(self):
-        return self._stacked("gamma")
-
-    def curvature(self):
-        return self._stacked("curvature")
-
-    def monomial_jets(self, monomials):
-        """A (P, T, S) array, ChartContext.monomial_jets of each point."""
-        return self._memo(("monomials", monomials), lambda: np.concatenate(
-            [c.monomial_jets(monomials) for c in self.contexts]))
-
-    def frame(self, descending=False):
-        frames = zip(*(c.frame(descending) for c in self.contexts))
-        return [_vec(self.geometry.n, 0, *_stack([(v.space, v.c) for v in vs])) for vs in frames]
-
-    def structure(self, name):
-        return self._memo(("struct", name), lambda: self.each(lambda c: c.structure(name)))
-
-    def each(self, fn):
-        """The value fn(ctx) of each point's ChartContext, stacked."""
-        values = [fn(c) for c in self.contexts]
-        make = _vec if isinstance(values[0], VecAltValue) else _alt
-        return make(values[0].n, values[0].k, *_stack([(v.space, v.c) for v in values]))
-
-
 # -- metric machinery ------------------------------------------------------
 
 
 def _metric(ctx):
     """The metric entries' jets as a (space, array) pair, refused unless its
-    value is finite, symmetric and positive-definite."""
+    value is finite, symmetric and positive-definite at every point; the
+    refusal names the first point that fails."""
     items = []
     for e, entries in ctx.geometry._metric_trees:
         c = sexpr.eval_jet(e, ctx.coords)
         items += [(ab, c) for ab in entries]
     sg, g = _fill((ctx.geometry.n,) * 2, items)
-    vals = g[..., 0, 0]
-    if not np.isfinite(vals).all():
-        raise SingularMetric(f"metric not finite at {ctx.p}: {vals.tolist()}")
-    if np.abs(vals - vals.T).max() > 1e-12:
-        raise SingularMetric(f"metric not symmetric at {ctx.p}: {vals.tolist()}")
-    try:
-        eig = np.linalg.eigvalsh(vals)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(str(exc))
-    if not eig.min() > 0:  # fails on NaN too
-        raise SingularMetric(f"metric not positive-definite at {ctx.p} (eigmin={eig.min()})")
+    for p, vals in zip(ctx.points, g[..., 0, :].transpose(2, 0, 1)):
+        if not np.isfinite(vals).all():
+            raise SingularMetric(f"metric not finite at {p}: {vals.tolist()}")
+        if np.abs(vals - vals.T).max() > 1e-12:
+            raise SingularMetric(f"metric not symmetric at {p}: {vals.tolist()}")
+        try:
+            eig = np.linalg.eigvalsh(vals)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMetric(str(exc))
+        if not eig.min() > 0:  # fails on NaN too
+            raise SingularMetric(f"metric not positive-definite at {p} (eigmin={eig.min()})")
     return sg, g
 
 
-def _inverse(p, sg, g):
+def _inverse(points, sg, g):
     """g^{-1} of a metric (space, array) as A sum_m (-H A)^m, with A the
     inverse of g's value and H = g - g(p).  H A has no value, so the series
     ends at the jet order r; in Horner form, Y <- A - (A H) Y, it is r
     jet-matrix products.  _metric has found g symmetric positive-definite,
     so nothing pivots; a value too small to invert in floating point, with
-    an infinite A, is refused naming the point p."""
-    inv = np.linalg.inv(g[..., 0, 0])
-    if not np.isfinite(inv).all():
-        raise SingularMetric(f"metric not invertible at {p}")
-    A = inv[..., None, None]
+    an infinite A, is refused naming the point.  The inverses and A H are
+    stacked over the points, one LAPACK and one BLAS call per point."""
+    inv = np.linalg.inv(g[..., 0, :].transpose(2, 0, 1))  # (P, n, n)
+    for p, m in zip(points, inv):
+        if not np.isfinite(m).all():
+            raise SingularMetric(f"metric not invertible at {p}")
+    A = inv.transpose(1, 2, 0)[:, :, None]
     if sg is None or sg.order == 0:
         return sg, A
-    n = len(g)
-    AH = np.tensordot(inv, g, 1)
+    n, S, P = g.shape[1:]
+    AH = np.matmul(inv, g.transpose(3, 0, 1, 2).reshape(P, n, n * S))
+    AH = AH.reshape(P, n, n, S).transpose(1, 2, 3, 0)
     AH[..., 0, :] = 0.0
     sy, Y = None, A
     for _ in range(sg.order):
@@ -439,13 +406,17 @@ def _christoffel(sg, g, si, g_inv):
 
 def _gram_schmidt(sg, g, descending=False):
     """Orthonormal frame jets from the coordinate frame, with g's entries
-    read as scalar jets: a reference independent of the table products.
+    read as scalar jets, at every point of g at once: a reference
+    independent of the table products.  An entry constant to its order with
+    one value at every point is a float, as at one point; where that holds
+    at some points only, it is a jet at all, and those points' frames agree
+    with their one-point frames to rounding.
 
     Returns n tangent vectors as lists of jet or number components, in the
     order they were orthonormalized.
     """
     n = len(g)
-    g = [[_entry(sg, row) for row in rows] for rows in g[..., 0]]
+    g = [[_entry(sg, row) for row in rows] for rows in (g[..., 0] if g.shape[-1] == 1 else g)]
 
     def inner(u, v):  # g(u, v), summed with u's index outermost
         acc = 0.0
@@ -462,7 +433,7 @@ def _gram_schmidt(sg, g, descending=False):
             c = inner(v, u)
             v = [vi - c * ui for vi, ui in zip(v, u)]
         nrm = inner(v, v)
-        if scalar_value(nrm) <= 0:
+        if np.any(scalar_value(nrm) <= 0):
             raise SingularMetric("Gram-Schmidt hit a nonpositive norm")
         inv = 1.0 / jet_apply("sqrt", nrm)
         frame.append([vi * inv for vi in v])
@@ -503,7 +474,12 @@ def _riemann(sd, D, sq, Q):
 
 def sample_points(G, count, seed):
     """Deterministic splitmix64 sampling in the domain box, rejecting
-    excluded points."""
+    excluded points: a new list, drawn once per (count, seed) and chart."""
+    make = lambda: _draw_points(G, count, seed)
+    return list(_cached(G._samples, (count, seed), make, SAMPLE_CACHE_SIZE))
+
+
+def _draw_points(G, count, seed):
     rng = SplitMix64(seed)
     pts = []
     attempts = 0
@@ -514,7 +490,7 @@ def sample_points(G, count, seed):
             raise ConfigError(f"domain of {G.name!r} rejects too many samples")
         if G.in_domain(p):
             pts.append(p)
-    return pts
+    return tuple(pts)
 
 
 # -- config schema (excal-config v1) ----------------------------------------

@@ -21,6 +21,15 @@ value is differentiated past its order, while a constant differentiates
 to 0.0 at any order.  The functions that read or transform one
 coefficient take a number as a constant: is_zero, scalar_value,
 jet_partial, jet_diff and jet_apply.
+
+The point rule: a jet holds its coefficients at one point as an (S,)
+array, or at each of P points as an (S, P) array, column p the jet at
+point p (vector-mode Taylor propagation).  Every operation acts on each
+column as it acts on a one-point jet, so each point's column is bit for
+bit its one-point jet: the arithmetic is elementwise or one mul_coeffs
+pass, and a function's Taylor series is computed from each point's value
+with math, as at one point.  An operation refused at one point (a
+DomainError or a DivisionByZeroAtPoint) is refused for the whole jet.
 """
 
 import functools
@@ -177,7 +186,8 @@ _NUMBER = (int, float, np.floating, np.integer)
 
 
 class Jet:
-    """Immutable truncated Taylor expansion of a scalar at a point."""
+    """Immutable truncated Taylor expansion of a scalar at a point, or at
+    each point of a context (c of shape (S, P))."""
 
     __slots__ = ("space", "c")
 
@@ -191,7 +201,8 @@ class Jet:
 
     @property
     def value(self):
-        return float(self.c[0])
+        """The value at the point as a float; at several points, an array."""
+        return float(self.c[0]) if self.c.ndim == 1 else self.c[0]
 
     def truncate(self, order):
         if order == self.order:
@@ -272,15 +283,10 @@ class Jet:
         return self.reciprocal() * other
 
     def reciprocal(self):
-        v = self.value
-        if v == 0.0:
+        if (self.c[0] == 0.0).any():
             raise DivisionByZeroAtPoint("division by a jet with value 0")
-        try:
-            series = np.array(
-                [(-1.0) ** m / v ** (m + 1) for m in range(self.order + 1)]
-            )
-        except (OverflowError, ZeroDivisionError):
-            raise DomainError("reciprocal", v)
+        m = range(self.order + 1)
+        series = _series_at("reciprocal", self, lambda v: [(-1.0) ** k / v ** (k + 1) for k in m])
         return _compose(series, self)
 
     def __pow__(self, r):
@@ -302,9 +308,10 @@ class Jet:
                     if k:
                         base = base * base
             if out is None:
-                return jet_const(1.0, self.space.n, self.order)
-            if not np.isfinite(out.c).all():
-                raise DomainError("pow", self.value)
+                return Jet(self.space, np.zeros_like(self.c)) + 1.0
+            finite = np.isfinite(out.c)
+            if not finite.all():
+                raise DomainError("pow", float(np.extract(~finite.all(axis=0), self.c[0])[0]))
             return out
         return jet_apply("pow", self, float(r))
 
@@ -323,12 +330,15 @@ def jet_const(c, n_vars, order):
 
 
 def jet_var(p, i, order):
+    """The jet of coordinate i at the point p; where p[i] is an array of the
+    coordinate's values at P points, its (S, P) jet at each."""
     n = len(p)
     if not 0 <= i < n:
         raise ShapeMismatch(f"coordinate index {i} out of range for {n} variables")
     sp = jet_space(n, order)
-    coeffs = np.zeros(sp.size)
-    coeffs[0] = p[i]
+    x = np.asarray(p[i], dtype=float)
+    coeffs = np.zeros((sp.size,) + x.shape)
+    coeffs[0] = x
     if order >= 1:
         e = tuple(1 if j == i else 0 for j in range(n))
         coeffs[sp.index[e]] = 1.0
@@ -353,26 +363,27 @@ def _monomial_plan(monomials, space):
 
 
 def monomial_jets(coords, monomials):
-    """The (1, T, S) array whose [0, t] is the jet of prod(x_a for a in
-    monomials[t]) at the coordinate jets coords, the one point's axis first,
-    for monomials of degree at most 2, in closed form: 1; x_a; and for
-    x_a*x_b the value p_a*p_b, p_b on e_a and p_a on e_b (2*p_a on e_a when
-    a = b), and 1 on e_a + e_b."""
+    """The (P, T, S) array whose [p, t] is the jet at point p of
+    prod(x_a for a in monomials[t]) at the coordinate jets coords, the
+    point axis first (P = 1 for one-point jets), for monomials of degree at
+    most 2, in closed form: 1; x_a; and for x_a*x_b the value p_a*p_b, p_b
+    on e_a and p_a on e_b (2*p_a on e_a when a = b), and 1 on e_a + e_b."""
     sp = coords[0].space
     one, lin, la, quad, qa, qb, top = _monomial_plan(monomials, sp)
-    X = np.array([x.c for x in coords])
+    X = np.array([x.c for x in coords])  # (n, S) or (n, S, P)
+    if X.ndim == 2:
+        X = X[..., None]
     p = X[:, 0]
-    out = np.zeros((1, len(monomials), sp.size))
-    M = out[0]
-    M[one, 0] = 1.0
-    M[lin] = X[la]
+    out = np.zeros((len(monomials), sp.size, X.shape[-1]))
+    out[one, 0] = 1.0
+    out[lin] = X[la]
     # p_b*x_a + p_a*x_b holds the first-order entries; its value, twice
     # p_a*p_b, is then replaced
-    M[quad] = p[qb, None] * X[qa] + p[qa, None] * X[qb]
-    M[quad, 0] = p[qa] * p[qb]
+    out[quad] = p[qb, None] * X[qa] + p[qa, None] * X[qb]
+    out[quad, 0] = p[qa] * p[qb]
     if sp.order >= 2:
-        M[quad, top] = 1.0
-    return out
+        out[quad, top] = 1.0
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 # -- named operation surface --------------------------------------------
@@ -380,14 +391,14 @@ def monomial_jets(coords, monomials):
 
 def is_zero(c):
     """Whether a coefficient is zero: a number equal to 0 (so -0.0 too), or a
-    jet with no nonzero Taylor coefficient.  A NaN is not zero."""
+    jet with no nonzero Taylor coefficient at any point.  A NaN is not zero."""
     if isinstance(c, Jet):
         return not np.count_nonzero(c.c)
     return c == 0
 
 
 def scalar_value(c):
-    """The value at the point of a jet coefficient, or a plain number as a float."""
+    """The value of a jet coefficient (Jet.value), or a plain number as a float."""
     return c.value if isinstance(c, Jet) else float(c)
 
 
@@ -414,20 +425,37 @@ def jet_diff(a, i):
         return 0.0
     src, fac = a.space.diff_tables[i]
     target = jet_space(a.space.n, a.order - 1)
-    return Jet(target, a.c[src] * fac)
+    return Jet(target, (a.c[src].T * fac).T)
 
 
 # -- elementary functions ------------------------------------------------
 
 
 def _compose(series, a):
-    """Horner evaluation of a univariate Taylor series in (a - a.value)."""
+    """Horner evaluation of a univariate Taylor series in (a - a.value),
+    series[m] the coefficient m at each of a's points."""
     u = Jet(a.space, a.c.copy())
     u.c[0] = 0.0
-    out = jet_const(series[-1], a.space.n, a.order)
+    out = Jet(a.space, np.zeros_like(a.c))
+    out.c[0] = series[-1]
     for m in range(len(series) - 2, -1, -1):
-        out = out * u + series[m]
+        out = out * u
+        out.c[0] += series[m]
     return out
+
+
+def _series_at(fn, a, series):
+    """The coefficients series(v) at the value v of each point of a, (m,)
+    for a one-point jet and (m, P) for P points; an overflow at a value is
+    refused as a DomainError there."""
+    values = a.c[0].tolist()
+    out = []
+    for v in values if a.c.ndim > 1 else [values]:
+        try:
+            out.append(series(v))
+        except (OverflowError, ZeroDivisionError):
+            raise DomainError(fn, v)
+    return np.asarray(out[0]) if a.c.ndim == 1 else np.array(out).T
 
 
 def _binom(r, m):
@@ -438,6 +466,8 @@ def _binom(r, m):
 
 
 def _series(fn, x0, order, r=None):
+    if not math.isfinite(x0):
+        raise DomainError(fn, x0)
     m = order + 1
     if fn == "sin":
         cyc = [math.sin(x0), math.cos(x0), -math.sin(x0), -math.cos(x0)]
@@ -483,10 +513,4 @@ def jet_apply(fn, a, r=None):
             return getattr(math, fn)(a)
         except (OverflowError, ValueError):  # math range and domain errors
             raise DomainError(fn, a)
-    if not math.isfinite(a.value):
-        raise DomainError(fn, a.value)
-    try:
-        series = _series(fn, a.value, a.order, r)
-    except OverflowError:
-        raise DomainError(fn, a.value)
-    return _compose(series, a)
+    return _compose(_series_at(fn, a, lambda v: _series(fn, v, a.order, r)), a)

@@ -3,8 +3,8 @@
 All operators act on AltValue / VecAltValue objects, dense coefficient
 arrays whose entries are Taylor coefficients of jets or, for a constant
 value, plain numbers, at each point of the context, obtained from fields
-via FormField.at(ctx).  A context of one point (ChartContext) and one of
-several (BatchContext) take the same code.
+via FormField.at(ctx).  A ChartContext of one point and one of several
+take the same code: the points are an array axis, never a loop.
 Differentiation consumes one jet order per application; differentiating
 a point-dependent value past its order fails loudly (JetBudgetExhausted),
 while a constant one differentiates to zero at any order.

@@ -336,8 +336,11 @@ def _div(a, b):
 
 def _pow(a, b):
     """a^b: exp(b log a) for a non-constant jet b, else a power by a number;
-    a jet b keeps the power a jet, even when a is a number."""
+    a jet b keeps the power a jet, even when a is a number.  A jet b of
+    several points is taken point by point, so each takes its own branch."""
     if isinstance(b, Jet):
+        if b.c.ndim > 1:
+            return _each_point(_pow, a, b)
         if b.c[1:].any():
             return jet_apply("exp", b * jet_apply("log", a))
         if not isinstance(a, Jet):
@@ -353,6 +356,14 @@ def _pow(a, b):
         return a**b
     except OverflowError:
         raise DomainError("pow", a)
+
+
+def _each_point(fn, a, b):
+    """fn(a, b) for a jet b of several points, each point's column taken
+    alone, stacked; a is a number or a jet of b's points."""
+    col = lambda x, i: Jet(x.space, x.c[:, i]) if isinstance(x, Jet) else x
+    out = [fn(col(a, i), col(b, i)) for i in range(b.c.shape[1])]
+    return Jet(out[0].space, np.stack([j.c for j in out], axis=-1))
 
 
 _ARITH = {

@@ -121,7 +121,7 @@ def _sides(check, G, points, env):
     """Both sides of a check evaluated once over the points' context."""
     # an overflow surfaces below as NonFiniteValue, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        ctx = G.batch([tuple(p) for p in points], check.jet_order)
+        ctx = G.batch(points, check.jet_order)
         return _side(check.lhs, ctx, env), _side(check.rhs, ctx, env)
 
 

@@ -1,11 +1,14 @@
 """Built-in geometry catalog: naming, caching, structural validation."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
-from excal.alt import VecAltValue, interior
-from excal.catalog import FAMILIES, CatalogEntry, builtin
+from excal.alt import AltValue, VecAltValue, _alt, interior
+from excal.catalog import (FAMILIES, VALIDATION_POINTS, VALIDATION_SEED, CatalogEntry,
+                           builtin)
 from excal.compare import within
 from excal.errors import UnknownEntry, ValidationFailed
 from excal.geometry import sample_points
@@ -155,3 +158,17 @@ def test_torus_domain_is_full_period():
     G = builtin("flat_torus(2)").geometry
     for lo, hi in G.domain:
         assert lo == 0.0 and hi == pytest.approx(2 * math.pi)
+
+
+def test_a_validation_failure_names_its_point():
+    # a value wrong at one point only is reported there
+    entry = builtin("flat_kahler(1)")
+    pts = sample_points(entry.geometry, VALIDATION_POINTS, VALIDATION_SEED)
+
+    def off_at_point_5(entry, ctx):
+        c = np.array([[[1.0 if p == pts[5] else 0.0 for p in ctx.points]]])
+        return [(_alt(2, 0, None, c), AltValue.zero(2, 0))]
+
+    broken = CatalogEntry("broken", entry.geometry, [("off", off_at_point_5)])
+    with pytest.raises(ValidationFailed, match=re.escape(f"at {pts[5]}")):
+        broken.validate()

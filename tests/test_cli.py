@@ -323,6 +323,20 @@ def test_non_finite_literal_is_a_syntax_error(capsys, tmp_path, metric, coeff, o
         ]
 
 
+def test_a_series_past_the_float_range_is_a_domain_error(capsys, tmp_path):
+    # log's Taylor terms divide by x^k, which underflows to 0 at x = 1e-200:
+    # a typed refusal with exit 2, not a ZeroDivisionError traceback
+    f = {"degree": 0, "coeffs": {"": "log(x)"}}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"dim": 1, "coords": ["x"], "metric": [["1"]],
+                                "domain": [[1e-200, 1]], "forms": {"f": f}}))
+    code, out, err = run(capsys, "eval", str(path), "--expr", "d(f)", "--at", "1e-200")
+    assert code == 2 and out == ""
+    assert [l for l in err.splitlines() if l.startswith("error:")] == [
+        "error: DomainError: log undefined at value 1e-200"
+    ]
+
+
 def test_eval_at_a_negative_first_coordinate(capsys):
     # with a space argparse reads "-0.5,0.2" as an option; the = form works
     code, out, err = run(capsys, "eval", "flat_kahler(1)", "--expr", "sharp(Omega)", "--at=-0.5,0.2")

@@ -13,6 +13,7 @@ from excal.catalog import builtin
 from excal.errors import ConfigError, JetBudgetExhausted, PointExcluded, SingularMetric
 from excal.geometry import (
     CONTEXT_CACHE_SIZE,
+    SAMPLE_CACHE_SIZE,
     ChartContext,
     FormField,
     dumps_config,
@@ -160,7 +161,7 @@ def test_metric_walks_each_distinct_entry_once(monkeypatch):
     walked = []
     eval_jet = sexpr.eval_jet
     monkeypatch.setattr(sexpr, "eval_jet", lambda e, xs: walked.append(e) or eval_jet(e, xs))
-    sg, g = _one(ChartContext(G, (0.5, 0.25, 0.75, 0.375), 2).g())
+    sg, g = _one(ChartContext(G, ((0.5, 0.25, 0.75, 0.375),), 2).g())
     assert sorted(map(repr, walked)) == sorted({repr(e) for row in G.metric for e in row})
     assert len(walked) == 2
     diagonal = eval_jet(G.metric[0][0], G.context((0.5, 0.25, 0.75, 0.375), 2).coords)
@@ -292,6 +293,28 @@ def test_sample_points_deterministic_and_in_domain():
     assert pts != sample_points(G, 25, 100)
     for p in pts:
         assert G.in_domain(p)
+
+
+def test_sample_points_draws_a_list_once_and_returns_a_copy(monkeypatch):
+    G = load_config({"dim": 2, "coords": ["x", "y"], "metric": [["1", "0"], ["0", "1"]],
+                     "domain": [[-1, 1], [-1, 1]], "exclude": "x + y + 1"})
+    walks = []
+    eval_value = sexpr.eval_value
+    monkeypatch.setattr(sexpr, "eval_value", lambda e, p: walks.append(p) or eval_value(e, p))
+    pts = sample_points(G, 10, 7)
+    drawn = len(walks)
+    assert drawn >= 10
+    pts.append((0.0, 0.0))
+    pts[0] = (9.0, 9.0)
+    again = sample_points(G, 10, 7)
+    assert len(walks) == drawn  # the exclude tree is not walked again
+    assert len(again) == 10 and again[0] != (9.0, 9.0)
+    assert sample_points(G, 10, 8) != again and len(walks) > drawn
+    # the cache is bounded: a list pushed out is drawn again, to the same points
+    for seed in range(100, 100 + SAMPLE_CACHE_SIZE):
+        sample_points(G, 3, seed)
+    drawn = len(walks)
+    assert sample_points(G, 10, 7) == again and len(walks) > drawn
 
 
 def test_point_excluded():

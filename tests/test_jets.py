@@ -245,3 +245,90 @@ def test_numbers_are_constants():
             jet_apply(fn, x)
     assert jet_partial(2.5, (0, 0)) == 2.5
     assert jet_partial(2.5, (1, 0)) == 0.0
+
+
+# -- the point rule: a jet of several points is each point's jet ---------------
+
+POINTS = 7
+
+
+def _coordinates(values, order):
+    """The batched coordinate jets of the (P, n) values, and each point's."""
+    n = values.shape[1]
+    batch = [jet_var(list(values.T), i, order) for i in range(n)]
+    each = [[jet_var(tuple(p), i, order) for i in range(n)] for p in values.tolist()]
+    return batch, each
+
+
+def _assert_columns(batch, each, label):
+    for i, alone in enumerate(each):
+        if not isinstance(alone, Jet):  # a number is the same at every point
+            assert batch == alone, (label, i)
+            continue
+        assert batch.space is alone.space, (label, i)
+        assert batch.c.shape == alone.c.shape + (POINTS,), (label, i)
+        col = batch.c[:, i]
+        assert np.array_equal(col, alone.c) and np.array_equal(np.signbit(col), np.signbit(alone.c)), (label, i)
+
+
+def _operations():
+    from excal import sexpr
+
+    ops = {
+        "x + y": lambda x, y: x + y, "x - y": lambda x, y: x - y,
+        "x * y": lambda x, y: x * y, "x / y": lambda x, y: x / y,
+        "x + 2.5": lambda x, y: x + 2.5, "2.5 + x": lambda x, y: 2.5 + x,
+        "x - 2.5": lambda x, y: x - 2.5, "2.5 - x": lambda x, y: 2.5 - x,
+        "x * -1.5": lambda x, y: x * -1.5, "-1.5 * x": lambda x, y: -1.5 * x,
+        "x / 3": lambda x, y: x / 3.0, "3 / x": lambda x, y: 3.0 / x,
+        "-x": lambda x, y: -x, "1 / x": lambda x, y: x.reciprocal(),
+        "x ^ 3": lambda x, y: x ** 3, "x ^ -2": lambda x, y: x ** -2, "x ^ 0": lambda x, y: x ** 0,
+        "x ^ 3.0": lambda x, y: x ** 3.0, "x ^ 2.5": lambda x, y: x ** 2.5,
+        "x ^ -0.5": lambda x, y: x ** -0.5,
+    }
+    for fn in sexpr.FUNCTIONS:
+        r = (1.5,) if fn == "pow" else ()
+        ops[fn] = lambda x, y, fn=fn, r=r: jet_apply(fn, 0.5 * x * y + 0.1, *r)
+    # through the walker: a jet exponent, constant where it has no variable
+    for src in ("x1 ^ x2", "2 ^ (x1 * x2)", "x1 ^ (x2 - x2 + 2)", "pow(x1, x2) / (1 + x1 * x2)"):
+        tree = sexpr.parse(src, ["x1", "x2"])
+        ops[src] = lambda x, y, tree=tree: sexpr.eval_jet(tree, (x, y))
+    return ops
+
+
+@pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+def test_a_batched_jet_is_each_points_jet_bit_for_bit(order):
+    values = np.random.default_rng(order).uniform(0.2, 1.5, (POINTS, 2))
+    batch, each = _coordinates(values, order)
+    for label, op in _operations().items():
+        _assert_columns(op(*batch), [op(*xs) for xs in each], label)
+
+
+def test_a_jet_exponent_takes_each_points_branch():
+    # at order 0 an exponent jet is constant at every point, with a value
+    # per point: the integral ones multiply, the others compose a series
+    from excal import sexpr
+
+    values = np.array([[0.5, 2.0], [0.7, 2.5], [1.2, -1.0], [0.9, 0.0], [1.1, 3.0], [0.3, 0.5], [0.8, 1.0]])
+    tree = sexpr.parse("x1 ^ x2", ["x1", "x2"])
+    for order in (0, 2):
+        batch, each = _coordinates(values, order)
+        _assert_columns(sexpr.eval_jet(tree, batch), [sexpr.eval_jet(tree, xs) for xs in each], order)
+
+
+def test_a_refusal_at_one_point_refuses_the_batch():
+    values = np.random.default_rng(3).uniform(0.2, 1.5, (POINTS, 2))
+    values[4, 0] = -0.25
+    (x, _), each = _coordinates(values, 2)
+    with pytest.raises(DomainError) as exc:
+        jet_apply("log", x)
+    assert exc.value.value == -0.25
+    with pytest.raises(DomainError):
+        jet_apply("log", each[4][0])
+    jet_apply("log", each[3][0])  # the other points alone are fine
+    values[4, 0] = 0.0
+    (x, _), _ = _coordinates(values, 2)
+    with pytest.raises(DivisionByZeroAtPoint):
+        x.reciprocal()
+    with pytest.raises(DivisionByZeroAtPoint):
+        1.0 / x

@@ -181,7 +181,7 @@ def test_table_matches_the_walker_to_rounding(case, order):
 
 def test_fields_at_one_context_share_one_monomial_table(monkeypatch):
     G = builtin("hopf_lck").geometry
-    ctx = ChartContext(G, (0.5, 0.25, 0.75, 0.375), 2)
+    ctx = ChartContext(G, ((0.5, 0.25, 0.75, 0.375),), 2)
     built = []
     monkeypatch.setattr(geometry, "monomial_jets",
                         lambda xs, ms: built.append(ms) or jets.monomial_jets(xs, ms))

@@ -270,7 +270,7 @@ def test_lie_metric_killing_and_not():
     import math
 
     _, L = lie_metric(ctx, not_killing)
-    th = ctx.p[0]
+    th = ctx.points[0][0]
     assert L[1, 1, 0] == pytest.approx(2 * math.sin(th) * math.cos(th), abs=1e-12)
     # the Reeb field 2 d/dpsi of sasakian_s3 is Killing for a non-diagonal
     # metric that does not depend on psi
