@@ -49,6 +49,18 @@ term reads the second half.  A linear map out[ro] += sign * x[rx] is the
 product of the constant one, _ONE, with x, by the terms (sign, 0, rx,
 ro).  Each table owns its output layout: it returns its result in the
 leading shape its builder states.
+
+Live rows: many operand rows are zero at every point (the off-diagonal
+g^{ab} of a conformally flat chart, the absent coefficients of a form), and
+a key term that reads one adds nothing.  So a product whose expanded terms
+times points reach PRUNE_AT reads which rows of each operand hold a
+nonzero coefficient, and multiplies only the terms between two such rows,
+by a table expanded once per pattern of live rows.  This keeps every bit:
+a skipped term is a +-0.0 product of finite factors, and adding one to a
+bincount bin, which starts at +0.0 and so never holds -0.0, changes
+nothing.  An operand that is not all finite keeps all its terms, so
+0 * inf is still NaN.  Below PRUNE_AT, where reading the rows costs more
+than the terms it could skip, a call reads the full table only.
 """
 
 import math
@@ -237,12 +249,54 @@ def _columns(terms):
     return np.array(terms, dtype=np.int64).reshape(-1, 4).T
 
 
+# The fewest term-points (expanded terms x points) at which a product reads
+# which operand rows are live; below it the row check costs more than the
+# terms it could skip.
+PRUNE_AT = 2048
+# The live-row patterns a product keeps expanded per pair of operand spaces.
+PATTERNS = 8
+
+
+def _live(x):
+    """Which rows of a coefficient array hold a nonzero coefficient at some
+    point, as bytes of one bool per row; None if x is not all finite."""
+    x = x.reshape(-1, x.shape[-2] * x.shape[-1])
+    if not math.isfinite(x.sum()):  # a sum that overflows reads as not finite
+        return None
+    return x.any(axis=1).tobytes()
+
+
+class _Pair:
+    """What a product keeps for one pair of operand spaces: the result's
+    space and Taylor width, the expanded term count, the full table once a
+    call below PRUNE_AT needs it, and the pruned tables by live-row
+    pattern."""
+
+    __slots__ = ("space", "S", "terms", "full", "pruned")
+
+    def __init__(self, space, terms):
+        self.space, self.S, self.terms = space, _width(space), terms
+        self.full = None
+        self.pruned = {}
+
+
 class _Product:
     """A bilinear map out[ro] += sign * a[ra] * b[rb] between the rows of
     row-major coefficient arrays, a having rows_a rows and out returned
     with the leading shape given: one mul_coeffs call per application, over
     the terms expanded for the operands' spaces.  With a = _ONE and rows_a
-    1 it is the linear map out[ro] += sign * b[rb]."""
+    1 it is the linear map out[ro] += sign * b[rb].
+
+    Live rows (see the module docstring): a call whose expanded terms times
+    points reach PRUNE_AT runs the kernel only over the key terms between
+    two live rows, rows nonzero at some Taylor coefficient of some point,
+    expanded once per (sa, sb, live rows of a, live rows of b) and kept for
+    the last PATTERNS patterns of each (sa, sb).  The bits are those of the
+    full table, since a skipped term is a +-0.0 product of finite factors
+    and a bincount bin never holds -0.0.  An operand that is not all finite
+    keeps every row, so 0 * inf is still NaN.  Below PRUNE_AT a call is one
+    lookup of the full table, which a product never called there never
+    expands."""
 
     __slots__ = ("sign", "ra", "rb", "ro", "rows_a", "shape", "rows_out", "_tables")
 
@@ -253,30 +307,54 @@ class _Product:
         self.rows_out = math.prod(shape)
         self._tables = {}
 
-    def _expand(self, sa, sb):
+    def _expand(self, sa, sb, keep=slice(None)):
+        """(ia, ib, io): the key terms keep selects, expanded over the
+        Taylor pairs of sa and sb."""
         sp, ta, tb, to = _taylor(sa, sb)
-        S = _width(sp)
-        ra = (self.ra + np.where(self.sign < 0, self.rows_a, 0)) * _width(sa)
+        sign, ra, rb, ro = self.sign[keep], self.ra[keep], self.rb[keep], self.ro[keep]
+        ra = (ra + np.where(sign < 0, self.rows_a, 0)) * _width(sa)
         ia = (ra[:, None] + ta).ravel()
-        ib = (self.rb[:, None] * _width(sb) + tb).ravel()
-        io = (self.ro[:, None] * S + to).ravel()
-        return sp, ia, ib, io, S
+        ib = (rb[:, None] * _width(sb) + tb).ravel()
+        io = (ro[:, None] * _width(sp) + to).ravel()
+        return ia, ib, io
+
+    def _pruned(self, pair, sa, a, sb, b):
+        """The table of the terms between live rows of a and b, or the full
+        one where an operand is not all finite."""
+        la, lb = b"\1" if a is _ONE else _live(a), _live(b)
+        key = None if la is None or lb is None else (la, lb)
+        table = pair.pruned.get(key)
+        if table is None:
+            keep = slice(None)
+            if key is not None:
+                keep = np.frombuffer(la, bool)[self.ra] & np.frombuffer(lb, bool)[self.rb]
+            if len(pair.pruned) >= PATTERNS:  # the oldest pattern goes
+                del pair.pruned[next(iter(pair.pruned))]
+            table = pair.pruned[key] = self._expand(sa, sb, keep)
+        return table
 
     def __call__(self, sa, a, sb, b):
         """(space, out array of shape shape + (S, P)), for operands of P
         points or of one."""
-        table = self._tables.get((sa, sb))
-        if table is None:
-            table = self._tables[sa, sb] = self._expand(sa, sb)
-        sp, ia, ib, io, S = table
+        pair = self._tables.get((sa, sb))
+        if pair is None:
+            sp, ta, _, _ = _taylor(sa, sb)
+            pair = self._tables[sa, sb] = _Pair(sp, len(self.sign) * len(ta))
         P = max(a.shape[-1], b.shape[-1])
+        if pair.terms * P >= PRUNE_AT:
+            ia, ib, io = self._pruned(pair, sa, a, sb, b)
+        else:
+            if pair.full is None:
+                pair.full = self._expand(sa, sb)
+            ia, ib, io = pair.full
+        S = pair.S
         # one point runs the kernel on flat operands; several, on (rows, P)
         if P == 1:
             a, b = a.reshape(-1), b.reshape(-1)
         else:
             a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
         out = jets.mul_coeffs(np.concatenate((a, -a)), b, ia, ib, io, self.rows_out * S)
-        return sp, out.reshape(self.shape + (S, P))
+        return pair.space, out.reshape(self.shape + (S, P))
 
 
 _ONE = np.ones((1, 1, 1))  # the constant one, the first operand of a linear map

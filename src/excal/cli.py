@@ -1,7 +1,8 @@
 """Command-line entry point: run identity suites, evaluate operator
 expressions at points, and emit catalog configs.
 
-Exit codes: 0 all checks pass, 1 identity failure, 2 usage/config error.
+Exit codes: 0 all checks pass, 1 identity failure, 2 usage/config error
+(or an output pipe closed by its reader).
 EXCAL_SEED overrides the default seed; an explicit --seed flag wins.
 """
 
@@ -227,7 +228,14 @@ def main(argv=None):
             sys.stderr.write(f"error: {exc}\n")
             return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: no traceback, and the flush at exit goes to
+        # devnull so that it is silent too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

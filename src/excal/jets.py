@@ -71,7 +71,9 @@ def mul_coeffs(a, b, idx_a, idx_b, idx_out, size):
     every point.  A bin sums its terms in term order, as one point alone
     does, so each point's result is bit for bit its one-point result."""
     if a.ndim == 1:
-        return np.bincount(idx_out, weights=a[idx_a] * b[idx_b], minlength=size)
+        out = np.bincount(idx_out, weights=a[idx_a] * b[idx_b], minlength=size)
+        # bincount of no terms gives int64 zeros, weights or not
+        return out if len(idx_out) else out.astype(float)
     P = max(a.shape[1], b.shape[1])
     out = np.empty((size, P))
     step = max(1, KERNEL_CHUNK // max(len(idx_a), 1))

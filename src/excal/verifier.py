@@ -100,6 +100,7 @@ class IdentityCheck:
     rtol: float = DEFAULT_RTOL
     jet_order: int = 2
     expected_fail: bool = False
+    batched: bool = True  # False: a side refuses several points (BatchRefused)
 
 
 def _side(side, ctx, env):
@@ -140,7 +141,8 @@ def run_check(check):
     alt_errors sees each point's own value of each side, in point order.
     When that evaluation raises, each point is evaluated alone, so an
     error is recorded as a failing point, at the point where it happens,
-    and never aborts the check."""
+    and never aborts the check.  A check made with batched=False evaluates
+    each point alone from the start."""
     t0 = time.perf_counter()
     G, _ = _resolve_pair(check.geometry)
     point_seed = derive_seed(check.seed, "points", G.name)
@@ -151,10 +153,12 @@ def run_check(check):
         raise ConfigError(f"check {check.id!r} has an empty point list")
 
     env = dict(check.inputs)
-    try:
-        batch = _sides(check, G, points, env)
-    except Exception:  # each point alone below finds where
-        batch = None
+    batch = None
+    if check.batched:
+        try:
+            batch = _sides(check, G, points, env)
+        except Exception:  # each point alone below finds where
+            pass
     records = []
     max_abs_err = 0.0
     max_rel_err = 0.0
@@ -650,7 +654,8 @@ def _s_fn_decompose(check, seed, G, gname):
             return [ph.at(ctx), ps.at(ctx)]
 
         yield check(
-            f"fn-decompose-roundtrip/{gname}/pair{i}", lhs, rhs, n_points=2, rtol=0.0
+            f"fn-decompose-roundtrip/{gname}/pair{i}", lhs, rhs, n_points=2, rtol=0.0,
+            batched=False,
         )
 
 

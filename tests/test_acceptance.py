@@ -2,11 +2,14 @@
 
 Runs the full built-in suite once through the CLI (timed, alone), plus two
 fixed-seed runs side by side for the determinism check, and asserts the
-headline identity results directly from the JSON reports.  The CLI runs as
+headline identity results directly from the JSON reports.  One of those
+fixed-seed runs and a seed-42 run of each perfbench config fixture are
+pinned by digest, so a report that moves by one bit fails here.  The CLI runs as
 ``python -m excal`` under the interpreter that runs the tests, importing
 the same ``excal`` package the tests import, so the gate needs no install.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -239,6 +242,44 @@ def test_seeded_runs_are_byte_identical(seed42_outputs):
     ]
     assert stripped[0] == stripped[1]
     assert json.loads(seed42_outputs[0])["seed"] == 42
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+# sha256 of each seed-42 JSON report with its wall_time_s lines removed
+SEEDED_DIGESTS = {
+    "--builtin all": "a0affff287f88370ad54da6d174b213a2e33a0fc72e7fb18e6bef8cbd49a7bdd",
+    "hopf_lck.json": "21107d4c2e704fecdb2406d50138eb10139f6f4b2ff29f455730aacbc1c7b880",
+    "sasakian_s3.json": "fc0976db5d9c1cfafa736e1df2af77e7accb283b37f3f9f2c5dc97f6f0e88e27",
+}
+
+
+@pytest.fixture(scope="module")
+def seed42_config_outputs():
+    names = ("hopf_lck.json", "sasakian_s3.json")
+    started = [_start_cli("check", str(FIXTURES / name), "--seed", "42", "--report", "json")
+               for name in names]
+    done = [_wait_cli(s) for s in started]
+    for proc in done:
+        assert proc.returncode == 0, proc.stderr
+    return {name: proc.stdout for name, proc in zip(names, done)}
+
+
+def _digest(out):
+    kept = [line for line in out.splitlines(keepends=True)
+            if not re.match(r'\s*"wall_time_s":', line)]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+def test_seeded_reports_keep_their_digests(seed42_outputs, seed42_config_outputs):
+    outputs = dict(seed42_config_outputs, **{"--builtin all": seed42_outputs[0]})
+    for what, want in SEEDED_DIGESTS.items():
+        got = _digest(outputs[what])
+        assert got == want, (
+            f"the seed-42 report of `check {what}` moved: sha256 {got} (wall_time_s "
+            f"lines removed), pinned {want}; a deliberate move is recorded in "
+            "CHANGES.md with the old and new digests, and then pinned here"
+        )
 
 
 # 10. shuffle formulas against the brute-force evaluation oracle

@@ -414,16 +414,21 @@ def test_argparse_usage_exit_normalized(capsys):
     capsys.readouterr()
 
 
-def run_module(*argv):
-    """Run ``python -m excal`` on the package the tests import."""
+def _module_env():
+    """The environment that makes a child import the package the tests import."""
     src_root = str(Path(excal.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_module(*argv):
+    """Run ``python -m excal`` on the package the tests import."""
     return subprocess.run(
         [sys.executable, "-m", "excal", *argv],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_module_env(),
     )
 
 
@@ -464,3 +469,55 @@ def test_malformed_catalog_name_exits_two(capsys, name, expr, at):
     code, out, err = run(capsys, "eval", name, "--expr", expr, "--at", at)
     assert code == 2 and out == "" and "Traceback" not in err
     assert "nor a catalog entry" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "--builtin", "kahler", "--seed", "42", "--report", "json"), ("catalog", "--list")],
+)
+def test_a_closed_output_pipe_exits_two_without_traceback(argv):
+    # the read end is closed before the CLI writes, as `| head -1` does
+    # once it has its line
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "excal", *argv],
+            stdout=w, stderr=subprocess.PIPE, text=True, timeout=60, env=_module_env(),
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert proc.stderr == ""
+
+
+def test_eval_of_a_sparse_six_dimensional_form_stays_small(tmp_path):
+    # diamond(u) at order 4 on a conformally flat 6-D chart: the zero rows
+    # of the metric and of u are never expanded (232 MB before they were
+    # skipped).  A process's peak RSS counts that of the process it was
+    # forked from, so a small child runs the CLI and reads its peak.
+    xs = [f"x{i}" for i in range(1, 7)]
+    conf = "1/(1 + " + " + ".join(f"{x}^2" for x in xs) + ")"
+    cfg = tmp_path / "conformal6.json"
+    cfg.write_text(json.dumps({
+        "version": "excal-config v1", "name": "conformal6", "dim": 6, "coords": xs,
+        "metric": [[conf if a == b else "0" for b in range(6)] for a in range(6)],
+        "domain": [[-0.5, 0.5]] * 6,
+        "forms": {"u": {"degree": 3, "coeffs": {"1,2,3": "x1", "2,4,6": "1 + x2*x5", "3,5,6": "x4^2"}}},
+    }))
+    script = (
+        "import resource, subprocess, sys\n"
+        "proc = subprocess.run([sys.executable, '-m', 'excal', *sys.argv[1:]],"
+        " capture_output=True, text=True)\n"
+        "sys.stdout.write(proc.stdout)\n"
+        "print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,"
+        " file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "eval", str(cfg), "--expr", "diamond(u)",
+         "--at", "0.1,0.2,-0.1,0.3,0.05,-0.2", "--order", "4"],
+        capture_output=True, text=True, timeout=120, env=_module_env(),
+    )
+    code, maxrss_kb = proc.stderr.split()
+    assert code == "0" and "e6 | 3,5,6:" in proc.stdout
+    assert int(maxrss_kb) / 1024 < 64

@@ -30,7 +30,7 @@ from excal.alt import (
     wedge,
     wedge_sv,
 )
-from excal import jets
+from excal import alt, jets
 from excal.catalog import builtin
 from excal.errors import JetBudgetExhausted
 from excal.geometry import _christoffel_square, _riemann, sample_points
@@ -399,3 +399,104 @@ def test_curvature_bits_do_not_depend_on_the_christoffel_product_order(name, ord
     scalar = _curvature_at_christoffel_order(nested)
     for i, j, k, l in product(range(G.n), repeat=4):
         _expect(scalar[i][j][k][l], R[i, j, k, l, :, 0], space.size)
+
+
+# -- live rows -----------------------------------------------------------------
+
+
+def _sparse(rng, lead, space, P):
+    """A coefficient array with whole rows of +0.0 and of -0.0, and -0.0
+    entries scattered among the rest."""
+    S = 1 if space is None else space.size
+    x = rng.uniform(-1, 1, lead + (S, P))
+    rows = x.reshape(-1, S * P)
+    rows[rng.random(len(rows)) < 0.4] = 0.0
+    rows[rng.random(len(rows)) < 0.2] = -0.0
+    x[rng.random(x.shape) < 0.2] = -0.0
+    return x
+
+
+def _products(n):
+    """(name, product, a's leading shape, b's leading shape)."""
+    rk, rp = math.comb(n, 2), math.comb(n, 1)
+    return [
+        ("wedge", alt._wedge(n, 1, 2, False), (rp,), (rk,)),
+        ("wedge_sv", alt._wedge(n, 1, 1, True), (rp,), (n, rp)),
+        ("interior", alt._interior(n, 1, 2), (n, rp), (rk,)),
+        ("raise_first", alt._raise_first(n, (rk,)), (n, n), (n, rk)),
+        ("matmul", alt._matmul(n), (n, n), (n, n)),
+    ]
+
+
+def _both(monkeypatch, prod, sa, a, sb, b):
+    """The product through the full table and through the pruned one, with
+    the terms each kernel call multiplied."""
+    kernel = jets.mul_coeffs
+    out = []
+    for at in (math.inf, 0):
+        terms = []
+        monkeypatch.setattr(alt, "PRUNE_AT", at)
+        monkeypatch.setattr(jets, "mul_coeffs", lambda *args: terms.append(len(args[2])) or kernel(*args))
+        out.append(prod(sa, a, sb, b) + (terms,))
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("P", [1, 7])
+@pytest.mark.parametrize("orders", [(2, 2), (3, 1), (None, 2), (2, None)])
+def test_pruned_products_keep_every_bit(monkeypatch, P, orders):
+    rng = np.random.default_rng(P * 10 + (orders[0] or 0))
+    n = 4
+    sa, sb = (None if o is None else jet_space(n, o) for o in orders)
+    for name, prod, lead_a, lead_b in _products(n):
+        a, b = _sparse(rng, lead_a, sa, P), _sparse(rng, lead_b, sb, P)
+        (sp, full, full_terms), (sp2, pruned, pruned_terms) = _both(monkeypatch, prod, sa, a, sb, b)
+        assert sp2 is sp and pruned.dtype == full.dtype == np.float64, name
+        assert np.array_equal(pruned.view(np.uint64), full.view(np.uint64)), name
+        # one kernel call each, and the pruned one skips terms
+        assert len(full_terms) == len(pruned_terms) == 1, name
+        assert pruned_terms[0] < full_terms[0], name
+
+
+def test_a_zero_row_against_an_infinite_row_is_still_nan(monkeypatch):
+    sp = jet_space(2, 1)
+    a = np.ones((2, 2, sp.size, 1))
+    a[0, 0] = 0.0
+    b = np.ones((2, 2, sp.size, 1))
+    b[0, 0, 0] = math.inf
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        (_, full, _), (_, pruned, _) = _both(monkeypatch, alt._matmul(2), sp, a, sp, b)
+    assert np.isnan(full[0, 0, 0, 0]) and np.isnan(pruned[0, 0, 0, 0])
+    assert np.array_equal(np.isnan(pruned), np.isnan(full))
+    assert np.array_equal(pruned[~np.isnan(pruned)], full[~np.isnan(full)])
+
+
+@pytest.mark.parametrize("P", [1, 7])
+def test_a_fully_pruned_product_is_float_zeros(monkeypatch, P):
+    sp = jet_space(3, 2)
+    a = np.zeros((3, 3, sp.size, P))
+    a[1, 2, 0] = -0.0
+    b = np.ones((3, 3, sp.size, P))
+    (_, full, _), (_, pruned, terms) = _both(monkeypatch, alt._matmul(3), sp, a, sp, b)
+    assert terms == [0]
+    assert pruned.dtype == np.float64 and pruned.shape == full.shape == (3, 3, sp.size, P)
+    assert not pruned.view(np.uint64).any() and not full.view(np.uint64).any()
+
+
+def test_the_kernel_of_no_terms_returns_floats():
+    none = np.zeros(0, dtype=np.int64)
+    for a in (np.ones(2), np.ones((2, 3))):
+        out = jets.mul_coeffs(a, a, none, none, none, 4)
+        assert out.dtype == np.float64 and not out.any()
+
+
+def test_the_live_row_patterns_of_a_product_are_bounded(monkeypatch):
+    monkeypatch.setattr(alt, "PRUNE_AT", 0)
+    rng = np.random.default_rng(5)
+    n, sp = 3, jet_space(3, 1)
+    prod = alt._Product([(1, a, b, (a + b) % n) for a in range(n) for b in range(n)], n, (n,))
+    for _ in range(1000):
+        a, b = _sparse(rng, (n,), sp, 1), _sparse(rng, (n,), sp, 1)
+        prod(sp, a, sp, b)
+    assert 1 < len(prod._tables[sp, sp].pruned) <= alt.PATTERNS
+    assert prod._tables[sp, sp].full is None

@@ -1,5 +1,6 @@
 """Identity verifier: random fields, check execution, reports, suites."""
 
+import dataclasses
 import math
 
 import pytest
@@ -224,3 +225,18 @@ class TestSuites:
         good = run_check(make_check())
         bad = run_check(make_check(id="t", lhs="om", rhs=_zero_rhs(1)))
         assert all_pass([good]) and not all_pass([good, bad])
+
+
+def test_a_check_that_refuses_a_batch_evaluates_each_point_alone():
+    checks = [c for c in build_checks("fn-decompose-roundtrip", seed=42)
+              if c.geometry == "euclidean(3)"]
+    assert checks and not any(c.batched for c in checks)
+    E3._ctx_cache.clear()
+    reports = [run_check(c) for c in checks]
+    assert {len(points) for points, _ in E3._ctx_cache} == {1}
+    # the batch it would refuse gives the same reports
+    batched = [run_check(dataclasses.replace(c, batched=True)) for c in checks]
+    assert len({len(points) for points, _ in E3._ctx_cache}) == 2
+    for r in reports + batched:
+        r.pop("wall_time_s")
+    assert repr(reports) == repr(batched)
