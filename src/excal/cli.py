@@ -87,6 +87,22 @@ def _print_value(val, out):
     out.writelines(lines)
 
 
+def _where(points):
+    """The line under a failing check: its worst point and, where the sides
+    differ there, the slot, component and basis key of the largest error."""
+    rec = max(points, key=lambda rec: rec["abs_err"])
+    if "error" in rec:
+        detail = rec["error"]
+    elif "worst" in rec:
+        w = rec["worst"]
+        names = [f"{label} {w[label]}" for label in ("slot", "component") if w[label] is not None]
+        names.append(f"basis key {tuple(w['key'])}")
+        detail = f"{', '.join(names)}: lhs {w['lhs']:.17g}, rhs {w['rhs']:.17g}"
+    else:
+        return ""
+    return f"      at p={rec['p']}: {detail}\n"
+
+
 def _report_lines(reports, out):
     for r in reports:
         status = "PASS" if r["pass"] else "FAIL"
@@ -96,6 +112,8 @@ def _report_lines(reports, out):
             f"{status:5s} {r['check']}  max_abs_err={r['max_abs_err']:.3e}  "
             f"max_rel_err={r['max_rel_err']:.3e}\n"
         )
+        if not r["pass"]:
+            out.write(_where(r["points"]))
     n_pass = sum(1 for r in reports if r["pass"])
     out.write(f"{n_pass}/{len(reports)} checks passed\n")
 

@@ -20,38 +20,72 @@ def alt_errors(lhs, rhs):
     """(max_abs_err, scale) between two AltValue/VecAltValue operands or
     parallel lists of them, over every point they hold; raises
     NonFiniteValue on a NaN or infinity."""
-    return _errors(lhs, rhs, ())
+    err = scale = 0.0
+    for slot, lv, rv in _leaves(lhs, rhs, ()):
+        a, b = _values(lv, rv)
+        finite = np.isfinite(a) & np.isfinite(b)
+        if not finite.all():
+            at = tuple(int(i) for i in np.argwhere(~finite)[0])
+            names = tuple(f"slot {i}" for i in slot)
+            if len(at) == 3:
+                names += (f"component {at[0]}",)
+            names += (f"basis key {_basis(lv.n, lv.k)[at[-2]]}",)
+            raise NonFiniteValue(
+                f"non-finite value at {', '.join(names)}: lhs {float(a[at])!r}, rhs {float(b[at])!r}"
+            )
+        err = max(err, float(np.abs(a - b).max(initial=0.0)))
+        scale = max(scale, float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))))
+    return err, scale
 
 
-def _errors(lhs, rhs, where):
+def worst(lhs, rhs):
+    """Where two values that alt_errors passed differ most, for the record of
+    a failing point: {"slot", "component", "key", "lhs", "rhs"}, with slot
+    the index in a list side (a list of them, outside in, for nested lists)
+    and component the tangent component, each None where the values have
+    none; None when they hold no coefficient.  Like alt_errors it reads the
+    value row only, and the first of equal errors wins."""
+    best = None
+    for slot, lv, rv in _leaves(lhs, rhs, ()):
+        a, b = _values(lv, rv)
+        if a.size == 0:
+            continue
+        diff = np.abs(a - b)
+        at = np.unravel_index(int(diff.argmax()), diff.shape)
+        if best is None or diff[at] > best[0]:
+            best = (diff[at], slot, at, _basis(lv.n, lv.k)[at[-2]], a[at], b[at])
+    if best is None:
+        return None
+    _, slot, at, key, a, b = best
+    return {
+        "slot": slot[0] if len(slot) == 1 else list(slot) or None,
+        "component": int(at[0]) if len(at) == 3 else None,
+        "key": list(key),
+        "lhs": float(a),
+        "rhs": float(b),
+    }
+
+
+def _leaves(lhs, rhs, slot):
+    """(slot, lhs, rhs) per pair of values in two parallel, maybe nested,
+    lists, slot the tuple of list indices, outside in; ((), lhs, rhs) for
+    two values."""
     if isinstance(lhs, (list, tuple)) or isinstance(rhs, (list, tuple)):
-        return _fold(zip(lhs, rhs), "slot", where)
+        for i, (a, b) in enumerate(zip(lhs, rhs)):
+            yield from _leaves(a, b, slot + (i,))
+    else:
+        yield slot, lhs, rhs
+
+
+def _values(lhs, rhs):
+    """The value rows of two values of one kind and degree, (..., rows, P),
+    broadcast to one shape."""
     if lhs.n != rhs.n or lhs.k != rhs.k or type(lhs) is not type(rhs):
         raise DegreeError(f"compared values differ in kind or degree: {lhs!r} vs {rhs!r}")
     a, b = lhs.c[..., 0, :], rhs.c[..., 0, :]
     if a.shape != b.shape:  # a value of one point against one of several
         a, b = np.broadcast_arrays(a, b)
-    finite = np.isfinite(a) & np.isfinite(b)
-    if not finite.all():
-        at = tuple(int(i) for i in np.argwhere(~finite)[0])
-        names = (f"basis key {_basis(lhs.n, lhs.k)[at[-2]]}",)
-        if len(at) == 3:
-            names = (f"component {at[0]}",) + names
-        raise NonFiniteValue(
-            f"non-finite value at {', '.join(where + names)}: lhs {float(a[at])!r}, rhs {float(b[at])!r}"
-        )
-    err = float(np.abs(a - b).max(initial=0.0))
-    scale = float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)))
-    return err, scale
-
-
-def _fold(pairs, label, where):
-    err = scale = 0.0
-    for i, (a, b) in enumerate(pairs):
-        e, s = _errors(a, b, where + (f"{label} {i}",))
-        err = max(err, e)
-        scale = max(scale, s)
-    return err, scale
+    return a, b
 
 
 def exceeds(err, scale, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL):

@@ -21,7 +21,7 @@ import numpy as np
 from . import catalog, opexpr
 from .alt import (AltValue, VecAltValue, _alt, _raise_first, _vec, flat, interior, trace,
                   wedge, wedge_sv)
-from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, exceeds
+from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, exceeds, worst
 from .errors import ConfigError, DegreeError, UnknownSuite
 from .geometry import FormField, Geometry, VecFormField, sample_points
 from .operators import (
@@ -142,7 +142,8 @@ def run_check(check):
     When that evaluation raises, each point is evaluated alone, so an
     error is recorded as a failing point, at the point where it happens,
     and never aborts the check.  A check made with batched=False evaluates
-    each point alone from the start."""
+    each point alone from the start.  A point outside tolerance records
+    where its sides differ most (compare.worst) as "worst"."""
     t0 = time.perf_counter()
     G, _ = _resolve_pair(check.geometry)
     point_seed = derive_seed(check.seed, "points", G.name)
@@ -174,6 +175,9 @@ def run_check(check):
             rec = {"p": list(p), "abs_err": abs_err, "rel_err": rel_err}
             if exceeds(abs_err, scale, check.atol, check.rtol):
                 ok = False
+                at = worst(_at_point(lhs, j), _at_point(rhs, j))
+                if at is not None:
+                    rec["worst"] = at
         except Exception as exc:  # recorded, not raised
             abs_err = rel_err = float("1e308")
             rec = {
@@ -293,7 +297,10 @@ def _const_form(G, k, coeffs):
 # A suite builder takes the check factory `mk` (IdentityCheck with the run's
 # seed and tolerances bound) and the run seed, and returns the suite's checks.
 # Every check that departs from the factory's defaults says so where it is
-# built.
+# built.  A check compares the value rows of its sides only, so it runs at
+# the lowest jet order at which its sides are defined: the factory's 1 for
+# first-order identities, 0 for pointwise algebra, and 2 where a side takes
+# two derivatives (d d, delta delta, d_nabla d_nabla, fn_decompose).
 
 GEOMS_ALL = [
     "euclidean(3)",
@@ -408,7 +415,8 @@ def _s_dsquared(check, seed, G, gname):
     def lhs(ctx):
         return [ext_d(ctx, ext_d(ctx, b)) for b in _beta_values(betas, ctx)]
 
-    yield check(f"dsquared/{gname}", lhs, _zero_rhs(G.n, [q + 2 for q in betas]))
+    yield check(f"dsquared/{gname}", lhs, _zero_rhs(G.n, [q + 2 for q in betas]),
+                jet_order=2)
 
 
 @_per_geometry(GEOMS_ALL)
@@ -418,7 +426,8 @@ def _s_deltasquared(check, seed, G, gname):
     def lhs(ctx):
         return [codiff(ctx, codiff(ctx, b)) for b in _beta_values(betas, ctx)]
 
-    yield check(f"deltasquared/{gname}", lhs, _zero_rhs(G.n, [q - 2 for q in betas]))
+    yield check(f"deltasquared/{gname}", lhs, _zero_rhs(G.n, [q - 2 for q in betas]),
+                jet_order=2)
 
 
 def _frame_codiff(ctx, w, frame):
@@ -465,7 +474,7 @@ def _s_curvature_dnabla2(check, seed, G, gname):
         def rhs(ctx, ph=ph):
             return curvature_shuffle(ctx, ph.at(ctx))
 
-        yield check(f"curvature-dnabla2/{gname}/p{p}", lhs, rhs)
+        yield check(f"curvature-dnabla2/{gname}/p{p}", lhs, rhs, jet_order=2)
 
 
 @_per_geometry(GEOMS_ALL)
@@ -655,7 +664,7 @@ def _s_fn_decompose(check, seed, G, gname):
 
         yield check(
             f"fn-decompose-roundtrip/{gname}/pair{i}", lhs, rhs, n_points=2, rtol=0.0,
-            batched=False,
+            batched=False, jet_order=2,
         )
 
 
@@ -759,8 +768,8 @@ def _s_lck_constants(check, seed, G, gname):
     sides = [
         ("trace-eta-id", lhs_tr_eta, rhs_tr_eta, 0),
         ("trace-theta-J", lhs_tr_theta, rhs_tr_theta, 0),
-        ("delta-Omega", lhs_delta, rhs_delta, 2),
-        ("Omega-diamond", lhs_diamond, rhs_diamond, 2),
+        ("delta-Omega", lhs_delta, rhs_delta, 1),
+        ("Omega-diamond", lhs_diamond, rhs_diamond, 1),
     ]
     for label, lhs, rhs, order in sides:
         yield check(f"lck-constants/{gname}/{label}", lhs, rhs, jet_order=order)
@@ -944,7 +953,7 @@ def build_checks(names="all", seed=DEFAULT_SEED, atol=DEFAULT_ATOL, rtol=DEFAULT
     for name in names:
         if name not in SUITES:
             raise UnknownSuite(f"unknown suite {name!r}")
-    mk = partial(IdentityCheck, seed=seed, atol=atol, rtol=rtol)
+    mk = partial(IdentityCheck, seed=seed, atol=atol, rtol=rtol, jet_order=1)
     for name in names:
         build = SUITES[name]
         yield from build(mk, seed) if geoms is None else build(mk, seed, geoms)

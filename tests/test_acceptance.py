@@ -248,9 +248,9 @@ FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
 
 # sha256 of each seed-42 JSON report with its wall_time_s lines removed
 SEEDED_DIGESTS = {
-    "--builtin all": "a0affff287f88370ad54da6d174b213a2e33a0fc72e7fb18e6bef8cbd49a7bdd",
-    "hopf_lck.json": "21107d4c2e704fecdb2406d50138eb10139f6f4b2ff29f455730aacbc1c7b880",
-    "sasakian_s3.json": "fc0976db5d9c1cfafa736e1df2af77e7accb283b37f3f9f2c5dc97f6f0e88e27",
+    "--builtin all": "8ad19094776ee9de5809f4934cb1178d907e1cb7c90e0263ed6b5552c4ba2a6b",
+    "hopf_lck.json": "929ecd6d27c77b7b2cbbb7c14e61c1dffad53cb466617f0a601deb7c611532ab",
+    "sasakian_s3.json": "4683e8492d486a8134f936ddde26f8157f345d36f7d753033dc920856f6d76d4",
 }
 
 

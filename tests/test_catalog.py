@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from excal.alt import AltValue, VecAltValue, _alt, interior
+from excal import catalog
 from excal.catalog import (FAMILIES, VALIDATION_POINTS, VALIDATION_SEED, CatalogEntry,
                            builtin)
 from excal.compare import within
-from excal.errors import UnknownEntry, ValidationFailed
+from excal.errors import JetBudgetExhausted, UnknownEntry, ValidationFailed
 from excal.geometry import sample_points
 from excal.operators import endo_compose, value_of
 
@@ -172,3 +173,13 @@ def test_a_validation_failure_names_its_point():
     broken = CatalogEntry("broken", entry.geometry, [("off", off_at_point_5)])
     with pytest.raises(ValidationFailed, match=re.escape(f"at {pts[5]}")):
         broken.validate()
+
+
+def test_validation_needs_its_order(monkeypatch):
+    # the validation bodies read first derivatives: order 1 is enough for
+    # every entry, and a point-dependent entry cannot validate at order 0
+    assert catalog.VALIDATION_ORDER == 1
+    entry = builtin("hopf_lck")
+    monkeypatch.setattr(catalog, "VALIDATION_ORDER", 0)
+    with pytest.raises(JetBudgetExhausted):
+        entry.validate()

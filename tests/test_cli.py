@@ -139,6 +139,35 @@ def test_check_failing_suite_exits_one(capsys, tmp_path):
     assert ("FAIL" in out) == (code == 1)
 
 
+def test_a_failing_check_says_where_in_the_text_report():
+    from excal.alt import AltValue
+    from excal.cli import _report_lines
+    from excal.verifier import IdentityCheck, run_check
+
+    def side(value):
+        return lambda ctx: [AltValue(2, 0), AltValue(2, 1, {(1,): value})]
+
+    def boom(ctx):
+        raise RuntimeError("synthetic failure")
+
+    base = dict(geometry="euclidean(2)", points=[(0.5, 0.25)], jet_order=0)
+    reports = [
+        run_check(IdentityCheck("t/differs", lhs=side(1.5), rhs=side(1.0), **base)),
+        run_check(IdentityCheck("t/raises", lhs=boom, rhs=side(1.0), **base)),
+        run_check(IdentityCheck("t/holds", lhs=side(1.0), rhs=side(1.0), **base)),
+    ]
+    out = io.StringIO()
+    _report_lines(reports, out)
+    assert out.getvalue().splitlines() == [
+        "FAIL  t/differs  max_abs_err=5.000e-01  max_rel_err=3.333e-01",
+        "      at p=[0.5, 0.25]: slot 1, basis key (1,): lhs 1.5, rhs 1",
+        "FAIL  t/raises  max_abs_err=1.000e+308  max_rel_err=1.000e+308",
+        "      at p=[0.5, 0.25]: RuntimeError: synthetic failure",
+        "PASS  t/holds  max_abs_err=0.000e+00  max_rel_err=0.000e+00",
+        "1/3 checks passed",
+    ]
+
+
 def test_check_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, "check")
     assert code == 2 and "config path or --builtin" in err

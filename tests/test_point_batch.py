@@ -161,11 +161,14 @@ def test_one_failing_point_fails_alone():
         inputs={"f": f}, points=[(0.5, 0.25), (-0.4, 0.2), (0.8, -0.6)],
     )
     # d(log x1) = dx1 / x1 at the other two, as when each point ran alone
+    def worst(lhs):
+        return {"slot": None, "component": None, "key": [0], "lhs": lhs, "rhs": 0.0}
+
     assert run_check(check)["points"] == [
-        {"p": [0.5, 0.25], "abs_err": 2.0, "rel_err": 1.0},
+        {"p": [0.5, 0.25], "abs_err": 2.0, "rel_err": 1.0, "worst": worst(2.0)},
         {"p": [-0.4, 0.2], "abs_err": 1e308, "rel_err": 1e308,
          "error": "DomainError: log undefined at value -0.4"},
-        {"p": [0.8, -0.6], "abs_err": 1.25, "rel_err": 1.0},
+        {"p": [0.8, -0.6], "abs_err": 1.25, "rel_err": 1.0, "worst": worst(1.25)},
     ]
 
 

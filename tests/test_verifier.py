@@ -5,10 +5,11 @@ import math
 
 import pytest
 
-from excal.alt import AltValue
+from excal.alt import AltValue, VecAltValue, _alt
 from excal.catalog import builtin
-from excal.errors import ConfigError, DegreeError, UnknownSuite
-from excal.geometry import load_config, emit_config
+from excal.compare import alt_errors, worst
+from excal.errors import ConfigError, DegreeError, JetBudgetExhausted, UnknownSuite
+from excal.geometry import load_config, emit_config, sample_points
 from excal.verifier import (
     DEFAULT_POINTS,
     REPORT_VERSION,
@@ -19,6 +20,8 @@ from excal.verifier import (
     inline_checks,
     random_form,
     random_vec_form,
+    _resolve_pair,
+    _sides,
     run_check,
     suite,
 )
@@ -117,6 +120,16 @@ class TestRunCheck:
         report = run_check(make_check(id="test/fails", lhs="om", rhs=_zero_rhs(1)))
         assert report["pass"] is False
         assert report["max_abs_err"] > 1e-3
+        # each failing point says where its sides differ most
+        for rec in report["points"]:
+            w = rec["worst"]
+            assert (w["slot"], w["component"], w["rhs"]) == (None, None, 0.0)
+            assert tuple(w["key"]) in ((0,), (1,))
+            assert abs(w["lhs"]) == rec["abs_err"]
+
+    def test_passing_points_record_no_worst(self):
+        report = run_check(make_check())
+        assert all(set(rec) == {"p", "abs_err", "rel_err"} for rec in report["points"])
 
     def test_nan_tolerance_fails_closed(self):
         # err > nan is false for every err, so the bound must not pass a residual
@@ -209,10 +222,18 @@ class TestSuites:
         ]
         for c in by_suite["fn-decompose-roundtrip"]:
             assert (c.n_points, c.rtol) == (2, 0.0)
-        for name in ("fn-contraction", "omegaiphi"):
-            assert {c.jet_order for c in by_suite[name]} == {0}
-        orders = [c.jet_order for c in by_suite["lck-constants"]]
-        assert orders == [0, 0, 2, 2]
+        # each family runs at the lowest jet order its sides are defined at
+        second_order = {"dsquared", "deltasquared", "curvature-dnabla2",
+                        "fn-decompose-roundtrip"}
+        for name, family in by_suite.items():
+            orders = [c.jet_order for c in family]
+            if name in ("fn-contraction", "omegaiphi"):
+                assert set(orders) == {0}, name
+            elif name == "lck-constants":
+                assert orders == [0, 0, 1, 1]
+            else:
+                assert set(orders) == {2 if name in second_order else 1}, name
+        assert [sum(c.jet_order == k for c in checks) for k in range(3)] == [38, 155, 36]
         assert all(c.inputs == {} for c in checks)
 
     def test_inline_checks_on_config_geometry(self):
@@ -240,3 +261,51 @@ def test_a_check_that_refuses_a_batch_evaluates_each_point_alone():
     for r in reports + batched:
         r.pop("wall_time_s")
     assert repr(reports) == repr(batched)
+
+
+def test_every_built_in_order_is_minimal_and_enough():
+    # one point per check: its sides are defined at its jet order and not
+    # one order below
+    for c in build_checks():
+        if c.jet_order == 0:
+            continue
+        G, _ = _resolve_pair(c.geometry)
+        p = sample_points(G, 1, 7)
+        _sides(c, G, p, dict(c.inputs))
+        with pytest.raises(JetBudgetExhausted):
+            _sides(dataclasses.replace(c, jet_order=c.jet_order - 1), G, p, dict(c.inputs))
+
+
+def test_comparison_reads_the_value_row_only():
+    # values equal at the point and different past it compare equal, which
+    # is why a check needs no order beyond the one its sides are defined at
+    a = random_form(E2, 1, 42).at(E2.context((0.1, 0.2), 2))
+    b = _alt(a.n, a.k, a.space, a.c.copy())
+    b.c[:, 1:, :] += 1.0
+    assert alt_errors(a, b)[0] == 0.0
+    w = worst(a, b)
+    assert w["lhs"] == w["rhs"]
+
+
+@pytest.mark.parametrize("cid", ["main-lie/hopf_lck/p1", "main-covariant/sasakian_s3/p1"])
+def test_a_higher_order_gives_the_same_verdict(cid):
+    family = cid.split("/")[0]
+    (c,) = [c for c in build_checks(family, seed=42) if c.id == cid]
+    low = run_check(c)
+    high = run_check(dataclasses.replace(c, jet_order=2))
+    assert (low["jet_order"], high["jet_order"]) == (1, 2)
+    assert low["pass"] is high["pass"] is True
+    assert abs(low["max_abs_err"] - high["max_abs_err"]) <= 1e-12
+
+
+def test_worst_names_the_slot_component_and_key():
+    def vec(*comps):
+        return VecAltValue(3, 1, [AltValue(3, 1, c) for c in comps])
+
+    lhs = [AltValue(3, 1, {(0,): 1.0}), VecAltValue.identity(3)]
+    rhs = [AltValue(3, 1, {(0,): 1.25}),
+           vec({(0,): 1.0}, {(1,): 1.0}, {(1,): -0.5, (2,): 1.0})]
+    assert worst(lhs, rhs) == {"slot": 1, "component": 2, "key": [1], "lhs": 0.0, "rhs": -0.5}
+    assert worst(lhs[0], rhs[0]) == {"slot": None, "component": None, "key": [0],
+                                     "lhs": 1.0, "rhs": 1.25}
+    assert worst(AltValue.zero(3, 4), AltValue.zero(3, 4)) is None
