@@ -13,7 +13,6 @@ from .catalog import CatalogEntry, builtin
 from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, within
 from .errors import (
     ArityError,
-    BatchRefused,
     ConfigError,
     DegreeError,
     DivisionByZeroAtPoint,
@@ -164,7 +163,6 @@ __all__ = [
     "ExprSyntaxError",
     "UnknownIdentifier",
     "ArityError",
-    "BatchRefused",
     "DegreeError",
     "PointExcluded",
     "SingularMetric",

@@ -10,7 +10,7 @@ comparison raises NonFiniteValue, naming where it sits.
 import numpy as np
 
 from .alt import AltValue, VecAltValue, _basis
-from .errors import DegreeError, NonFiniteValue
+from .errors import DegreeError, NonFiniteValue, ShapeMismatch
 
 DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-8
@@ -20,6 +20,35 @@ def alt_errors(lhs, rhs):
     """(max_abs_err, scale) between two AltValue/VecAltValue operands or
     parallel lists of them, over every point they hold; raises
     NonFiniteValue on a NaN or infinity."""
+    return _errors(lhs, rhs)
+
+
+def _first_failure(pairs, points, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL):
+    """(point, err) at the first point where a pair (lhs, rhs) in pairs is
+    outside tolerance, each point alone as alt_errors compares it, else None;
+    a NonFiniteValue names its point.  It is how an evaluation checks its own
+    values (catalog entries, fn_decompose), apart from a report's alt_errors."""
+    for i, p in enumerate(points):
+        for lhs, rhs in pairs:
+            try:
+                err, scale = _errors(_at_point(lhs, i), _at_point(rhs, i))
+            except NonFiniteValue as exc:
+                raise NonFiniteValue(f"{exc} at {p}") from None
+            if exceeds(err, scale, atol, rtol):
+                return p, err
+    return None
+
+
+def _at_point(value, i):
+    """The one-point value, or list of them, of a value at point i."""
+    if isinstance(value, (list, tuple)):
+        return [_at_point(v, i) for v in value]
+    return value.point(i)
+
+
+def _errors(lhs, rhs):
+    """The body of alt_errors; _first_failure calls it directly, so that an
+    evaluation's own checks are not alt_errors calls."""
     err = scale = 0.0
     for slot, lv, rv in _leaves(lhs, rhs, ()):
         a, b = _values(lv, rv)
@@ -69,8 +98,15 @@ def worst(lhs, rhs):
 def _leaves(lhs, rhs, slot):
     """(slot, lhs, rhs) per pair of values in two parallel, maybe nested,
     lists, slot the tuple of list indices, outside in; ((), lhs, rhs) for
-    two values."""
-    if isinstance(lhs, (list, tuple)) or isinstance(rhs, (list, tuple)):
+    two values.  Lists of unequal length, or a list against a value, are a
+    ShapeMismatch naming the slot."""
+    lists = isinstance(lhs, (list, tuple)), isinstance(rhs, (list, tuple))
+    if lists[0] or lists[1]:
+        if not (lists[0] and lists[1]) or len(lhs) != len(rhs):
+            where = ", ".join(f"slot {i}" for i in slot) or "the top level"
+            sides = [f"a list of {len(v)}" if is_list else "a value"
+                     for v, is_list in zip((lhs, rhs), lists)]
+            raise ShapeMismatch(f"compared sides differ at {where}: lhs {sides[0]}, rhs {sides[1]}")
         for i, (a, b) in enumerate(zip(lhs, rhs)):
             yield from _leaves(a, b, slot + (i,))
     else:

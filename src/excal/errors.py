@@ -6,7 +6,8 @@ class ExcalError(Exception):
 
 
 class ShapeMismatch(ExcalError):
-    """Jet operands disagree on the number of variables."""
+    """Operands disagree in shape: jets in their number of variables, values
+    in their number of points, compared sides in their list slots."""
 
 
 class OrderExceeded(ExcalError):
@@ -77,10 +78,6 @@ class NotADerivation(ExcalError):
 
 class ReconstructionMismatch(ExcalError):
     """fn_decompose output fails to reproduce the input operator."""
-
-
-class BatchRefused(ExcalError):
-    """An evaluation that reads one point at a time got a context of several."""
 
 
 class NonFiniteValue(ExcalError):

@@ -237,7 +237,8 @@ class Geometry:
         for x, (lo, hi) in zip(p, self.domain):
             if not lo <= x <= hi:
                 return False
-        if self.exclude is not None and sexpr.eval_value(self.exclude, p) <= 0:
+        # not > 0, so that a NaN exclusion value excludes the point
+        if self.exclude is not None and not sexpr.eval_value(self.exclude, p) > 0:
             return False
         return True
 

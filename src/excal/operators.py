@@ -52,8 +52,8 @@ from .alt import (
     sharp,
     wedge,
 )
-from .compare import alt_errors, exceeds
-from .errors import BatchRefused, DegreeError, NotADerivation, ReconstructionMismatch
+from .compare import _first_failure
+from .errors import DegreeError, NotADerivation, ReconstructionMismatch
 from .prng import SplitMix64, derive_seed
 
 
@@ -312,12 +312,7 @@ def graded_comm(ctx, A, B, w, anti=False):
 
 def _coord_fn(ctx, c):
     x = ctx.coords[c]
-    return _alt(ctx.geometry.n, 0, x.space, x.c[None, :, None])
-
-
-def _coord_one_form(ctx, c):
-    n = ctx.geometry.n
-    return AltValue(n, 1, {(c,): 1.0})
+    return _alt(ctx.geometry.n, 0, x.space, x.c.reshape(1, x.space.size, -1))
 
 
 def _test_form(ctx, degree, seed):
@@ -325,12 +320,12 @@ def _test_form(ctx, degree, seed):
     n = ctx.geometry.n
     rng = SplitMix64(derive_seed(seed, n, degree, "fn-test"))
     sp = ctx.coords[0].space
-    c = np.zeros((len(_basis(n, degree)), sp.size))
+    c = np.zeros((len(_basis(n, degree)), sp.size, len(ctx.points)))
     for row in c:
         row[0] = rng.uniform(-1.0, 1.0)
         for x in ctx.coords:
-            row += rng.uniform(-1.0, 1.0) * x.c
-    return _alt(n, degree, sp, c[..., None])
+            row += rng.uniform(-1.0, 1.0) * x.c.reshape(sp.size, -1)
+    return _alt(n, degree, sp, c)
 
 
 FN_REL_TOL = 1e-8  # relative tolerance of both validation passes
@@ -338,19 +333,15 @@ FN_TEST_SEED = 12345  # seed of the validation test forms
 
 
 def fn_decompose(ctx, D):
-    """Split a degree-p derivation into D = L_phi + i_psi.
+    """Split a degree-p derivation into D = L_phi + i_psi at every point of ctx.
 
     phi is read off from D on coordinate functions, psi from the residue of
     D on coordinate 1-forms.  Validates the Leibniz property on sampled
     products (NotADerivation) and the reconstruction on a randomized form
-    (ReconstructionMismatch), both by value to relative tolerance
-    FN_REL_TOL; a non-finite value raises NonFiniteValue.  It reads one
-    point's coordinate jets and compares values itself, so a context of
-    several points is refused with BatchRefused: its caller evaluates each
-    point alone.
+    (ReconstructionMismatch), both by value at each point alone to relative
+    tolerance FN_REL_TOL, naming the first point that fails; a non-finite
+    value raises NonFiniteValue.
     """
-    if len(ctx.points) > 1:
-        raise BatchRefused("fn_decompose evaluates one point at a time")
     n = ctx.geometry.n
     p = D.degree
 
@@ -359,26 +350,25 @@ def fn_decompose(ctx, D):
     beta = _test_form(ctx, 1, derive_seed(FN_TEST_SEED, 1))
     lhs = D(ctx, wedge(alpha, beta))
     rhs = wedge(D(ctx, alpha), beta) + wedge(alpha, D(ctx, beta))
-    err, scale = alt_errors(lhs, rhs)
-    if exceeds(err, scale, 0.0, FN_REL_TOL):
-        raise NotADerivation(f"operator {D.name!r} fails the Leibniz property (err {err})")
+    failed = _first_failure([(lhs, rhs)], ctx.points, 0.0, FN_REL_TOL)
+    if failed:
+        at, err = failed
+        raise NotADerivation(f"operator {D.name!r} fails the Leibniz property at {at} (err {err})")
 
     phi = VecAltValue(n, p, [D(ctx, _coord_fn(ctx, c)) for c in range(n)])
-    psi_comps = []
-    for c in range(n):
-        resid = D(ctx, _coord_one_form(ctx, c)) - lie_vec(ctx, phi, _coord_one_form(ctx, c))
-        psi_comps.append(resid)
-    psi = VecAltValue(n, p + 1, psi_comps)
+    dx = [AltValue(n, 1, {(c,): 1.0}) for c in range(n)]
+    psi = VecAltValue(n, p + 1, [D(ctx, w) - lie_vec(ctx, phi, w) for w in dx])
 
     # reconstruction check on a randomized degree-2 form
     if n >= 2:
         test = _test_form(ctx, 2, derive_seed(FN_TEST_SEED, 2))
         got = D(ctx, test)
         want = lie_vec(ctx, phi, test) + interior(psi, test)
-        err, scale = alt_errors(got, want)
-        if exceeds(err, scale, 0.0, FN_REL_TOL):
+        failed = _first_failure([(got, want)], ctx.points, 0.0, FN_REL_TOL)
+        if failed:
+            at, err = failed
             raise ReconstructionMismatch(
-                f"decomposition of {D.name!r} fails to reconstruct it (err {err})"
+                f"decomposition of {D.name!r} fails to reconstruct it at {at} (err {err})"
             )
     return phi, psi
 

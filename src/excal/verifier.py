@@ -21,7 +21,7 @@ import numpy as np
 from . import catalog, opexpr
 from .alt import (AltValue, VecAltValue, _alt, _raise_first, _vec, flat, interior, trace,
                   wedge, wedge_sv)
-from .compare import DEFAULT_ATOL, DEFAULT_RTOL, alt_errors, exceeds, worst
+from .compare import DEFAULT_ATOL, DEFAULT_RTOL, _at_point, alt_errors, exceeds, worst
 from .errors import ConfigError, DegreeError, UnknownSuite
 from .geometry import FormField, Geometry, VecFormField, sample_points
 from .operators import (
@@ -100,7 +100,6 @@ class IdentityCheck:
     rtol: float = DEFAULT_RTOL
     jet_order: int = 2
     expected_fail: bool = False
-    batched: bool = True  # False: a side refuses several points (BatchRefused)
 
 
 def _side(side, ctx, env):
@@ -126,13 +125,6 @@ def _sides(check, G, points, env):
         return _side(check.lhs, ctx, env), _side(check.rhs, ctx, env)
 
 
-def _at_point(value, i):
-    """The one-point value, or list of them, of a side at point i."""
-    if isinstance(value, (list, tuple)):
-        return [_at_point(v, i) for v in value]
-    return value.point(i)
-
-
 def run_check(check):
     """Evaluate one identity check at its sampled points.
 
@@ -141,9 +133,8 @@ def run_check(check):
     alt_errors sees each point's own value of each side, in point order.
     When that evaluation raises, each point is evaluated alone, so an
     error is recorded as a failing point, at the point where it happens,
-    and never aborts the check.  A check made with batched=False evaluates
-    each point alone from the start.  A point outside tolerance records
-    where its sides differ most (compare.worst) as "worst"."""
+    and never aborts the check.  A point outside tolerance records where its
+    sides differ most (compare.worst) as "worst"."""
     t0 = time.perf_counter()
     G, _ = _resolve_pair(check.geometry)
     point_seed = derive_seed(check.seed, "points", G.name)
@@ -154,22 +145,17 @@ def run_check(check):
         raise ConfigError(f"check {check.id!r} has an empty point list")
 
     env = dict(check.inputs)
-    batch = None
-    if check.batched:
-        try:
-            batch = _sides(check, G, points, env)
-        except Exception:  # each point alone below finds where
-            pass
+    try:
+        batch = _sides(check, G, points, env)
+    except Exception:  # each point alone below finds where
+        batch = None
     records = []
     max_abs_err = 0.0
     max_rel_err = 0.0
     ok = True
     for i, p in enumerate(points):
         try:
-            if batch is None:
-                (lhs, rhs), j = _sides(check, G, [p], env), 0
-            else:
-                (lhs, rhs), j = batch, i
+            (lhs, rhs), j = (batch, i) if batch else (_sides(check, G, [p], env), 0)
             abs_err, scale = alt_errors(_at_point(lhs, j), _at_point(rhs, j))
             rel_err = abs_err / max(scale, 1.0)
             rec = {"p": list(p), "abs_err": abs_err, "rel_err": rel_err}
@@ -663,8 +649,7 @@ def _s_fn_decompose(check, seed, G, gname):
             return [ph.at(ctx), ps.at(ctx)]
 
         yield check(
-            f"fn-decompose-roundtrip/{gname}/pair{i}", lhs, rhs, n_points=2, rtol=0.0,
-            batched=False, jet_order=2,
+            f"fn-decompose-roundtrip/{gname}/pair{i}", lhs, rhs, n_points=2, rtol=0.0, jet_order=2
         )
 
 

@@ -78,7 +78,8 @@ def test_one_kernel_call_per_product(monkeypatch):
 def test_the_judge_passes_the_pairs_a_check_compares(monkeypatch, argv, checks):
     # as the benchmark does: wrap run_check and alt_errors wherever excal
     # imported it, judge every outermost pair, then the report from them;
-    # fn_decompose compares values itself, so its points must stay grouped
+    # fn_decompose compares its own values apart from alt_errors, so the
+    # judge sees only the report's comparisons, one call per point
     log, current, depth = [], [None], [0]
     inner_check, inner_errors = verifier.run_check, compare.alt_errors
 

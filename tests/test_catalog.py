@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from excal.alt import AltValue, VecAltValue, _alt, interior
-from excal import catalog
+from excal import catalog, geometry
 from excal.catalog import (FAMILIES, VALIDATION_POINTS, VALIDATION_SEED, CatalogEntry,
                            builtin)
 from excal.compare import within
@@ -173,6 +173,40 @@ def test_a_validation_failure_names_its_point():
     broken = CatalogEntry("broken", entry.geometry, [("off", off_at_point_5)])
     with pytest.raises(ValidationFailed, match=re.escape(f"at {pts[5]}")):
         broken.validate()
+
+
+def test_validation_builds_one_context_of_its_points(monkeypatch):
+    built = []
+    make = geometry.ChartContext
+
+    def counted(G, points, order):
+        built.append((G.name, len(points), order))
+        return make(G, points, order)
+
+    monkeypatch.setattr(geometry, "ChartContext", counted)
+    for name in ALL_NAMES:
+        entry = builtin(name)
+        entry.geometry._ctx_cache.clear()
+        built.clear()
+        entry.validate()
+        assert built == [(entry.name, VALIDATION_POINTS, catalog.VALIDATION_ORDER)]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_each_validation_value_is_its_points_own(name):
+    # every validation body gives, at each point of the one context, the
+    # value rows it gives on that point's context alone
+    entry = builtin(name)
+    G, order = entry.geometry, catalog.VALIDATION_ORDER
+    pts = sample_points(G, VALIDATION_POINTS, VALIDATION_SEED)
+    batch = G.batch(pts, order)
+    for _, fn in entry.validations:
+        pairs = fn(entry, batch)
+        for i in (0, 7, VALIDATION_POINTS - 1):
+            alone = fn(entry, G.context(pts[i], order))
+            for both, one in zip(pairs, alone):
+                for a, b in zip(both, one):
+                    assert np.array_equal(a.point(i).c[..., 0, :], b.c[..., 0, :])
 
 
 def test_validation_needs_its_order(monkeypatch):

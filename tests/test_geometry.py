@@ -317,6 +317,16 @@ def test_sample_points_draws_a_list_once_and_returns_a_copy(monkeypatch):
     assert sample_points(G, 10, 7) == again and len(walks) > drawn
 
 
+def test_a_nan_exclusion_value_excludes_the_point():
+    # inf - inf is NaN, which is not > 0: the point fails closed
+    G = load_config({"dim": 1, "coords": ["x1"], "metric": [["1"]], "domain": [[0.5, 1]],
+                     "exclude": "x1*1e200*1e200 - x1*1e200*1e200"})
+    assert math.isnan(sexpr.eval_value(G.exclude, (0.7,)))
+    assert not G.in_domain((0.7,))
+    with pytest.raises(PointExcluded):
+        G.context((0.7,), 1)
+
+
 def test_point_excluded():
     G = builtin("sphere2").geometry
     with pytest.raises(PointExcluded):

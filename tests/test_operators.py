@@ -220,6 +220,18 @@ def test_fn_decompose_round_trip():
         assert within(value_of(psi2.comps[b]), value_of(psi.comps[b]), atol=1e-9)
 
 
+def test_fn_decompose_of_two_points_is_each_points_bit_for_bit():
+    p, q = sample_points(E3, 2, 23)
+    phi = random_vec_form(E3, 2, 103)
+    psi = random_vec_form(E3, 3, 104)
+    D = Operator("test", 2, lambda c, w: lie_vec(c, phi.at(c), w) + interior(psi.at(c), w))
+    both = fn_decompose(E3.batch([p, q], 2), D)
+    for i, point in enumerate((p, q)):
+        alone = fn_decompose(E3.context(point, 2), D)
+        for got, want in zip(both, alone):
+            assert np.array_equal(got.point(i).c, want.c)
+
+
 def test_fn_decompose_rejects_non_derivation():
     ctx = ctx_at(E3, order=3)
     om = random_form(E3, 1, 55)

@@ -5,11 +5,14 @@ import math
 
 import pytest
 
-from excal.alt import AltValue, VecAltValue, _alt
+from excal.alt import AltValue, VecAltValue, _alt, interior, wedge
 from excal.catalog import builtin
 from excal.compare import alt_errors, worst
-from excal.errors import ConfigError, DegreeError, JetBudgetExhausted, UnknownSuite
+from excal.cli import main
+from excal.errors import (ConfigError, DegreeError, JetBudgetExhausted, ShapeMismatch,
+                          UnknownSuite)
 from excal.geometry import load_config, emit_config, sample_points
+from excal.operators import Operator, fn_decompose, lie_vec
 from excal.verifier import (
     DEFAULT_POINTS,
     REPORT_VERSION,
@@ -248,19 +251,36 @@ class TestSuites:
         assert all_pass([good]) and not all_pass([good, bad])
 
 
-def test_a_check_that_refuses_a_batch_evaluates_each_point_alone():
-    checks = [c for c in build_checks("fn-decompose-roundtrip", seed=42)
-              if c.geometry == "euclidean(3)"]
-    assert checks and not any(c.batched for c in checks)
+def test_fn_decompose_checks_evaluate_their_points_as_one_batch(capsys):
+    builtin("euclidean(3)")  # validated before the cache is emptied
     E3._ctx_cache.clear()
-    reports = [run_check(c) for c in checks]
-    assert {len(points) for points, _ in E3._ctx_cache} == {1}
-    # the batch it would refuse gives the same reports
-    batched = [run_check(dataclasses.replace(c, batched=True)) for c in checks]
-    assert len({len(points) for points, _ in E3._ctx_cache}) == 2
-    for r in reports + batched:
-        r.pop("wall_time_s")
-    assert repr(reports) == repr(batched)
+    assert main(["check", "--builtin", "fn-decompose-roundtrip", "--seed", "42"]) == 0
+    assert E3._ctx_cache and {len(points) for points, _ in E3._ctx_cache} == {2}
+
+
+def test_a_point_that_fails_the_leibniz_property_is_recorded_alone():
+    # D = L_phi + i_psi + eps_theta, theta = (x1 - c)^2 dx1: at the point
+    # with x1 = c, theta and its first derivatives vanish and D decomposes;
+    # at the other it is no derivation
+    p0, p1 = (0.25, -0.5, 0.125), (0.75, 0.5, -0.25)
+    ph, ps = random_vec_form(E3, 1, 5), random_vec_form(E3, 2, 6)
+
+    def fn(ctx, w):
+        x = ctx.coords[0] - p0[0]
+        theta = AltValue(3, 1, {(0,): x * x})
+        return lie_vec(ctx, ph.at(ctx), w) + interior(ps.at(ctx), w) + wedge(theta, w)
+
+    check = IdentityCheck(
+        id="leibniz-at-one-point", geometry="euclidean(3)",
+        lhs=lambda ctx: list(fn_decompose(ctx, Operator("D", 1, fn))),
+        rhs=lambda ctx: [ph.at(ctx), ps.at(ctx)],
+        points=[p0, p1], jet_order=2,
+    )
+    report = run_check(check)
+    first, second = report["points"]
+    assert "error" not in first and first["abs_err"] < 1e-12
+    assert second["error"].startswith("NotADerivation: operator 'D' fails the Leibniz property")
+    assert not report["pass"]
 
 
 def test_every_built_in_order_is_minimal_and_enough():
@@ -274,6 +294,17 @@ def test_every_built_in_order_is_minimal_and_enough():
         _sides(c, G, p, dict(c.inputs))
         with pytest.raises(JetBudgetExhausted):
             _sides(dataclasses.replace(c, jet_order=c.jet_order - 1), G, p, dict(c.inputs))
+
+
+def test_compared_sides_of_unequal_slots_are_a_shape_mismatch():
+    a = random_form(E2, 1, 42).at(E2.context((0.1, 0.2), 1))
+    b = random_form(E2, 1, 43).at(E2.context((0.1, 0.2), 1))
+    with pytest.raises(ShapeMismatch, match="at the top level: lhs a list of 2, rhs a list of 1"):
+        alt_errors([a, b], [a])
+    with pytest.raises(ShapeMismatch, match="at slot 1: lhs a list of 2, rhs a value"):
+        alt_errors([a, [a, b]], [a, b])
+    with pytest.raises(ShapeMismatch, match="at the top level: lhs a value, rhs a list of 1"):
+        worst(a, [a])
 
 
 def test_comparison_reads_the_value_row_only():
