@@ -54,13 +54,14 @@ Live rows: many operand rows are zero at every point (the off-diagonal
 g^{ab} of a conformally flat chart, the absent coefficients of a form), and
 a key term that reads one adds nothing.  So a product whose expanded terms
 times points reach PRUNE_AT reads which rows of each operand hold a
-nonzero coefficient, and multiplies only the terms between two such rows,
-by a table expanded once per pattern of live rows.  This keeps every bit:
-a skipped term is a +-0.0 product of finite factors, and adding one to a
-bincount bin, which starts at +0.0 and so never holds -0.0, changes
-nothing.  An operand that is not all finite keeps all its terms, so
-0 * inf is still NaN.  Below PRUNE_AT, where reading the rows costs more
-than the terms it could skip, a call reads the full table only.
+nonzero coefficient, and multiplies only the terms between two such rows.
+Each product keeps one store of expanded tables per pair of operand spaces,
+keyed by live-row pattern; the key None, every row, is the full table,
+which a call below PRUNE_AT reads, where reading the rows costs more than
+the terms it could skip.  This keeps every bit: a skipped term is a +-0.0
+product of finite factors, and adding one to a bincount bin, which starts
+at +0.0 and so never holds -0.0, changes nothing.  An operand that is not
+all finite reads the full table, so 0 * inf is still NaN.
 """
 
 import math
@@ -209,24 +210,17 @@ def _scale(s, space, c):
     return _scaling(lead)(s.space, s.c[:, None], space, c)
 
 
-@cache
-def _diff_tables(space):
-    """(target space, source indices (n, S'), factors (n, S')) of the
-    partials of a jet in space along each variable."""
-    src, fac = zip(*space.diff_tables)  # JetBudgetExhausted at order 0
-    return jet_space(space.n, space.order - 1), np.array(src), np.array(fac)
-
-
 def _partials(n, space, c):
     """(space, array) of the partials of every coefficient along each of the
     n coordinates, coordinate first: shape (n,) + c.shape[:-2] + (S', P).  A
     constant differentiates to the zero constant."""
     if space is None:
         return None, np.zeros((n,) + c.shape[:-2] + (1, c.shape[-1]))
-    sp, src, fac = _diff_tables(space)
+    src, fac = space.diff_tables  # JetBudgetExhausted at order 0
     d = c[..., src, :] * fac[..., None]
     lead = d.ndim - 3  # the axis of the n coordinates
-    return sp, np.ascontiguousarray(d.transpose((lead,) + tuple(range(lead)) + (lead + 1, lead + 2)))
+    d = np.ascontiguousarray(d.transpose((lead,) + tuple(range(lead)) + (lead + 1, lead + 2)))
+    return jet_space(space.n, space.order - 1), d
 
 
 # -- tables ------------------------------------------------------------------
@@ -234,15 +228,16 @@ def _partials(n, space, c):
 
 @cache
 def _taylor(sa, sb):
-    """(space, ta, tb, to): the Taylor product pairs of coefficients in
-    spaces sa and sb (None for a constant), in the result's space."""
+    """(space, S, ta, tb, to): the result's space and Taylor width, and the
+    Taylor product pairs of coefficients in spaces sa and sb (None for a
+    constant), in the result's space."""
     if sa is None or sb is None:
         sp = sb if sa is None else sa
         t = np.arange(_width(sp))
         zero = np.zeros_like(t)
-        return (sp, zero, t, t) if sa is None else (sp, t, zero, t)
+        return (sp, len(t), zero, t, t) if sa is None else (sp, len(t), t, zero, t)
     sp = _lowest((sa, sb))
-    return (sp,) + sp.mul_table
+    return (sp, sp.size) + sp.mul_table
 
 
 def _columns(terms):
@@ -253,7 +248,8 @@ def _columns(terms):
 # which operand rows are live; below it the row check costs more than the
 # terms it could skip.
 PRUNE_AT = 2048
-# The live-row patterns a product keeps expanded per pair of operand spaces.
+# The tables, by live-row pattern or full, a product keeps per pair of operand
+# spaces.
 PATTERNS = 8
 
 
@@ -266,20 +262,6 @@ def _live(x):
     return x.any(axis=1).tobytes()
 
 
-class _Pair:
-    """What a product keeps for one pair of operand spaces: the result's
-    space and Taylor width, the expanded term count, the full table once a
-    call below PRUNE_AT needs it, and the pruned tables by live-row
-    pattern."""
-
-    __slots__ = ("space", "S", "terms", "full", "pruned")
-
-    def __init__(self, space, terms):
-        self.space, self.S, self.terms = space, _width(space), terms
-        self.full = None
-        self.pruned = {}
-
-
 class _Product:
     """A bilinear map out[ro] += sign * a[ra] * b[rb] between the rows of
     row-major coefficient arrays, a having rows_a rows and out returned
@@ -287,16 +269,13 @@ class _Product:
     the terms expanded for the operands' spaces.  With a = _ONE and rows_a
     1 it is the linear map out[ro] += sign * b[rb].
 
-    Live rows (see the module docstring): a call whose expanded terms times
-    points reach PRUNE_AT runs the kernel only over the key terms between
-    two live rows, rows nonzero at some Taylor coefficient of some point,
-    expanded once per (sa, sb, live rows of a, live rows of b) and kept for
-    the last PATTERNS patterns of each (sa, sb).  The bits are those of the
-    full table, since a skipped term is a +-0.0 product of finite factors
-    and a bincount bin never holds -0.0.  An operand that is not all finite
-    keeps every row, so 0 * inf is still NaN.  Below PRUNE_AT a call is one
-    lookup of the full table, which a product never called there never
-    expands."""
+    Live rows (see the module docstring): _tables[sa, sb] holds the tables
+    expanded for operand spaces sa and sb, keyed by (live rows of a, live
+    rows of b), rows nonzero at some Taylor coefficient of some point, or
+    by None for the full table.  A call whose expanded terms times points
+    reach PRUNE_AT, with operands that are all finite, reads the table of
+    its pattern; any other call reads the full one.  Each store keeps the
+    last PATTERNS tables made, the oldest going first."""
 
     __slots__ = ("sign", "ra", "rb", "ro", "rows_a", "shape", "rows_out", "_tables")
 
@@ -307,54 +286,46 @@ class _Product:
         self.rows_out = math.prod(shape)
         self._tables = {}
 
-    def _expand(self, sa, sb, keep=slice(None)):
-        """(ia, ib, io): the key terms keep selects, expanded over the
-        Taylor pairs of sa and sb."""
-        sp, ta, tb, to = _taylor(sa, sb)
+    def _expand(self, sa, sb, key):
+        """The table (ia, ib, io) of pattern key, None for every row: the key
+        terms between live rows expanded over the Taylor pairs of sa and sb,
+        kept in the store of (sa, sb)."""
+        _, S, ta, tb, to = _taylor(sa, sb)
+        keep = slice(None)
+        if key is not None:
+            keep = np.frombuffer(key[0], bool)[self.ra] & np.frombuffer(key[1], bool)[self.rb]
         sign, ra, rb, ro = self.sign[keep], self.ra[keep], self.rb[keep], self.ro[keep]
         ra = (ra + np.where(sign < 0, self.rows_a, 0)) * _width(sa)
         ia = (ra[:, None] + ta).ravel()
         ib = (rb[:, None] * _width(sb) + tb).ravel()
-        io = (ro[:, None] * _width(sp) + to).ravel()
+        io = (ro[:, None] * S + to).ravel()
+        tables = self._tables.setdefault((sa, sb), {})
+        if len(tables) >= PATTERNS:  # the oldest table goes
+            del tables[next(iter(tables))]
+        tables[key] = ia, ib, io
         return ia, ib, io
-
-    def _pruned(self, pair, sa, a, sb, b):
-        """The table of the terms between live rows of a and b, or the full
-        one where an operand is not all finite."""
-        la, lb = b"\1" if a is _ONE else _live(a), _live(b)
-        key = None if la is None or lb is None else (la, lb)
-        table = pair.pruned.get(key)
-        if table is None:
-            keep = slice(None)
-            if key is not None:
-                keep = np.frombuffer(la, bool)[self.ra] & np.frombuffer(lb, bool)[self.rb]
-            if len(pair.pruned) >= PATTERNS:  # the oldest pattern goes
-                del pair.pruned[next(iter(pair.pruned))]
-            table = pair.pruned[key] = self._expand(sa, sb, keep)
-        return table
 
     def __call__(self, sa, a, sb, b):
         """(space, out array of shape shape + (S, P)), for operands of P
         points or of one."""
-        pair = self._tables.get((sa, sb))
-        if pair is None:
-            sp, ta, _, _ = _taylor(sa, sb)
-            pair = self._tables[sa, sb] = _Pair(sp, len(self.sign) * len(ta))
+        sp, S, ta, _, _ = _taylor(sa, sb)
         P = max(a.shape[-1], b.shape[-1])
-        if pair.terms * P >= PRUNE_AT:
-            ia, ib, io = self._pruned(pair, sa, a, sb, b)
-        else:
-            if pair.full is None:
-                pair.full = self._expand(sa, sb)
-            ia, ib, io = pair.full
-        S = pair.S
+        key = None
+        if len(self.sign) * len(ta) * P >= PRUNE_AT:
+            la, lb = b"\1" if a is _ONE else _live(a), _live(b)
+            if la is not None and lb is not None:
+                key = la, lb
+        try:
+            ia, ib, io = self._tables[sa, sb][key]
+        except KeyError:
+            ia, ib, io = self._expand(sa, sb, key)
         # one point runs the kernel on flat operands; several, on (rows, P)
         if P == 1:
             a, b = a.reshape(-1), b.reshape(-1)
         else:
             a, b = a.reshape(-1, a.shape[-1]), b.reshape(-1, b.shape[-1])
         out = jets.mul_coeffs(np.concatenate((a, -a)), b, ia, ib, io, self.rows_out * S)
-        return pair.space, out.reshape(self.shape + (S, P))
+        return sp, out.reshape(self.shape + (S, P))
 
 
 _ONE = np.ones((1, 1, 1))  # the constant one, the first operand of a linear map
@@ -491,28 +462,54 @@ def _point(c, i):
     return c[..., j:j + 1]
 
 
-def _alt(n, k, space, c):
-    """The AltValue holding a built coefficient array."""
-    v = object.__new__(AltValue)
-    v.n, v.k, v.space, v.c = n, k, space, c
-    return v
+class _Value:
+    """What both kinds of value share: the dimension n, the degree k, the
+    jet space and the coefficient array c (see the module docstring), and
+    the linear structure over values of one kind, n and k."""
+
+    __slots__ = ("n", "k", "space", "c")
+
+    @classmethod
+    def _make(cls, n, k, space, c):
+        """The value of this kind holding a built coefficient array."""
+        v = object.__new__(cls)
+        v.n, v.k, v.space, v.c = n, k, space, c
+        return v
+
+    def point(self, i):
+        """The one-point value at point i, a view."""
+        return self._make(self.n, self.k, self.space, _point(self.c, i))
+
+    def __add__(self, other):
+        self._check(other)
+        return self._make(self.n, self.k, *_sum(self.space, self.c, other.space, other.c, 1.0))
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._make(self.n, self.k, *_sum(self.space, self.c, other.space, other.c, -1.0))
+
+    def __neg__(self):
+        return self._make(self.n, self.k, self.space, -self.c)
+
+    def scale(self, s):
+        return self._make(self.n, self.k, *_scale(s, self.space, self.c))
+
+    def _check(self, other):
+        if type(other) is not type(self) or other.n != self.n or other.k != self.k:
+            raise DegreeError(f"mismatched values: {self!r} vs {other!r}")
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, k={self.k}, points={self.c.shape[-1]})"
 
 
-def _vec(n, k, space, c):
-    """The VecAltValue holding a built coefficient array."""
-    v = object.__new__(VecAltValue)
-    v.n, v.k, v.space, v.c = n, k, space, c
-    return v
-
-
-class AltValue:
+class AltValue(_Value):
     """The value of an alternating k-tensor at a point.
 
     AltValue(n, k, {key: jet or number}) builds one at the lowest order
     among its jets; a key left out is zero.
     """
 
-    __slots__ = ("n", "k", "space", "c")
+    __slots__ = ()
 
     def __init__(self, n, k, coeffs=None):
         where = _rows(n, k)
@@ -528,10 +525,6 @@ class AltValue:
     @classmethod
     def zero(cls, n, k):
         return _alt(n, k, None, np.zeros((len(_basis(n, k)), 1, 1)))
-
-    def point(self, i):
-        """The one-point value at point i, a view."""
-        return _alt(self.n, self.k, self.space, _point(self.c, i))
 
     @property
     def coeffs(self):
@@ -549,33 +542,8 @@ class AltValue:
         r = _rows(self.n, self.k).get(tuple(key))
         return 0.0 if r is None else _read(self.space, _one(self.c)[r])
 
-    # -- linear structure --
 
-    def __add__(self, other):
-        self._check(other)
-        return _alt(self.n, self.k, *_sum(self.space, self.c, other.space, other.c, 1.0))
-
-    def __sub__(self, other):
-        self._check(other)
-        return _alt(self.n, self.k, *_sum(self.space, self.c, other.space, other.c, -1.0))
-
-    def __neg__(self):
-        return _alt(self.n, self.k, self.space, -self.c)
-
-    def scale(self, s):
-        return _alt(self.n, self.k, *_scale(s, self.space, self.c))
-
-    def _check(self, other):
-        if self.n != other.n or self.k != other.k:
-            raise DegreeError(
-                f"mismatched alternating values: ({self.n},{self.k}) vs ({other.n},{other.k})"
-            )
-
-    def __repr__(self):
-        return f"AltValue(n={self.n}, k={self.k}, {dict(self.coeffs)!r})"
-
-
-class VecAltValue:
+class VecAltValue(_Value):
     """The value of a tangent-valued alternating k-tensor at a point.
 
     Component b is the scalar k-tensor multiplying the coordinate tangent
@@ -583,7 +551,7 @@ class VecAltValue:
     VecAltValue(n, k, comps) joins n AltValues by the order rule.
     """
 
-    __slots__ = ("n", "k", "space", "c")
+    __slots__ = ()
 
     def __init__(self, n, k, comps=None):
         self.n, self.k = n, k
@@ -595,10 +563,6 @@ class VecAltValue:
     @classmethod
     def zero(cls, n, k):
         return cls(n, k)
-
-    def point(self, i):
-        """The one-point value at point i, a view."""
-        return _vec(self.n, self.k, self.space, _point(self.c, i))
 
     @property
     def comps(self):
@@ -632,35 +596,28 @@ class VecAltValue:
         """The components of the image of e_c under a degree-1 value."""
         return [_read(self.space, row) for row in _one(self.c)[:, c]]
 
-    def __add__(self, other):
-        self._check(other)
-        return _vec(self.n, self.k, *_sum(self.space, self.c, other.space, other.c, 1.0))
 
-    def __sub__(self, other):
-        self._check(other)
-        return _vec(self.n, self.k, *_sum(self.space, self.c, other.space, other.c, -1.0))
-
-    def __neg__(self):
-        return _vec(self.n, self.k, self.space, -self.c)
-
-    def scale(self, s):
-        return _vec(self.n, self.k, *_scale(s, self.space, self.c))
-
-    def _check(self, other):
-        if self.n != other.n or self.k != other.k:
-            raise DegreeError("mismatched tangent-valued values")
-
-    def __repr__(self):
-        return f"VecAltValue(n={self.n}, k={self.k})"
+_alt = AltValue._make  # the AltValue holding a built coefficient array
+_vec = VecAltValue._make  # the VecAltValue holding a built coefficient array
 
 
 # -- products -------------------------------------------------------------
 
 
+def _operands(op, a, kind_a, b=None, kind_b=None):
+    """Refuse, with DegreeError, an operand a of op that is not of kind_a,
+    or, given b, one not of kind_b or of another dimension n than a."""
+    if type(a) is not kind_a or b is not None and (type(b) is not kind_b or b.n != a.n):
+        if b is None:
+            raise DegreeError(f"{op} takes a {kind_a.__name__}, not {a!r}")
+        raise DegreeError(
+            f"{op} takes ({kind_a.__name__}, {kind_b.__name__}) of equal n, not ({a!r}, {b!r})"
+        )
+
+
 def wedge(a, b):
     """Wedge product of scalar alternating values."""
-    if a.n != b.n:
-        raise DegreeError("wedge operands live in different dimensions")
+    _operands("wedge", a, AltValue, b, AltValue)
     n, k = a.n, a.k + b.k
     if k > n:
         return AltValue.zero(n, k)
@@ -669,6 +626,7 @@ def wedge(a, b):
 
 def wedge_sv(omega, phi):
     """Wedge of a scalar form value with a tangent-valued form value."""
+    _operands("wedge_sv", omega, AltValue, phi, VecAltValue)
     n, k = phi.n, omega.k + phi.k
     if k > n:
         return VecAltValue.zero(n, k)
@@ -677,6 +635,7 @@ def wedge_sv(omega, phi):
 
 def i_dir(a, omega):
     """Classical interior product with the coordinate vector e_a."""
+    _operands("i_dir", omega, AltValue)
     n, k = omega.n, omega.k
     return _alt(n, k - 1, *_i_dir(n, a, k)(None, _ONE, omega.space, omega.c))
 
@@ -688,6 +647,7 @@ def interior(phi, omega):
     has degree k + p - 1.  Annihilates degree 0.  For p = 0, phi is a
     vector X and this is the classical i_X.
     """
+    _operands("interior", phi, VecAltValue, omega, AltValue)
     n, p, k = phi.n, phi.k, omega.k
     m = k + p - 1
     if k == 0 or m > n:
@@ -699,6 +659,7 @@ def interior(phi, omega):
 
 def trace(phi):
     """Contraction tr: sum_b i_{e_b} phi^b, of degree k - 1."""
+    _operands("trace", phi, VecAltValue)
     if phi.k == 0:
         raise DegreeError("trace of a tangent vector is undefined")
     n, k = phi.n, phi.k
@@ -708,6 +669,7 @@ def trace(phi):
 def sharp(omega, g_inv):
     """Musical sharp: sum_{a,b} g^{ab} (i_{e_a} omega) wedge e_b, for g_inv
     the (space, array) pair ChartContext.g_inv gives, g^{ab} at [a, b]."""
+    _operands("sharp", omega, AltValue)
     if omega.k == 0:
         raise DegreeError("sharp needs a form of degree >= 1")
     n, k = omega.n, omega.k
@@ -717,6 +679,7 @@ def sharp(omega, g_inv):
 def flat(X, g):
     """Musical flat: the 1-form sum_{a,b} g_{ab} X^a dx^b of a tangent
     vector X, for g the (space, array) pair ChartContext.g gives."""
+    _operands("flat", X, VecAltValue)
     if X.k != 0:
         raise DegreeError("flat needs a tangent vector")
     return _alt(X.n, 1, *_raise_first(X.n, ())(*g, X.space, X.c))

@@ -9,7 +9,7 @@ comparison raises NonFiniteValue, naming where it sits.
 
 import numpy as np
 
-from .alt import AltValue, VecAltValue, _basis
+from .alt import _basis
 from .errors import DegreeError, NonFiniteValue, ShapeMismatch
 
 DEFAULT_ATOL = 1e-9
@@ -135,6 +135,4 @@ def within(lhs, rhs, atol=DEFAULT_ATOL, rtol=DEFAULT_RTOL):
 
 
 def zero_like(value):
-    if isinstance(value, VecAltValue):
-        return VecAltValue.zero(value.n, value.k)
-    return AltValue.zero(value.n, value.k)
+    return type(value).zero(value.n, value.k)

@@ -52,11 +52,11 @@ CONFIG_VERSION = "excal-config v1"
 # doubles with each dimension, and the catalog builds nothing above 6
 MAX_DIM = 6
 
-# Chart contexts kept per chart, least recently used dropped first. A built-in
-# run uses fewer than 30 per chart (its check points at jet orders 0 and 2,
-# and the one-point contexts of catalog validation and of the checks that run
-# point by point), and a stream of one-point requests makes one per request;
-# 128 covers the first with room and bounds the second.
+# Chart contexts kept per chart, least recently used dropped first. A seeded
+# built-in run leaves at most 5 per chart (its check points at jet orders 0,
+# 1 and 2, the catalog's validation points, and the two points of the
+# fn-decompose checks), and a stream of one-point requests makes one per
+# request; 128 covers the first with room and bounds the second.
 CONTEXT_CACHE_SIZE = 128
 SAMPLE_ATTEMPTS = 10000  # draws sample_points may make before giving up
 # Point lists sample_points keeps per chart, least recently used dropped

@@ -125,62 +125,55 @@ class JetSpace:
         self.fact = np.array(
             [math.prod(math.factorial(v) for v in a) for a in self.midx]
         )
-        self._mul_table = None
-        self._diff_tables = None
 
-    @property
+    @functools.cached_property
     def mul_table(self):
-        if self._mul_table is None:
-            ia, ib, io = [], [], []
-            for i, a in enumerate(self.midx):
-                da = sum(a)
-                for j, b in enumerate(self.midx):
-                    if da + sum(b) > self.order:
-                        continue
-                    ia.append(i)
-                    ib.append(j)
-                    io.append(self.index[tuple(x + y for x, y in zip(a, b))])
-            self._mul_table = (
-                np.array(ia, dtype=np.int64),
-                np.array(ib, dtype=np.int64),
-                np.array(io, dtype=np.int64),
-            )
-        return self._mul_table
+        ia, ib, io = [], [], []
+        for i, a in enumerate(self.midx):
+            da = sum(a)
+            for j, b in enumerate(self.midx):
+                if da + sum(b) > self.order:
+                    continue
+                ia.append(i)
+                ib.append(j)
+                io.append(self.index[tuple(x + y for x, y in zip(a, b))])
+        return (
+            np.array(ia, dtype=np.int64),
+            np.array(ib, dtype=np.int64),
+            np.array(io, dtype=np.int64),
+        )
 
-    @property
+    @functools.cached_property
     def diff_tables(self):
-        """Per-variable (source index, factor) arrays mapping into order-1."""
-        if self._diff_tables is None:
-            if self.order == 0:
-                raise JetBudgetExhausted(
-                    "cannot differentiate an order-0 jet; raise the jet order"
-                )
-            target = jet_space(self.n, self.order - 1)
-            tables = []
-            for i in range(self.n):
-                src = np.empty(target.size, dtype=np.int64)
-                fac = np.empty(target.size)
-                for j, b in enumerate(target.midx):
-                    bp = list(b)
-                    bp[i] += 1
-                    src[j] = self.index[tuple(bp)]
-                    fac[j] = b[i] + 1
-                tables.append((src, fac))
-            self._diff_tables = tables
-        return self._diff_tables
+        """(source indices, factors), each of shape (n, S') for S' the size of
+        the space one order lower: the partial along variable i of a jet
+        here has coefficient j equal to fac[i, j] * c[src[i, j]]."""
+        if self.order == 0:
+            raise JetBudgetExhausted(
+                "cannot differentiate an order-0 jet; raise the jet order"
+            )
+        target = jet_space(self.n, self.order - 1)
+        src = np.empty((self.n, target.size), dtype=np.int64)
+        fac = np.empty((self.n, target.size))
+        for i in range(self.n):
+            for j, b in enumerate(target.midx):
+                bp = list(b)
+                bp[i] += 1
+                src[i, j] = self.index[tuple(bp)]
+                fac[i, j] = b[i] + 1
+        return src, fac
 
 
 def jet_space(n, order):
-    if order < 0:
-        raise JetBudgetExhausted("negative jet order requested")
-    if order > MAX_ORDER:
-        raise JetBudgetExhausted(
-            f"jet order {order} exceeds the hard cap {MAX_ORDER}"
-        )
-    key = (n, order)
-    sp = _spaces.get(key)
+    sp = _spaces.get((n, order))
     if sp is None:
-        sp = _spaces[key] = JetSpace(n, order)
+        if order < 0:
+            raise JetBudgetExhausted("negative jet order requested")
+        if order > MAX_ORDER:
+            raise JetBudgetExhausted(
+                f"jet order {order} exceeds the hard cap {MAX_ORDER}"
+            )
+        sp = _spaces[n, order] = JetSpace(n, order)
     return sp
 
 
@@ -425,9 +418,9 @@ def jet_diff(a, i):
     plain-number coefficient is constant and differentiates to 0.0."""
     if not isinstance(a, Jet):
         return 0.0
-    src, fac = a.space.diff_tables[i]
+    src, fac = a.space.diff_tables
     target = jet_space(a.space.n, a.order - 1)
-    return Jet(target, (a.c[src].T * fac).T)
+    return Jet(target, (a.c[src[i]].T * fac[i]).T)
 
 
 # -- elementary functions ------------------------------------------------

@@ -419,5 +419,4 @@ def curvature_shuffle(ctx, phi):
 
 def value_of(w):
     """Strip jets down to order-0 coefficient values: a constant value."""
-    make = _vec if isinstance(w, VecAltValue) else _alt
-    return make(w.n, w.k, None, w.c[..., :1, :].copy())
+    return type(w)._make(w.n, w.k, None, w.c[..., :1, :].copy())

@@ -236,6 +236,38 @@ def test_degree_guards():
         apply(AltValue(3, 2, {(0, 1): 1.0}), [[1, 0, 0]])
 
 
+def test_values_of_the_other_kind_do_not_add():
+    a = AltValue(3, 1, {(0,): 1.0})
+    v = VecAltValue(3, 1, [AltValue(3, 1, {(1,): 2.0})] * 3)
+    for op in (lambda: a + v, lambda: v + a, lambda: a - v, lambda: v - a):
+        with pytest.raises(DegreeError, match="mismatched values"):
+            op()
+
+
+_A, _V = AltValue(3, 1, {(0,): 1.0}), VecAltValue.identity(3)
+_G = _pair([[float(a == b) for b in range(3)] for a in range(3)])
+
+
+@pytest.mark.parametrize("op, args", [
+    pytest.param(wedge, (_A, _V), id="wedge-vec"),
+    pytest.param(wedge, (_V, _A), id="wedge-vec-first"),
+    pytest.param(wedge, (_A, AltValue(2, 1, {(0,): 1.0})), id="wedge-other-n"),
+    pytest.param(wedge_sv, (_A, _A), id="wedge_sv-scalar"),
+    pytest.param(wedge_sv, (_V, _V), id="wedge_sv-vec-first"),
+    pytest.param(wedge_sv, (_A, VecAltValue.identity(2)), id="wedge_sv-other-n"),
+    pytest.param(interior, (_A, _A), id="interior-scalar"),
+    pytest.param(interior, (_V, _V), id="interior-vec"),
+    pytest.param(interior, (VecAltValue.identity(2), _A), id="interior-other-n"),
+    pytest.param(trace, (_A,), id="trace"),
+    pytest.param(sharp, (_V, _G), id="sharp"),
+    pytest.param(flat, (_A, _G), id="flat"),
+    pytest.param(i_dir, (0, _V), id="i_dir"),
+])
+def test_a_product_refuses_an_operand_of_the_wrong_kind(op, args):
+    with pytest.raises(DegreeError, match=f"^{op.__name__} takes"):
+        op(*args)
+
+
 def test_above_dimension_is_canonical_zero():
     a = AltValue(2, 2, {(0, 1): 1.0})
     w = wedge(a, a)

@@ -401,6 +401,19 @@ def test_curvature_bits_do_not_depend_on_the_christoffel_product_order(name, ord
         _expect(scalar[i][j][k][l], R[i, j, k, l, :, 0], space.size)
 
 
+def test_partials_are_jet_diff_of_each_coefficient_bit_for_bit():
+    rng = np.random.default_rng(3)
+    sp, low = jet_space(3, 2), jet_space(3, 1)
+    src, fac = sp.diff_tables
+    assert src.shape == fac.shape == (3, low.size)
+    c = rng.uniform(-1, 1, (3, sp.size, 2))
+    dsp, d = _partials(3, sp, c)
+    assert dsp is low and d.shape == (3, 3, low.size, 2)
+    for i, r in product(range(3), repeat=2):
+        want = jet_diff(Jet(sp, c[r]), i)
+        assert want.space is low and np.array_equal(d[i, r].view(np.int64), want.c.view(np.int64))
+
+
 # -- live rows -----------------------------------------------------------------
 
 
@@ -498,5 +511,18 @@ def test_the_live_row_patterns_of_a_product_are_bounded(monkeypatch):
     for _ in range(1000):
         a, b = _sparse(rng, (n,), sp, 1), _sparse(rng, (n,), sp, 1)
         prod(sp, a, sp, b)
-    assert 1 < len(prod._tables[sp, sp].pruned) <= alt.PATTERNS
-    assert prod._tables[sp, sp].full is None
+    tables = prod._tables[sp, sp]
+    assert 1 < len(tables) <= alt.PATTERNS
+    assert None not in tables  # the full table, never needed above PRUNE_AT
+
+
+def test_the_full_table_is_kept_once(monkeypatch):
+    n, sp = 3, jet_space(3, 1)
+    prod = alt._Product([(1, a, b, (a + b) % n) for a in range(n) for b in range(n)], n, (n,))
+    a = np.ones((n, sp.size, 1))
+    prod(sp, a, sp, a)  # 63 expanded terms at one point, below PRUNE_AT
+    full = prod._tables[sp, sp][None]
+    monkeypatch.setattr(alt, "PRUNE_AT", 0)
+    a[0, 0, 0] = np.inf  # an operand that is not all finite reads every row
+    prod(sp, a, sp, a)
+    assert list(prod._tables[sp, sp]) == [None] and prod._tables[sp, sp][None] is full

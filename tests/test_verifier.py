@@ -38,6 +38,15 @@ def _coeff_values(field, p=(0.1, 0.2, 0.3)):
     return sorted((k, v.value) for k, v in field.at(c).coeffs.items())
 
 
+def test_a_value_of_several_points_has_a_repr():
+    ctx = E3.batch([(0.1, 0.2, 0.3), (0.4, 0.5, 0.6)], 1)
+    w, v = random_form(E3, 1, 3).at(ctx), random_vec_form(E3, 1, 9).at(ctx)
+    assert repr(w) == "AltValue(n=3, k=1, points=2)"
+    assert repr(v) == "VecAltValue(n=3, k=1, points=2)"
+    with pytest.raises(DegreeError, match="points=2"):
+        alt_errors(w, v)
+
+
 class TestRandomForm:
     def test_deterministic(self):
         a = random_form(E3, 2, 7)
