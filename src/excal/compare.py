@@ -4,7 +4,15 @@ Pass criterion: abs_err <= atol + rtol * scale with
 scale = max(|lhs coeff|, |rhs coeff|, 1); the scale floor avoids false
 failures on near-zero identities and false passes on large magnitudes.
 A non-finite coefficient on either side passes under no tolerance: the
-comparison raises NonFiniteValue, naming where it sits.
+comparison raises NonFiniteValue, naming where it sits, and so does a pair
+of finite coefficients whose difference overflows.
+
+A comparison is one pass over the value rows of all its leaves at once:
+the max of |coeff| is NaN or infinite when any coefficient is, so a finite
+scale clears every coefficient, and max |lhs - rhs| is the error; a max
+does not depend on the order of its terms, so a leaf-by-leaf scan gives
+the same floats.  Only a call whose scale or error is not finite scans
+leaf by leaf (_first_non_finite), to name the coefficient.
 """
 
 import numpy as np
@@ -14,6 +22,8 @@ from .errors import DegreeError, NonFiniteValue, ShapeMismatch
 
 DEFAULT_ATOL = 1e-9
 DEFAULT_RTOL = 1e-8
+# |lhs - rhs| <= 2 * scale, so no difference overflows below this scale
+_SAFE_SCALE = np.finfo(float).max / 2
 
 
 def alt_errors(lhs, rhs):
@@ -49,22 +59,51 @@ def _at_point(value, i):
 def _errors(lhs, rhs):
     """The body of alt_errors; _first_failure calls it directly, so that an
     evaluation's own checks are not alt_errors calls."""
-    err = scale = 0.0
+    rows = [_values(lv, rv) for _, lv, rv in _leaves(lhs, rhs, ())]
+    if not rows:
+        return 0.0, 0.0
+    # the lhs rows, then the rhs rows, raveled into one buffer
+    ab = np.concatenate([a.ravel() for a, _ in rows] + [b.ravel() for _, b in rows])
+    half = ab.size // 2
+    scale = float(np.abs(ab).max(initial=0.0))  # NaN or inf if any coefficient is
+    if scale <= _SAFE_SCALE:
+        return float(np.abs(ab[:half] - ab[half:]).max(initial=0.0)), scale
+    if scale < np.inf:
+        with np.errstate(over="ignore"):
+            err = float(np.abs(ab[:half] - ab[half:]).max(initial=0.0))
+        if err < np.inf:
+            return err, scale
+    raise _first_non_finite(lhs, rhs)
+
+
+def _first_non_finite(lhs, rhs):
+    """The exact scan, leaf by leaf, for a call whose scale or error is not
+    finite: the NonFiniteValue naming the first non-finite coefficient, else
+    the first pair of coefficients whose difference overflows."""
+    overflow = None
     for slot, lv, rv in _leaves(lhs, rhs, ()):
         a, b = _values(lv, rv)
         finite = np.isfinite(a) & np.isfinite(b)
         if not finite.all():
-            at = tuple(int(i) for i in np.argwhere(~finite)[0])
-            names = tuple(f"slot {i}" for i in slot)
-            if len(at) == 3:
-                names += (f"component {at[0]}",)
-            names += (f"basis key {_basis(lv.n, lv.k)[at[-2]]}",)
-            raise NonFiniteValue(
-                f"non-finite value at {', '.join(names)}: lhs {float(a[at])!r}, rhs {float(b[at])!r}"
-            )
-        err = max(err, float(np.abs(a - b).max(initial=0.0)))
-        scale = max(scale, float(max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0))))
-    return err, scale
+            return _non_finite("value", slot, lv, a, b, ~finite)
+        if overflow is None:
+            with np.errstate(over="ignore"):
+                fits = np.isfinite(a - b)
+            if not fits.all():
+                overflow = _non_finite("difference", slot, lv, a, b, ~fits)
+    return overflow
+
+
+def _non_finite(what, slot, lv, a, b, bad):
+    """The NonFiniteValue naming the first True entry of bad in a leaf."""
+    at = tuple(int(i) for i in np.argwhere(bad)[0])
+    names = tuple(f"slot {i}" for i in slot)
+    if len(at) == 3:
+        names += (f"component {at[0]}",)
+    names += (f"basis key {_basis(lv.n, lv.k)[at[-2]]}",)
+    return NonFiniteValue(
+        f"non-finite {what} at {', '.join(names)}: lhs {float(a[at])!r}, rhs {float(b[at])!r}"
+    )
 
 
 def worst(lhs, rhs):

@@ -156,12 +156,13 @@ def run_check(check):
     for i, p in enumerate(points):
         try:
             (lhs, rhs), j = (batch, i) if batch else (_sides(check, G, [p], env), 0)
-            abs_err, scale = alt_errors(_at_point(lhs, j), _at_point(rhs, j))
+            lhs, rhs = _at_point(lhs, j), _at_point(rhs, j)
+            abs_err, scale = alt_errors(lhs, rhs)
             rel_err = abs_err / max(scale, 1.0)
             rec = {"p": list(p), "abs_err": abs_err, "rel_err": rel_err}
             if exceeds(abs_err, scale, check.atol, check.rtol):
                 ok = False
-                at = worst(_at_point(lhs, j), _at_point(rhs, j))
+                at = worst(lhs, rhs)
                 if at is not None:
                     rec["worst"] = at
         except Exception as exc:  # recorded, not raised

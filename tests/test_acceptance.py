@@ -53,7 +53,8 @@ CLI_TIMEOUT_S = 300
 
 
 def _start_cli(*args):
-    """Start the CLI; returns (process, deadline) for _wait_cli."""
+    """Start the CLI, with a numpy RuntimeWarning (an overflow that would be a
+    silent inf or nan) an error; returns (process, deadline) for _wait_cli."""
     # put the source root of the imported package first on the child's path,
     # so the child cannot pick up a different, installed copy of excal
     src_root = str(Path(excal.__file__).resolve().parents[1])
@@ -62,7 +63,7 @@ def _start_cli(*args):
         p for p in (src_root, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.Popen(
-        [sys.executable, "-m", "excal", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "excal", *args],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
     )
     return proc, time.monotonic() + CLI_TIMEOUT_S
@@ -118,6 +119,7 @@ def seed42_outputs():
     outs = []
     for proc in done:
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         outs.append(proc.stdout)
     return outs
 
@@ -262,6 +264,7 @@ def seed42_config_outputs():
     done = [_wait_cli(s) for s in started]
     for proc in done:
         assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
     return {name: proc.stdout for name, proc in zip(names, done)}
 
 

@@ -1,6 +1,7 @@
 """Identity verifier: random fields, check execution, reports, suites."""
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -171,9 +172,11 @@ class TestRunCheck:
         assert all("error" in rec for rec in report["points"])
         assert report["max_abs_err"] == 1e308
 
-    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (math.inf, math.inf)])
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (math.inf, math.inf), (1e308, -1e308)])
     def test_non_finite_values_fail_the_point(self, lhs, rhs):
-        # both used to pass: max(0.0, nan) is 0.0, and inf - inf is nan
+        # the first two used to pass: max(0.0, nan) is 0.0, and inf - inf is
+        # nan; the last, finite values whose difference overflows, used to
+        # warn and report an infinite error
         def side(value):
             return lambda ctx: AltValue(ctx.geometry.n, 0, {(): value})
 
@@ -184,6 +187,7 @@ class TestRunCheck:
             assert rec["error"].startswith("NonFiniteValue: ")
             assert "basis key ()" in rec["error"]
             assert math.isfinite(rec["abs_err"]) and math.isfinite(rec["rel_err"])
+        json.dumps(report, allow_nan=False)  # no Infinity or NaN token
 
     def test_explicit_points(self):
         report = run_check(make_check(points=[(0.1, 0.2)]))
