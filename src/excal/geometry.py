@@ -475,7 +475,11 @@ def _riemann(sd, D, sq, Q):
 
 def sample_points(G, count, seed):
     """Deterministic splitmix64 sampling in the domain box, rejecting
-    excluded points: a new list, drawn once per (count, seed) and chart."""
+    excluded points: a new list, drawn once per (count, seed) and chart.
+    Every draw counts against SAMPLE_ATTEMPTS, so a larger count is refused
+    before any draw."""
+    if count > SAMPLE_ATTEMPTS:
+        raise ConfigError(f"cannot sample {count} points: at most {SAMPLE_ATTEMPTS} are drawn")
     make = lambda: _draw_points(G, count, seed)
     return list(_cached(G._samples, (count, seed), make, SAMPLE_CACHE_SIZE))
 

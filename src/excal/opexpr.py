@@ -4,7 +4,10 @@ Grammar (whitespace-insensitive):
 
     expr  := NAME | NAME '(' expr (',' expr)* ')'
 
-An expression nests at most sexpr.MAX_DEPTH levels deep.
+Tokens are read by the lexer of sexpr, so a NAME is any identifier, the rule
+config form and coordinate names obey; a number or an arithmetic operator
+is an unexpected character here.  An expression nests at most
+sexpr.MAX_DEPTH levels deep.
 
 Built-in operator heads: d(F), delta(F), eps(F, G), i(V, F), lie(V, F),
 sharp(F), diamond(F), nablaF(F), comm(OP, OP, F), acomm(OP, OP, F).
@@ -15,10 +18,9 @@ bound inputs, then config forms, then structure tensors.
 """
 
 import functools
-import re
 
 from .alt import AltValue, VecAltValue, interior, wedge
-from .errors import ArityError, DegreeError, ExprSyntaxError, UnknownIdentifier
+from .errors import ArityError, DegreeError, UnknownIdentifier
 from .operators import (
     Operator,
     codiff,
@@ -34,9 +36,9 @@ from .operators import (
     op_lie,
     sharp_field,
 )
-from .sexpr import MAX_DEPTH
+from .sexpr import _arguments, _Cursor, _nest
 
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*|[(),])")
+_KINDS = frozenset(("name", "eof", *"(),"))
 
 
 class Node:
@@ -52,54 +54,17 @@ class Node:
 def parse(src):
     """The Node tree of src, shared between calls with the same string, so
     no caller may change it; a syntax error is raised on every call."""
-    tokens = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            if src[pos:].strip():
-                raise ExprSyntaxError(
-                    f"unexpected character {src[pos:].strip()[0]!r}", pos
-                )
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-
-    idx = 0
-
-    def peek():
-        return tokens[idx][0] if idx < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal idx
-        if idx >= len(tokens):
-            raise ExprSyntaxError("unexpected end of expression", len(src))
-        tok, off = tokens[idx]
-        if expected is not None and tok != expected:
-            raise ExprSyntaxError(f"expected {expected!r}, found {tok!r}", off)
-        idx += 1
-        return tok, off
+    cur = _Cursor(src, _KINDS)
 
     def expr(depth):
-        tok, off = take()
-        if not tok[0].isalpha() and tok[0] != "_":
-            raise ExprSyntaxError(f"expected a name, found {tok!r}", off)
-        if peek() != "(":
-            return Node(tok, None, off)
-        if depth == MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", off)
-        take("(")
-        args = [expr(depth + 1)]
-        while peek() == ",":
-            take(",")
-            args.append(expr(depth + 1))
-        take(")")
-        return Node(tok, tuple(args), off)
+        _, name, off = cur.take(("name",), "a name")
+        if cur.peek()[0] != "(":
+            return Node(name, None, off)
+        _nest(depth + 1, off)
+        return Node(name, tuple(_arguments(cur, expr, depth + 1)), off)
 
     root = expr(1)
-    if idx < len(tokens):
-        tok, off = tokens[idx]
-        raise ExprSyntaxError(f"trailing input {tok!r}", off)
+    cur.end()
     return root
 
 

@@ -9,6 +9,12 @@ Grammar (operators by increasing precedence), part of the public
     power  := atom ("^" unary)?
     atom   := number | ident | ident "(" args ")" | "(" expr ")"
 
+Lexical rules, shared with the operator language of opexpr: a number is an
+ASCII decimal literal (2, 2., .5, 1e-3, 1.e5; "1e" reads as 1 then the name
+e), so a non-ASCII digit such as "٣" is an unexpected character; an ident
+is a Python identifier (str.isidentifier), the rule coordinate names obey;
+whitespace separates tokens.
+
 Known functions: sin cos tan exp log sqrt pow; constants: pi, e.  A parsed
 tree nests at most MAX_DEPTH levels (a parenthesised group counts as one),
 so neither parsing nor evaluation can exhaust the Python stack.
@@ -20,6 +26,7 @@ a float.
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -84,56 +91,93 @@ class Call:
 Expr = (Num, Const, Var, Bin, Neg, Call)
 
 
-class _Tokenizer:
-    def __init__(self, src):
-        self.src = src
-        self.pos = 0
+# The one lexer of excal's two expression languages, this one and the
+# operator language of opexpr: ASCII decimal literals, identifier names,
+# one-character operators, the end of input, and any other character.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<name>(?:\w|[^\x00-\x7f\s])+)|(?P<op>[-+*/^(),])|(?P<eof>\Z)|(?P<bad>.))",
+    re.S,
+)
+_KINDS = frozenset(("num", "name", "eof", *"+-*/^(),"))
 
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+
+def _name_length(run):
+    """The length of the longest identifier, by str.isidentifier, that run
+    starts with; load_config holds coordinate names to the same rule."""
+    if run.isidentifier():
+        return len(run)
+    n = 0
+    while n < len(run) and ("_" + run[n] if n else run[n]).isidentifier():
+        n += 1
+    return n
+
+
+class _Cursor:
+    """The tokens of src, read one at a time as (kind, text, offset): kind is
+    "num", "name", "eof" or the operator character itself. A token whose
+    kind is not in kinds, the language's own, is an unexpected character,
+    raised when the cursor reaches it."""
+
+    def __init__(self, src, kinds):
+        self.src, self.kinds = src, kinds
+        self.pos = 0
+        self.tok = None
+
+    def _scan(self):
+        m = _TOKEN.match(self.src, self.pos)
+        kind = m.lastgroup
+        text, off = m.group(kind), m.start(kind)
+        if kind == "op":
+            kind = text
+        elif kind == "name":
+            n = _name_length(text)
+            kind, text = ("name", text[:n]) if n else ("bad", text[0])
+        if kind not in self.kinds:
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}", off)
+        self.pos = off + len(text)
+        return kind, text, off
 
     def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.src):
-            return ("eof", "", self.pos)
-        c = self.src[self.pos]
-        start = self.pos
-        if c.isdigit() or (c == "." and self.pos + 1 < len(self.src) and self.src[self.pos + 1].isdigit()):
-            j = self.pos
-            seen_dot = seen_exp = False
-            while j < len(self.src):
-                ch = self.src[j]
-                if ch.isdigit():
-                    j += 1
-                elif ch == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif ch in "eE" and not seen_exp and j > self.pos:
-                    if j + 1 < len(self.src) and (
-                        self.src[j + 1].isdigit()
-                        or (self.src[j + 1] in "+-" and j + 2 < len(self.src) and self.src[j + 2].isdigit())
-                    ):
-                        seen_exp = True
-                        j += 2 if self.src[j + 1] in "+-" else 1
-                    else:
-                        break
-                else:
-                    break
-            return ("num", self.src[start:j], start)
-        if c.isalpha() or c == "_":
-            j = self.pos
-            while j < len(self.src) and (self.src[j].isalnum() or self.src[j] == "_"):
-                j += 1
-            return ("ident", self.src[start:j], start)
-        if c in "+-*/^(),":
-            return (c, c, start)
-        raise ExprSyntaxError(f"unexpected character {c!r}", start)
+        if self.tok is None:
+            self.tok = self._scan()
+        return self.tok
 
     def next(self):
         tok = self.peek()
-        self.pos = tok[2] + len(tok[1])
+        self.tok = None
         return tok
+
+    def take(self, kinds, what):
+        """The next token, which must be of one of kinds, what naming them."""
+        kind, text, off = tok = self.next()
+        if kind in kinds:
+            return tok
+        if kind == "eof":
+            raise ExprSyntaxError("unexpected end of expression", off)
+        raise ExprSyntaxError(f"expected {what}, found {text!r}", off)
+
+    def end(self):
+        kind, text, off = self.peek()
+        if kind != "eof":
+            raise ExprSyntaxError(f"trailing input {text!r}", off)
+
+
+def _nest(level, offset):
+    """level, a depth or height reached at offset, within MAX_DEPTH."""
+    if level > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", offset)
+    return level
+
+
+def _arguments(cur, item, depth):
+    """The values of item(depth) over the list "(" item ("," item)* ")" whose
+    "(" is cur's next token."""
+    cur.next()
+    args = [item(depth)]
+    while cur.take((",", ")"), "',' or ')'")[0] == ",":
+        args.append(item(depth))
+    return args
 
 
 class _Parser:
@@ -142,63 +186,54 @@ class _Parser:
     long left-leaning chain stop at MAX_DEPTH levels."""
 
     def __init__(self, src, var_names):
-        self.toks = _Tokenizer(src)
+        self.cur = _Cursor(src, _KINDS)
         self.vars = {name: i for i, name in enumerate(var_names)}
 
     def parse(self):
         e, _ = self.expr(1)
-        kind, _, off = self.toks.peek()
-        if kind != "eof":
-            raise ExprSyntaxError(f"unexpected token {kind!r}", off)
+        self.cur.end()
         return e
-
-    @staticmethod
-    def _level(h, off):
-        """h, a depth or height reached at offset off, within MAX_DEPTH."""
-        if h > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", off)
-        return h
 
     def expr(self, depth):
         left, h = self.term(depth)
         while True:
-            kind, _, off = self.toks.peek()
+            kind, _, off = self.cur.peek()
             if kind not in ("+", "-"):
                 return left, h
-            self.toks.next()
+            self.cur.next()
             right, hr = self.term(depth + 1)
-            left, h = Bin(kind, left, right, off), self._level(max(h, hr) + 1, off)
+            left, h = Bin(kind, left, right, off), _nest(max(h, hr) + 1, off)
 
     def term(self, depth):
         left, h = self.unary(depth)
         while True:
-            kind, _, off = self.toks.peek()
+            kind, _, off = self.cur.peek()
             if kind not in ("*", "/"):
                 return left, h
-            self.toks.next()
+            self.cur.next()
             right, hr = self.unary(depth + 1)
-            left, h = Bin(kind, left, right, off), self._level(max(h, hr) + 1, off)
+            left, h = Bin(kind, left, right, off), _nest(max(h, hr) + 1, off)
 
     def unary(self, depth):
-        kind, _, off = self.toks.peek()
-        self._level(depth, off)
+        kind, _, off = self.cur.peek()
+        _nest(depth, off)
         if kind == "-":
-            self.toks.next()
+            self.cur.next()
             arg, h = self.unary(depth + 1)
-            return Neg(arg, off), self._level(h + 1, off)
+            return Neg(arg, off), _nest(h + 1, off)
         return self.power(depth)
 
     def power(self, depth):
         base, h = self.atom(depth)
-        kind, _, off = self.toks.peek()
+        kind, _, off = self.cur.peek()
         if kind == "^":
-            self.toks.next()
+            self.cur.next()
             exp, he = self.unary(depth + 1)
-            return Bin("^", base, exp, off), self._level(max(h, he) + 1, off)
+            return Bin("^", base, exp, off), _nest(max(h, he) + 1, off)
         return base, h
 
     def atom(self, depth):
-        kind, text, off = self.toks.next()
+        kind, text, off = self.cur.take(("num", "name", "("), "a number, a name or '('")
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):
@@ -207,36 +242,21 @@ class _Parser:
         if kind == "(":
             # a parenthesised group counts as a level: it costs recursion
             e, h = self.expr(depth + 1)
-            k2, _, o2 = self.toks.next()
-            if k2 != ")":
-                raise ExprSyntaxError("expected ')'", o2)
-            return e, self._level(h + 1, off)
-        if kind == "ident":
-            nxt = self.toks.peek()
-            if nxt[0] == "(":
-                if text not in FUNCTIONS:
-                    raise UnknownIdentifier(text, off)
-                self.toks.next()
-                args = [self.expr(depth + 1)]
-                while True:
-                    k2, _, o2 = self.toks.next()
-                    if k2 == ")":
-                        break
-                    if k2 != ",":
-                        raise ExprSyntaxError("expected ',' or ')'", o2)
-                    args.append(self.expr(depth + 1))
-                if len(args) != FUNCTIONS[text]:
-                    raise ArityError(
-                        f"{text} takes {FUNCTIONS[text]} argument(s), got {len(args)}"
-                    )
-                h = max(ha for _, ha in args) + 1
-                return Call(text, tuple(a for a, _ in args), off), self._level(h, off)
-            if text in CONSTANTS:
-                return Const(text, off), 1
-            if text in self.vars:
-                return Var(text, self.vars[text], off), 1
-            raise UnknownIdentifier(text, off)
-        raise ExprSyntaxError(f"unexpected token {kind!r}", off)
+            self.cur.take((")",), "')'")
+            return e, _nest(h + 1, off)
+        if self.cur.peek()[0] == "(":
+            if text not in FUNCTIONS:
+                raise UnknownIdentifier(text, off)
+            args = _arguments(self.cur, self.expr, depth + 1)
+            if len(args) != FUNCTIONS[text]:
+                raise ArityError(f"{text} takes {FUNCTIONS[text]} argument(s), got {len(args)}")
+            h = max(ha for _, ha in args) + 1
+            return Call(text, tuple(a for a, _ in args), off), _nest(h, off)
+        if text in CONSTANTS:
+            return Const(text, off), 1
+        if text in self.vars:
+            return Var(text, self.vars[text], off), 1
+        raise UnknownIdentifier(text, off)
 
 
 def parse(src, var_names):

@@ -366,6 +366,36 @@ def test_a_series_past_the_float_range_is_a_domain_error(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("entry, char, offset", [("6²", "²", 1), ("x + ٣", "٣", 4)])
+def test_a_non_ascii_digit_is_a_syntax_error(capsys, tmp_path, entry, char, offset):
+    # str.isdigit accepts both: "6²" was a ValueError traceback from float(),
+    # and float() read "٣" as 3
+    cfg = {"dim": 1, "coords": ["x"], "metric": [[entry]], "domain": [[0.1, 0.9]]}
+    path = tmp_path / "digit.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "check", str(path), "--points", "2")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == f"error: ExprSyntaxError: unexpected character {char!r} at offset {offset}\n"
+
+
+def test_eval_names_a_form_by_any_identifier(capsys, tmp_path):
+    # load_config accepts the name ω; the operator language read ASCII names only
+    w = {"degree": 1, "coeffs": {"1": "x*y"}}
+    path = tmp_path / "omega.json"
+    path.write_text(json.dumps(dict(EVAL_CONFIG, forms={"ω": w})))
+    code, out, err = run(capsys, "eval", str(path), "--expr", "d(ω)", "--at", "0.5,0.5")
+    assert code == 0 and err == ""
+    assert out == "1,2: -0.5\n"
+
+
+def test_more_points_than_sample_draws_names_the_limit(capsys):
+    # every draw counts against SAMPLE_ATTEMPTS, so this count could never
+    # be drawn; it blamed the domain of a chart that rejects no point
+    code, out, err = run(capsys, "check", "--builtin", "dsquared", "--points", "10001")
+    assert code == 2 and out == ""
+    assert err == "error: ConfigError: cannot sample 10001 points: at most 10000 are drawn\n"
+
+
 def test_eval_at_a_negative_first_coordinate(capsys):
     # with a space argparse reads "-0.5,0.2" as an option; the = form works
     code, out, err = run(capsys, "eval", "flat_kahler(1)", "--expr", "sharp(Omega)", "--at=-0.5,0.2")

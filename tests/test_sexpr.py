@@ -1,16 +1,18 @@
 """Scalar expression language: parsing, precedence, evaluation, printing."""
 
 import math
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from excal import sexpr
+from excal import opexpr, sexpr
 from excal.errors import (
     ArityError,
     DivisionByZeroAtPoint,
     DomainError,
+    ExcalError,
     ExprSyntaxError,
     JetBudgetExhausted,
     UnknownIdentifier,
@@ -217,3 +219,30 @@ def test_jet_value_agrees_with_float_eval(x, y):
     want = sexpr.eval_value(e, (x, y))
     got = sexpr.eval_jet(e, _coords((x, y), 2)).value
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# the lexer both languages share, fed ASCII and non-ASCII digits, letters,
+# marks and a zero-width space
+FUZZ_TEXT = st.text(
+    alphabet=st.sampled_from(
+        string.ascii_letters + string.digits + "+-*/^(),.eE_ " + "²³½٣𝟙Ⅻßµω\u200b"
+    ),
+    max_size=16,
+)
+
+
+def _parse_error(parse, src):
+    """The message of the typed error parse(src) raises, or None."""
+    try:
+        parse(src)
+    except ExcalError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(FUZZ_TEXT)
+def test_both_parsers_return_a_tree_or_raise_a_typed_error(src):
+    _parse_error(lambda s: sexpr.parse(s, ["x1", "y2"]), src)
+    first = _parse_error(opexpr.parse, src)
+    assert _parse_error(opexpr.parse, src) == first
